@@ -29,12 +29,10 @@ _SUBCOMMANDS = ("params", "profile", "shoot", "minimize", "spectrum", "flow",
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
-    cfg = {k: v for k, v in vars(args).items()
-           if k not in ("func", "config") and v is not None}
-    out = cfg.get("out")
-    if out is not None:
-        cfg["out"] = str(out)
-    return cfg
+    # paths (--out, --initial, --per-point-dir) are echoed as strings
+    return {k: str(v) if isinstance(v, Path) else v
+            for k, v in vars(args).items()
+            if k not in ("func", "config") and v is not None}
 
 
 def _payload(args: argparse.Namespace, result: dict) -> dict:
@@ -172,16 +170,10 @@ def _cmd_minimize(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
-    from .profiles import w_gamma_star
-    from .spectral import assemble, lowest_eigenvalue, mass_direction_constraint
+    from .spectral import sector_min, spectral_grid
 
     pp = validate(args.d, args.gamma, args.p)
-    grid = np.geomspace(args.r_min, args.r_max, args.n)
-    prof = w_gamma_star(pp)
-    op = assemble(pp, prof, args.ell, grid)
-    if args.ell == 0:
-        op.constraints = [mass_direction_constraint(pp, prof, grid)]
-    lam, _ = lowest_eigenvalue(op)
+    lam = sector_min(pp, args.ell, spectral_grid(args.n, args.r_min, args.r_max))
     result = {"ell": args.ell, "lambda_min": lam, "n": args.n,
               "r_max": args.r_max, "constrained": args.ell == 0}
     if args.format == "json":
@@ -196,11 +188,19 @@ def _cmd_flow(args) -> None:
     from .profiles import RadialProfile
 
     if args.initial is not None:
-        text = Path(args.initial).read_text()
-        if text.lstrip().startswith("{"):
-            datum = RadialProfile.from_json(text)
-        else:
-            datum = RadialProfile.from_csv(text)
+        try:
+            text = Path(args.initial).read_text()
+            if text.lstrip().startswith("{"):
+                obj = json.loads(text)
+                # a ckn profile export nests the profile under result.profile
+                obj = obj.get("result", {}).get("profile", obj)
+                datum = RadialProfile.from_json(json.dumps(obj))
+            else:
+                datum = RadialProfile.from_csv("\n".join(
+                    line for line in text.splitlines()
+                    if not line.startswith("#")))
+        except (OSError, KeyError, ValueError) as exc:
+            raise ParameterError(f"cannot read initial datum: {exc}") from exc
     else:
         base = stationary_profile(args.m, args.gamma, args.d, args.mass)
 
@@ -275,17 +275,10 @@ def _cmd_selection(args) -> None:
 
 def _sweep_point(task):
     d, p, g, ell_idx, r_min, r_max, n = task
-    from .profiles import w_gamma_star
-    from .spectral import assemble, lowest_eigenvalue, mass_direction_constraint
+    from .spectral import sector_min, spectral_grid
 
-    pp = validate(d, g, p)
-    grid = np.geomspace(r_min, r_max, n)
-    prof = w_gamma_star(pp)
-    op = assemble(pp, prof, ell_idx, grid)
-    if ell_idx == 0:
-        op.constraints = [mass_direction_constraint(pp, prof, grid)]
-    lam, _ = lowest_eigenvalue(op)
-    return g, lam
+    return g, sector_min(validate(d, g, p), ell_idx,
+                         spectral_grid(n, r_min, r_max))
 
 
 def _cmd_sweep(args) -> None:
@@ -416,9 +409,14 @@ def _apply_config_file(argv: list[str], ap: argparse.ArgumentParser) -> list[str
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
-    path = Path(argv[idx + 1])
+    if idx + 1 == len(argv):
+        raise ParameterError("--config needs a file path")
+    try:
+        text = Path(argv[idx + 1]).read_text()
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file: {exc}") from exc
     extra: list[str] = []
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -431,9 +429,9 @@ def _apply_config_file(argv: list[str], ap: argparse.ArgumentParser) -> list[str
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     ap = build_parser()
-    if argv and argv[0] in _SUBCOMMANDS:
-        argv = _apply_config_file(argv, ap)
     try:
+        if argv and argv[0] in _SUBCOMMANDS:
+            argv = _apply_config_file(argv, ap)
         args = ap.parse_args(argv)
         args.func(args)
     except ParameterError as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import CFLViolation, NegativeDensity, RootNotBracketed
+from .errors import CFLViolation, NegativeDensity, ParameterError, RootNotBracketed
 from .params import ProblemParams, validate
 from .profiles import RadialProfile
 from .quadrature import power_law_weighted_integral, sphere_area
@@ -48,7 +48,7 @@ __all__ = [
 def admissible_m(m: float, gamma: float, d: int) -> ProblemParams:
     """Validate the diffusion exponent through p = 1/(2m - 1)."""
     if not (0.5 < m < 1.0):
-        raise ValueError(f"diffusion exponent must lie in (1/2, 1), got {m}")
+        raise ParameterError(f"diffusion exponent must lie in (1/2, 1), got {m}")
     p = 1.0 / (2.0 * m - 1.0)
     return validate(d, gamma, p)
 
@@ -148,7 +148,7 @@ def stationary_profile(m: float, gamma: float, d: int, M: float) -> StationaryPr
     """
     admissible_m(m, gamma, d)
     if M <= 0:
-        raise ValueError(f"target mass must be positive, got {M}")
+        raise ParameterError(f"target mass must be positive, got {M}")
 
     def f(logC):
         return _stationary_mass(math.exp(logC), m, gamma, d) - M

@@ -43,6 +43,18 @@ class TestReproducibility:
         strip = lambda t: re.sub(r'"timestamp": "[^"]*"', "", t)
         assert strip(first) == strip(second)
 
+    def test_sweep_byte_identical_modulo_timestamp(self, tmp_path):
+        # the eigensolver starts from a fixed vector, so repeated sweeps
+        # print the same digits
+        target = tmp_path / "s.csv"
+        args = ["sweep", "--n", "1000", "--gamma-points", "4",
+                "--format", "csv", "--out", str(target)]
+        texts = []
+        for _ in range(3):
+            assert main(args) == 0
+            texts.append(re.sub(r"# timestamp=.*", "", target.read_text()))
+        assert texts[0] == texts[1] == texts[2]
+
     def test_config_echo_round_trip(self, tmp_path):
         out = tmp_path / "o.json"
         main(["params", "--d", "3", "--gamma", "0.5", "--p", "2.0",
@@ -132,3 +144,49 @@ class TestCompute:
         assert res["crossing_radius"] == pytest.approx(1.0, abs=1e-8)
         assert abs(res["total_K_quadrature"] - res["total_K_closed_form"]) \
             < 1e-8 * abs(res["total_K_closed_form"])
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_spectrum_grid_below_minimum(self, n, capsys):
+        code = main(["spectrum", "--ell", "0", "--n", n])
+        assert code == 2
+        assert "at least" in capsys.readouterr().err
+
+    def test_spectrum_negative_ell(self):
+        assert main(["spectrum", "--ell", "-1", "--n", "100"]) == 2
+
+    def test_config_without_path(self, capsys):
+        assert main(["flow", "--config"]) == 2
+        assert "--config" in capsys.readouterr().err
+
+    def test_config_file_missing(self, tmp_path):
+        assert main(["flow", "--config", str(tmp_path / "none.cfg")]) == 2
+
+    @pytest.mark.parametrize("flag, value, word", [("--mass", "-1", "mass"),
+                                                   ("--m", "0.3", "exponent")])
+    def test_flow_bad_input(self, flag, value, word, capsys):
+        assert main(["flow", flag, value]) == 2
+        assert word in capsys.readouterr().err
+
+    def test_sweep_per_point_dir(self, tmp_path):
+        outdir = tmp_path / "points"
+        assert main(["sweep", "--n", "100", "--gamma-points", "2",
+                     "--per-point-dir", str(outdir)]) == 0
+        files = sorted(outdir.glob("gamma_*.json"))
+        assert len(files) == 2
+        cfg = json.loads(files[0].read_text())["config"]
+        assert cfg["per_point_dir"] == str(outdir)
+
+    def test_flow_from_profile_export(self, tmp_path):
+        datum = tmp_path / "datum.json"
+        assert main(["profile", "--r-min", "0.01", "--r-max", "100",
+                     "--points-per-decade", "8", "--out", str(datum)]) == 0
+        out = tmp_path / "flow.json"
+        code = main(["flow", "--T", "0.01", "--cells", "50",
+                     "--initial", str(datum), "--out", str(out)])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["initial"] == str(datum)
+        mass = payload["result"]["mass"]
+        assert abs(mass[-1] - mass[0]) < 1e-10 * mass[0]

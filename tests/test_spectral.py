@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from cknlab.errors import EigenSolverFailure, ParameterError
 from cknlab.params import validate
 from cknlab.profiles import w_gamma_star
-from cknlab.spectral import (assemble, gamma_sweep, hardy_poincare_gap,
-                             lowest_eigenvalue, mass_direction_constraint,
+from cknlab.spectral import (MIN_NODES, assemble, gamma_sweep,
+                             hardy_poincare_gap, lowest_eigenvalue,
+                             mass_direction_constraint, sector_min,
                              spectral_grid)
+
+
+def _tri(diag, off):
+    return sp.diags([off, diag, off], [-1, 0, 1])
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +28,9 @@ def op_ell1(pp0):
 
 class TestAssemble:
     def test_symmetry(self, op_ell1):
-        A = op_ell1.stiffness
+        A = op_ell1.stiffness.toarray()
         assert np.max(np.abs(A - A.T)) < 1e-12 * np.max(np.abs(A))
-        B = op_ell1.mass_matrix
+        B = op_ell1.mass_matrix.toarray()
         assert np.max(np.abs(B - B.T)) == 0.0
 
     def test_centrifugal_difference(self, pp0):
@@ -32,12 +39,12 @@ class TestAssemble:
         prof = w_gamma_star(pp0)
         op0 = assemble(pp0, prof, ell=0, grid=grid)
         op1 = assemble(pp0, prof, ell=1, grid=grid)
-        from cknlab.spectral import _tri_mass, _tri_to_dense
+        from cknlab.spectral import _tri_mass
         d = pp0.d
         dgc, offc = _tri_mass(grid, lambda x: x ** (d - 3.0))
         n = grid.size - 1
-        cent = (d - 1.0) * _tri_to_dense(dgc[:n], offc[: n - 1])
-        assert np.allclose(op1.stiffness - op0.stiffness, cent,
+        cent = (d - 1.0) * _tri(dgc[:n], offc[: n - 1]).toarray()
+        assert np.allclose((op1.stiffness - op0.stiffness).toarray(), cent,
                            rtol=1e-12, atol=1e-12)
 
     def test_rayleigh_quotient_at_translation_mode(self, pp0, op_ell1):
@@ -45,7 +52,7 @@ class TestAssemble:
         assert abs(op_ell1.rayleigh(f)) < 1e-4
 
     def test_mass_matrix_positive_definite(self, op_ell1):
-        vals = np.linalg.eigvalsh(op_ell1.mass_matrix)
+        vals = np.linalg.eigvalsh(op_ell1.mass_matrix.toarray())
         assert vals.min() > 0
 
 
@@ -71,6 +78,27 @@ class TestLowestEigenvalue:
         lam, _ = lowest_eigenvalue(op)
         assert lam > 0.1
 
+    def test_constrained_eigenprofile_is_feasible(self, pp0):
+        # the bordered solve keeps every iterate orthogonal to the constraint
+        grid = spectral_grid(n=1000)
+        prof = w_gamma_star(pp0)
+        op = assemble(pp0, prof, ell=0, grid=grid)
+        c = mass_direction_constraint(pp0, prof, grid)
+        op.constraints = [c]
+        lam, eig = lowest_eigenvalue(op)
+        v = eig.values[:-1]
+        assert abs(c @ v) < 1e-12 * np.linalg.norm(c) * np.linalg.norm(v)
+        assert op.rayleigh(v) == pytest.approx(lam, rel=1e-12)
+
+    def test_dependent_constraints_rejected(self, pp0):
+        grid = spectral_grid(n=400)
+        prof = w_gamma_star(pp0)
+        op = assemble(pp0, prof, ell=0, grid=grid)
+        c = mass_direction_constraint(pp0, prof, grid)
+        op.constraints = [c, 3.7 * c]
+        with pytest.raises(EigenSolverFailure):
+            lowest_eigenvalue(op)
+
     def test_spectral_shift_identity(self, pp0):
         grid = spectral_grid(n=400)
         op = assemble(pp0, w_gamma_star(pp0), ell=0, grid=grid)
@@ -88,6 +116,12 @@ class TestLowestEigenvalue:
             lam, _ = lowest_eigenvalue(op)
             lams.append(lam)
         assert lams[0] < lams[1] < lams[2]
+
+    @pytest.mark.parametrize("ell", [0, 1])
+    def test_sector_min_rejects_tiny_grids(self, pp0, ell):
+        with pytest.raises(ParameterError):
+            sector_min(pp0, ell, spectral_grid(n=MIN_NODES - 1))
+        assert np.isfinite(sector_min(pp0, ell, spectral_grid(n=MIN_NODES)))
 
     def test_grid_convergence(self, pp0):
         prof = w_gamma_star(pp0)
@@ -116,7 +150,7 @@ class TestHardyPoincare:
 
     def test_dropping_constraint_gives_zero(self):
         # without the zero-mean constraint the constants annihilate the form
-        from cknlab.spectral import SectorOperator, _tri_grad, _tri_mass, _tri_to_dense
+        from cknlab.spectral import SectorOperator, _tri_grad, _tri_mass
         pp = validate(3, 0.0, 2.0)
         w0 = w_gamma_star(pp)
         r = np.geomspace(1e-4, 1e4, 800)
@@ -125,15 +159,22 @@ class TestHardyPoincare:
         dden, oden = _tri_mass(r, lambda x: w0(x) ** (3 * p - 1) * x ** (d - 1.0))
         n = r.size - 1
         op = SectorOperator(ell=0, grid=r,
-                            stiffness=_tri_to_dense(dgrad[:n], ograd[: n - 1]),
-                            mass_matrix=_tri_to_dense(dden[:n], oden[: n - 1]))
+                            stiffness=_tri(dgrad[:n], ograd[: n - 1]).tocsc(),
+                            mass_matrix=_tri(dden[:n], oden[: n - 1]).tocsc())
         lam, _ = lowest_eigenvalue(op)
         assert abs(lam) < 1e-8
 
-    def test_second_parameter_point(self):
-        # 2 p (p-1)/(d - p(d-2)) at (3, 1.5) = 1.5/1.5 = 1 by hand
-        gap, _ = hardy_poincare_gap(3, 1.5, n=1500)
-        assert gap == pytest.approx(2 * 1.5 * 0.5 / (3 - 1.5), rel=2e-3)
+    @pytest.mark.parametrize("d, p, n", [(3, 1.5, 1500), (5, 1.2, 1000),
+                                         (4, 1.3, 1000), (5, 1.4, 1000)])
+    def test_second_parameter_point(self, d, p, n):
+        # gap 2 p (p-1)/(d - p(d-2)), = 1 at (3, 1.5) by hand; the
+        # constrained radial sector sits at the gap times 2 + d(m-1),
+        # m = (p+1)/(2p) (Denzler-McCann closed-form spectrum)
+        gap, info = hardy_poincare_gap(d, p, n=n)
+        want = 2 * p * (p - 1) / (d - p * (d - 2))
+        m = (p + 1) / (2 * p)
+        assert abs(gap - want) < 1e-6
+        assert abs(info["by_sector"][0] - want * (2 + d * (m - 1))) < 1e-3
 
 
 class TestGammaSweep:
