@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import CFLViolation, NegativeDensity, ParameterError, RootNotBracketed
-from .params import ProblemParams, validate
+from .params import ProblemParams, validate_m
 from .profiles import RadialProfile
 from .quadrature import power_law_weighted_integral, sphere_area
 
@@ -43,14 +44,6 @@ __all__ = [
     "self_similar_map",
     "fit_decay_rate",
 ]
-
-
-def admissible_m(m: float, gamma: float, d: int) -> ProblemParams:
-    """Validate the diffusion exponent through p = 1/(2m - 1)."""
-    if not (0.5 < m < 1.0):
-        raise ParameterError(f"diffusion exponent must lie in (1/2, 1), got {m}")
-    p = 1.0 / (2.0 * m - 1.0)
-    return validate(d, gamma, p)
 
 
 @dataclass(frozen=True)
@@ -101,8 +94,15 @@ class FlowMesh:
         return cls(d=d, gamma=gamma, edges=np.concatenate([core, tail]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class FlowState:
+    """Weighted density on a flow mesh at one time.
+
+    A state is never modified (``step`` returns a new one), so its face terms
+    and stability bound are computed once and shared by the time step, the
+    flux and the Fisher information.
+    """
+
     time: float
     mesh: FlowMesh
     density: np.ndarray
@@ -110,7 +110,7 @@ class FlowState:
     params: ProblemParams
 
     def __post_init__(self):
-        self.density = np.asarray(self.density, dtype=float)
+        object.__setattr__(self, "density", np.asarray(self.density, dtype=float))
         if np.any(self.density < 0):
             raise NegativeDensity("initial density has negative cells")
 
@@ -118,6 +118,54 @@ class FlowState:
     def mass(self) -> float:
         area = sphere_area(self.mesh.d)
         return area * float(np.sum(self.mesh.vol_w * self.density))
+
+    @cached_property
+    def faces(self) -> tuple[np.ndarray, np.ndarray]:
+        """Face velocity and harmonic-mean mobility (see _face_terms)."""
+        return _face_terms(self)
+
+    @cached_property
+    def dt_limit(self) -> float:
+        """Explicit stability bound: linearized diffusion CFL plus positivity.
+
+        The diffusion part linearizes the face flux in the cell value: the
+        relaxation rate of cell i is sum over its faces of
+        area * mobility * |d psi / d v| / (dx * weighted volume), with the
+        potential derivative (1-m) v^(m-2) taken at the smaller neighbor (the
+        stiffer side).  The drift part adds area * |d/dr r^(2-gamma)| / volume.
+        A current-drain positivity bound is intersected so that large transients
+        can never empty a cell in one step.
+        """
+        mesh, v, m = self.mesh, self.density, self.m
+        u, v_face = self.faces
+
+        vl, vr = v[:-1], v[1:]
+        v_small = np.minimum(vl, vr)
+        # essentially empty cells move no mass (flux <= 2 v^m area/dx) but would
+        # dominate the linearized rate; they are frozen out of the bound
+        live = v_small > 1e-30
+        with np.errstate(divide="ignore", over="ignore"):
+            dpsi_dv = np.where(live, (1.0 - m) * v_small ** (m - 2.0), 0.0)
+        diff_rate = mesh.face_area * np.minimum(v_face, v_small) * dpsi_dv \
+            / mesh.dx_face
+        r_f = mesh.edges[1:-1]
+        drift_rate = mesh.face_area * (2.0 - mesh.gamma) * r_f ** (1.0 - mesh.gamma)
+        face_rate = diff_rate + drift_rate
+        lam = np.zeros_like(v)
+        lam[:-1] += face_rate
+        lam[1:] += face_rate
+        lam /= mesh.vol_w
+        dt_lin = 1.0 / float(np.max(lam)) if np.max(lam) > 0 else math.inf
+
+        rate = mesh.face_area * v_face * np.abs(u)
+        out = np.zeros_like(v)
+        np.add.at(out, np.where(u > 0.0, np.arange(u.size), np.arange(1, v.size)),
+                  rate)
+        cell_mass = v * mesh.vol_w
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_cell = np.where(out > 0.0, cell_mass / out, np.inf)
+        dt_pos = float(np.min(per_cell))
+        return min(dt_lin, dt_pos)
 
 
 @dataclass(frozen=True)
@@ -142,32 +190,36 @@ def _stationary_mass(C: float, m: float, gamma: float, d: int) -> float:
 def stationary_profile(m: float, gamma: float, d: int, M: float) -> StationaryProfile:
     """Stationary state with prescribed weighted mass.
 
-    The weighted mass decreases strictly in C (the profile is pointwise
-    decreasing in C because the exponent 1/(m-1) is negative), so the root of
-    mass(C) = M is unique; it is found by bracketed root finding on log C.
+    The profile, hence its weighted mass, decreases strictly in C (the
+    exponent 1/(m-1) is negative), so mass(C) = M has exactly one root.
     """
-    admissible_m(m, gamma, d)
+    validate_m(d, gamma, m)
     if M <= 0:
         raise ParameterError(f"target mass must be positive, got {M}")
+    C = _solve_log_C(lambda C: _stationary_mass(C, m, gamma, d), M)
+    return StationaryProfile(C=C, mass=M, m=m, gamma=gamma, d=d)
 
+
+def _solve_log_C(mass_of_C, M: float) -> float:
+    """The stationary constant C > 0 with mass_of_C(C) = M.
+
+    mass_of_C must decrease strictly in C.  The root is bracketed on log C,
+    widening [-1, 1] by 2 per side until the signs differ, and refined by
+    brentq.
+    """
     def f(logC):
-        return _stationary_mass(math.exp(logC), m, gamma, d) - M
+        return mass_of_C(math.exp(logC)) - M
 
     lo, hi = -1.0, 1.0
-    for _ in range(200):
-        if f(lo) > 0:
-            break
+    while not f(lo) > 0:
         lo -= 2.0
-    else:
-        raise RootNotBracketed("no lower bracket for the stationary constant")
-    for _ in range(200):
-        if f(hi) < 0:
-            break
+        if lo < -400:
+            raise RootNotBracketed("no lower bracket for the stationary constant")
+    while not f(hi) < 0:
         hi += 2.0
-    else:
-        raise RootNotBracketed("no upper bracket for the stationary constant")
-    logC = brentq(f, lo, hi, xtol=1e-14, rtol=8.0 * np.finfo(float).eps)
-    return StationaryProfile(C=math.exp(logC), mass=M, m=m, gamma=gamma, d=d)
+        if hi > 400:
+            raise RootNotBracketed("no upper bracket for the stationary constant")
+    return math.exp(brentq(f, lo, hi, xtol=1e-14, rtol=8.0 * np.finfo(float).eps))
 
 
 def make_state(u0, m: float, gamma: float, d: int, n_cells: int = 400,
@@ -176,7 +228,7 @@ def make_state(u0, m: float, gamma: float, d: int, n_cells: int = 400,
 
     u0 may be a callable of r or a RadialProfile (interpolated linearly).
     """
-    params = admissible_m(m, gamma, d)
+    params = validate_m(d, gamma, m)
     if mesh is None:
         mesh = FlowMesh.graded(d, gamma, n_cells=n_cells, r_out=r_out)
     if isinstance(u0, RadialProfile):
@@ -193,14 +245,15 @@ def _potential(v: np.ndarray, centers: np.ndarray, m: float,
     return vm - centers ** (2.0 - gamma)
 
 
-def _face_terms(state: FlowState, u_cap: float):
+def _face_terms(state: FlowState):
     """Face velocity and harmonic-mean mobility for the current density.
 
     The harmonic mean vanishes whenever either neighbor is empty, so no flux
     ever enters a vacuum cell and the infinite potential there never meets a
-    nonzero mobility.
+    nonzero mobility.  The velocity is capped at _default_cap(mesh).
     """
     mesh, v = state.mesh, state.density
+    cap = _default_cap(mesh)
     psi = _potential(v, mesh.centers, state.m, mesh.gamma)
     dpsi = psi[1:] - psi[:-1]
     with np.errstate(invalid="ignore"):
@@ -208,55 +261,14 @@ def _face_terms(state: FlowState, u_cap: float):
     vl, vr = v[:-1], v[1:]
     both = vl * vr
     v_face = np.where(both > 0.0, 2.0 * both / (vl + vr), 0.0)
-    u = np.where(v_face == 0.0, 0.0, np.clip(u, -u_cap, u_cap))
+    u = np.where(v_face == 0.0, 0.0, np.clip(u, -cap, cap))
     u = np.where(np.isnan(u), 0.0, u)
     return u, v_face
 
 
-def stable_dt(state: FlowState, safety: float = 0.4,
-              u_cap: float | None = None) -> float:
-    """Explicit stability bound: linearized diffusion CFL plus positivity.
-
-    The diffusion part linearizes the face flux in the cell value: the
-    relaxation rate of cell i is sum over its faces of
-    area * mobility * |d psi / d v| / (dx * weighted volume), with the
-    potential derivative (1-m) v^(m-2) taken at the smaller neighbor (the
-    stiffer side).  The drift part adds area * |d/dr r^(2-gamma)| / volume.
-    A current-drain positivity bound is intersected so that large transients
-    can never empty a cell in one step.
-    """
-    mesh, v, m = state.mesh, state.density, state.m
-    if u_cap is None:
-        u_cap = _default_cap(mesh)
-    u, v_face = _face_terms(state, u_cap)
-
-    vl, vr = v[:-1], v[1:]
-    v_small = np.minimum(vl, vr)
-    # essentially empty cells move no mass (flux <= 2 v^m area/dx) but would
-    # dominate the linearized rate; they are frozen out of the bound
-    live = v_small > 1e-30
-    with np.errstate(divide="ignore", over="ignore"):
-        dpsi_dv = np.where(live, (1.0 - m) * v_small ** (m - 2.0), 0.0)
-    diff_rate = mesh.face_area * np.minimum(v_face, v_small) * dpsi_dv \
-        / mesh.dx_face
-    r_f = mesh.edges[1:-1]
-    drift_rate = mesh.face_area * (2.0 - mesh.gamma) * r_f ** (1.0 - mesh.gamma)
-    face_rate = diff_rate + drift_rate
-    lam = np.zeros_like(v)
-    lam[:-1] += face_rate
-    lam[1:] += face_rate
-    lam /= mesh.vol_w
-    dt_lin = 1.0 / float(np.max(lam)) if np.max(lam) > 0 else math.inf
-
-    rate = mesh.face_area * v_face * np.abs(u)
-    out = np.zeros_like(v)
-    np.add.at(out, np.where(u > 0.0, np.arange(u.size), np.arange(1, v.size)),
-              rate)
-    cell_mass = v * mesh.vol_w
-    with np.errstate(divide="ignore", invalid="ignore"):
-        per_cell = np.where(out > 0.0, cell_mass / out, np.inf)
-    dt_pos = float(np.min(per_cell))
-    return safety * min(dt_lin, dt_pos)
+def stable_dt(state: FlowState, safety: float = 0.4) -> float:
+    """Explicit time step, a safety fraction of the bound ``state.dt_limit``."""
+    return safety * state.dt_limit
 
 
 def _default_cap(mesh: FlowMesh) -> float:
@@ -265,15 +277,13 @@ def _default_cap(mesh: FlowMesh) -> float:
     return 50.0 * (2.0 - mesh.gamma) * float(mesh.edges[-1]) ** (1.0 - mesh.gamma)
 
 
-def step(state: FlowState, dt: float, u_cap: float | None = None) -> FlowState:
+def step(state: FlowState, dt: float) -> FlowState:
     """One conservative explicit update of the weighted density."""
     mesh, v = state.mesh, state.density
-    if u_cap is None:
-        u_cap = _default_cap(mesh)
-    limit = stable_dt(state, safety=1.0, u_cap=u_cap)
+    limit = state.dt_limit
     if dt > limit * (1.0 + 1e-12):
         raise CFLViolation(f"dt={dt:.3e} exceeds the stability bound {limit:.3e}")
-    u, v_face = _face_terms(state, u_cap)
+    u, v_face = state.faces
     flux = mesh.face_area * v_face * u
     div = np.zeros_like(v)
     div[:-1] += flux
@@ -296,7 +306,7 @@ def free_energy(state: FlowState, stationary: StationaryProfile) -> float:
     return area / (m - 1.0) * float(np.sum(integrand * mesh.vol_w))
 
 
-def fisher_information(state: FlowState, u_cap: float | None = None) -> float:
+def fisher_information(state: FlowState) -> float:
     """Discrete weighted Fisher information matching the scheme dissipation.
 
     Uses the same harmonic face mobility and (capped) face velocity as the
@@ -304,9 +314,7 @@ def fisher_information(state: FlowState, u_cap: float | None = None) -> float:
     the velocity cap is inactive.
     """
     mesh, m = state.mesh, state.m
-    if u_cap is None:
-        u_cap = _default_cap(mesh)
-    u, v_face = _face_terms(state, u_cap)
+    u, v_face = state.faces
     area = sphere_area(mesh.d)
     contrib = mesh.face_area * v_face * u * u * mesh.dx_face
     return m / (1.0 - m) * area * float(np.sum(contrib))
@@ -350,22 +358,12 @@ def _stationary_for_state(state: FlowState) -> StationaryProfile:
     area = sphere_area(mesh.d)
     c, g = mesh.centers, mesh.gamma
 
-    def f(logC):
-        B = (math.exp(logC) + c ** (2.0 - g)) ** (1.0 / (m - 1.0))
-        return area * float(np.sum(B * mesh.vol_w)) - target
+    def mesh_mass(C):
+        B = (C + c ** (2.0 - g)) ** (1.0 / (m - 1.0))
+        return area * float(np.sum(B * mesh.vol_w))
 
-    lo, hi = -1.0, 1.0
-    while f(lo) <= 0:
-        lo -= 2.0
-        if lo < -400:
-            raise RootNotBracketed("no lower bracket for the stationary constant")
-    while f(hi) >= 0:
-        hi += 2.0
-        if hi > 400:
-            raise RootNotBracketed("no upper bracket for the stationary constant")
-    logC = brentq(f, lo, hi, xtol=1e-14, rtol=8.0 * np.finfo(float).eps)
-    return StationaryProfile(C=math.exp(logC), mass=target, m=m,
-                             gamma=mesh.gamma, d=mesh.d)
+    return StationaryProfile(C=_solve_log_C(mesh_mass, target), mass=target,
+                             m=m, gamma=mesh.gamma, d=mesh.d)
 
 
 def run_decay(u0, m: float, gamma: float, T: float, dt: float | None = None,

@@ -20,7 +20,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import GridTooCoarse, NoDescent
-from .params import ProblemParams, derive, kappa, scaling_exponents
+from .params import (ProblemParams, check_radial_bounds, derive, kappa,
+                     scaling_exponents)
 from .profiles import (RadialProfile, barenblatt_mass, dilate_to_mass,
                        w_gamma_star)
 from .quadrature import power_law_weighted_integral, sphere_area
@@ -40,6 +41,9 @@ class GridConfig:
     n: int = 1024
     r_min: float = 1e-3
     r_max: float = 1e3
+
+    def __post_init__(self):
+        check_radial_bounds(self.r_min, self.r_max)
 
 
 @dataclass

@@ -18,12 +18,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DimensionTooSmall, GammaOutOfRange, POutOfRange
+from .errors import DimensionTooSmall, GammaOutOfRange, ParameterError, POutOfRange
 
 __all__ = [
     "ProblemParams",
     "DerivedExponents",
     "validate",
+    "validate_m",
+    "check_radial_bounds",
     "derive",
     "mass_from_multiplier",
     "kappa",
@@ -56,11 +58,7 @@ def validate(d: int, gamma: float, p: float) -> ProblemParams:
     Raises a structured error naming the violated bound.  Bounds are strict:
     callers who want boundary studies must pass interior values.
     """
-    if not float(d).is_integer() or d < 3:
-        raise DimensionTooSmall(f"d must be an integer >= 3, got {d}")
-    d = int(d)
-    if not (0.0 <= gamma < 2.0):
-        raise GammaOutOfRange(f"gamma must lie in [0, 2), got {gamma}")
+    d = _validate_d_gamma(d, gamma)
     p_max = (d - gamma) / (d - 2)
     if not (1.0 < p < p_max):
         raise POutOfRange(
@@ -68,6 +66,37 @@ def validate(d: int, gamma: float, p: float) -> ProblemParams:
             f"= (1, (d - gamma)/(d - 2)) for d={d}, gamma={gamma}; got {p}"
         )
     return ProblemParams(d=d, gamma=gamma, p=float(p))
+
+
+def _validate_d_gamma(d: int, gamma: float) -> int:
+    if not float(d).is_integer() or d < 3:
+        raise DimensionTooSmall(f"d must be an integer >= 3, got {d}")
+    if not (0.0 <= gamma < 2.0):
+        raise GammaOutOfRange(f"gamma must lie in [0, 2), got {gamma}")
+    return int(d)
+
+
+def validate_m(d: int, gamma: float, m: float) -> ProblemParams:
+    """Validate a flow exponent m and return (d, gamma, p = 1/(2m - 1)).
+
+    p lies in (1, (d - gamma)/(d - 2)) exactly when m lies in
+    ((2d - 2 - gamma)/(2(d - gamma)), 1), so m is checked on that interval.
+    """
+    d = _validate_d_gamma(d, gamma)
+    m_min = (2.0 * d - 2.0 - gamma) / (2.0 * (d - gamma))
+    if not (m_min < m < 1.0):
+        raise ParameterError(
+            f"diffusion exponent m must lie in the open interval ({m_min}, 1) "
+            f"= ((2d - 2 - gamma)/(2(d - gamma)), 1) for d={d}, "
+            f"gamma={gamma}; got {m}")
+    return validate(d, gamma, 1.0 / (2.0 * m - 1.0))
+
+
+def check_radial_bounds(r_min: float, r_max: float) -> None:
+    """Bounds of a geometric radial grid: 0 < r_min < r_max < inf."""
+    if not (0.0 < r_min < r_max < math.inf):
+        raise ParameterError(f"radial bounds must satisfy 0 < r_min < r_max < inf, "
+                             f"got r_min={r_min}, r_max={r_max}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .errors import DivergentNorm, ZeroDenominator
-from .params import ProblemParams, derive
+from .params import ProblemParams, check_radial_bounds, derive
 
 __all__ = [
     "RadialProfile",
@@ -40,6 +40,7 @@ __all__ = [
 def default_grid(r_min: float = 1e-4, r_max: float = 1e4,
                  points_per_decade: int = 64) -> np.ndarray:
     """Geometric grid resolving both the origin weight and the algebraic tail."""
+    check_radial_bounds(r_min, r_max)
     decades = math.log10(r_max / r_min)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(r_min, r_max, n)
@@ -155,20 +156,25 @@ class AnalyticProfile:
 
     def deriv(self, r):
         r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             s = r**self.c
-            return (-self.amplitude * self.k * self.c) * r ** (self.c - 1.0) \
-                * (self.b + s) ** (-self.k - 1.0)
+            base = (self.b + s) ** (-self.k - 1.0)
+            out = (-self.amplitude * self.k * self.c) * r ** (self.c - 1.0) * base
+        # far in the tail `base` underflows to 0 while the factor before it
+        # overflows; the product there is 0, not inf * 0 = nan
+        return np.where((base == 0.0) & np.isnan(out), 0.0, out)
 
     def second_deriv(self, r):
         r = np.asarray(r, dtype=float)
         a, b, c, k = self.amplitude, self.b, self.c, self.k
-        with np.errstate(over="ignore", under="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             s = r**c
             base = (b + s) ** (-k - 2.0)
             t_sq = (k + 1.0) * (c * r ** (c - 1.0)) ** 2
             t_curv = (b + s) * c * (c - 1.0) * r ** (c - 2.0)
-            return a * k * base * (t_sq - t_curv)
+            out = a * k * base * (t_sq - t_curv)
+        # as in deriv: an underflowed `base` makes the product 0
+        return np.where((base == 0.0) & np.isnan(out), 0.0, out)
 
     def sample(self, radii: np.ndarray | None = None,
                with_derivs: bool = True) -> RadialProfile:

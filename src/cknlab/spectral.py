@@ -28,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverFailure, ParameterError, SingularMass
-from .params import ProblemParams, validate
+from .params import ProblemParams, check_radial_bounds, validate
 from .profiles import RadialProfile, w_gamma_star
 
 __all__ = [
@@ -60,6 +60,7 @@ MIN_NODES = 16
 
 
 def spectral_grid(n: int = 1200, r_min: float = 1e-4, r_max: float = 1e4) -> np.ndarray:
+    check_radial_bounds(r_min, r_max)
     return np.geomspace(r_min, r_max, n)
 
 

@@ -169,6 +169,21 @@ class TestExitCodes:
         assert main(["flow", flag, value]) == 2
         assert word in capsys.readouterr().err
 
+    def test_flow_m_error_names_m_interval(self, capsys):
+        # at d = 3, gamma = 0 the admissible m-interval is (2/3, 1); the
+        # message speaks of m, not of p = 1/(2m - 1)
+        assert main(["flow", "--m", "0.55"]) == 2
+        err = capsys.readouterr().err
+        assert "m must lie in the open interval (0.6666666666666666, 1)" in err
+        assert "got 0.55" in err
+
+    @pytest.mark.parametrize("sub", ["spectrum", "sweep", "profile", "minimize"])
+    @pytest.mark.parametrize("bounds", [["--r-min", "0"], ["--r-min", "-1"],
+                                        ["--r-min", "10", "--r-max", "1"]])
+    def test_radial_bounds_rejected(self, sub, bounds, capsys):
+        assert main([sub, *bounds]) == 2
+        assert "0 < r_min < r_max < inf" in capsys.readouterr().err
+
     def test_sweep_per_point_dir(self, tmp_path):
         outdir = tmp_path / "points"
         assert main(["sweep", "--n", "100", "--gamma-points", "2",

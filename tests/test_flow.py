@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import cknlab.flow as flow_module
 from cknlab.errors import CFLViolation, NegativeDensity
 from cknlab.flow import (FlowMesh, fisher_information,
                          fit_decay_rate, free_energy, make_state, run_decay,
@@ -87,6 +90,43 @@ class TestStep:
             state = step(state, stable_dt(state))
             Fs.append(free_energy(state, ref))
         assert all(b <= a + 1e-14 for a, b in zip(Fs, Fs[1:]))
+
+
+class TestFaceCache:
+    def test_one_face_evaluation_per_state(self, stat, monkeypatch):
+        # the time step, the CFL guard, the flux and the Fisher information
+        # of a state all read the faces cached on that state
+        evaluations, steps = [], []
+        face_terms, step_fn = flow_module._face_terms, flow_module.step
+
+        def counting_faces(state):
+            evaluations.append(state)
+            return face_terms(state)
+
+        def counting_step(state, dt):
+            steps.append(dt)
+            return step_fn(state, dt)
+
+        monkeypatch.setattr(flow_module, "_face_terms", counting_faces)
+        monkeypatch.setattr(flow_module, "step", counting_step)
+        pert = lambda r: stat(r) * (1.0 + 0.1 * np.cos(np.log(np.maximum(r, 1e-12))))
+        series = run_decay(pert, 0.75, 0.0, T=0.01, n_cells=60, record_every=3)
+        assert len(steps) > 10
+        assert len(evaluations) == len(steps) + 1
+        assert evaluations[-1] is series.final
+
+    def test_guard_accepts_the_bound(self, stat):
+        pert = lambda r: stat(r) * (1.0 + 0.3 * np.exp(-((r - 2) ** 2)))
+        state = make_state(pert, 0.75, 0.0, 3, n_cells=200)
+        limit = stable_dt(state, safety=1.0)
+        assert limit == state.dt_limit
+        assert step(state, limit).time == limit
+
+    def test_state_is_frozen(self, stat):
+        # the cached faces stay valid only because a state never changes
+        state = make_state(stat, 0.75, 0.0, 3, n_cells=50)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.density = np.zeros_like(state.density)
 
 
 class TestEnergyFunctionals:

@@ -116,12 +116,16 @@ class TestNorms:
 
 class TestGradientNorm:
     def test_matches_analytic_derivative_oracle(self):
-        pp = validate(3, 0.0, 2.0)
-        w = w_star(pp)
-        val = gradient_norm(w, pp)
-        # oracle: |w'|^2 = 4 r^2 (1+r^2)^(-4) integrated against r^2 dr
-        exact = math.sqrt(sphere_area(3) * 4.0 * beta_oracle(5.0, 1.0, 2.0, 4.0))
-        assert val == pytest.approx(exact, rel=1e-8)
+        # oracle: |w'|^2 = (A k c)^2 r^(2c-2) (b + r^c)^(-2k-2) against
+        # r^(d-1) dr; at (3, 0, 2) this is 4 r^2 (1+r^2)^(-4).  Near p = 1
+        # the tail nodes overflow r^(c-1) and underflow the power factor.
+        for family, pp in ((w_star, validate(3, 0.0, 2.0)),
+                           (w_gamma_star, validate(3, 0.0, 1.04))):
+            w = family(pp)
+            A, b, c, k = w.amplitude, w.b, w.c, w.k
+            exact = math.sqrt(sphere_area(pp.d) * (A * k * c) ** 2
+                              * beta_oracle(2 * c - 2 + pp.d, b, c, 2 * k + 2))
+            assert gradient_norm(w, pp) == pytest.approx(exact, rel=1e-8)
 
     def test_constant_profile_zero(self):
         pp = validate(3, 0.0, 2.0)
