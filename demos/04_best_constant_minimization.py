@@ -37,5 +37,5 @@ print("== mass independence of J ==")
 pp = validate(3, 0.5, 2.0)
 M = barenblatt_mass(pp)
 for mass in (M, 2.0 * M):
-    rep = minimize_radial(pp, GridConfig(n=512), mass=mass, richardson=False)
+    rep = minimize_radial(pp, GridConfig(n=512), mass=mass)
     print(f"  mass {mass:10.4f}: J = {rep.J:.10f}")

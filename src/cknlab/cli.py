@@ -143,8 +143,7 @@ def _cmd_minimize(args) -> None:
 
     pp = validate(args.d, args.gamma, args.p)
     grid = GridConfig(n=args.grid, r_min=args.r_min, r_max=args.r_max)
-    rep = minimize_radial(pp, grid, solver_tol=args.solver_tol,
-                          start=args.start, richardson=not args.no_richardson)
+    rep = minimize_radial(pp, grid, solver_tol=args.solver_tol, start=args.start)
     c_star, J_closed = best_constant_radial(pp)
     result = {
         "best_quotient": rep.best_quotient,
@@ -164,8 +163,7 @@ def _cmd_minimize(args) -> None:
         _emit_json(args, result)
     else:
         header = ["d", "gamma", "p", "CStar", "J", "gridN", "errEst"]
-        row = [pp.d, pp.gamma, pp.p, c_star, rep.J, grid.n,
-               rep.err_estimate if rep.err_estimate is not None else float("nan")]
+        row = [pp.d, pp.gamma, pp.p, c_star, rep.J, grid.n, rep.err_estimate]
         _emit_csv(args, header, [row], result_meta=result)
 
 
@@ -354,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--r-max", type=float, default=1e3)
     sp.add_argument("--solver-tol", type=float, default=1e-4)
     sp.add_argument("--start", choices=("warm", "cold"), default="warm")
-    sp.add_argument("--no-richardson", action="store_true")
     sp.set_defaults(func=_cmd_minimize)
 
     sp = sub.add_parser("spectrum", help="lowest sector eigenvalue")

@@ -41,6 +41,10 @@ class ZeroDenominator(CknError):
     """A quotient was requested for a profile with vanishing norm."""
 
 
+class AmplitudeOverflow(CknError):
+    """A closed-form profile amplitude, or a power of it, exceeds the float range."""
+
+
 # -- ODE shooting ---------------------------------------------------------------
 
 class StepSizeUnderflow(CknError):

@@ -88,6 +88,12 @@ class FlowMesh:
         """
         n_core = max(8, int(round(core_fraction * n_cells)))
         n_tail = n_cells - n_core
+        if n_tail < 1:
+            raise ParameterError(f"a graded mesh needs more cells than its "
+                                 f"{n_core} core cells, got n_cells={n_cells}")
+        if not r_core < r_out < math.inf:
+            raise ParameterError(f"r_out must lie in ({r_core}, inf), beyond the "
+                                 f"core radius, got r_out={r_out}")
         core = np.linspace(0.0, r_core, n_core + 1)
         ratio = (r_out / r_core) ** (1.0 / n_tail)
         tail = r_core * ratio ** np.arange(1, n_tail + 1)
@@ -375,6 +381,12 @@ def run_decay(u0, m: float, gamma: float, T: float, dt: float | None = None,
     T/64, so even a stationary start produces a resolved series); a fixed dt
     is checked against the bound and rejected if too large.
     """
+    if not 0.0 < T < math.inf:
+        raise ParameterError(f"final time T must lie in (0, inf), got T={T}")
+    if dt is not None and not dt > 0.0:
+        raise ParameterError(f"time step dt must be > 0, got dt={dt}")
+    if record_every < 1:
+        raise ParameterError(f"record_every must be >= 1, got {record_every}")
     state = make_state(u0, m, gamma, d, n_cells=n_cells, r_out=r_out)
     stat = _stationary_for_state(state)
     ts, Fs, Is, masses, dts = [], [], [], [], []

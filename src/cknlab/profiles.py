@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature as quad
-from .errors import DivergentNorm, ZeroDenominator
+from .errors import AmplitudeOverflow, DivergentNorm, ZeroDenominator
 from .params import ProblemParams, check_radial_bounds, derive
 
 __all__ = [
@@ -215,7 +215,7 @@ def w_gamma_star(params: ProblemParams) -> AnalyticProfile:
     """
     ex = derive(params)
     k = 1.0 / (params.p - 1.0)
-    return AnalyticProfile(amplitude=ex.a_gamma**k, b=ex.b_gamma,
+    return AnalyticProfile(amplitude=_power(ex.a_gamma, k), b=ex.b_gamma,
                            c=2.0 - params.gamma, k=k)
 
 
@@ -226,7 +226,22 @@ def barenblatt_mass(params: ProblemParams) -> float:
     q = 2.0 * params.p
     integral = quad.power_law_weighted_integral(
         params.d - params.gamma, prof.b, prof.c, q * prof.k)
-    return ex.sphere_area * prof.amplitude**q * integral
+    return ex.sphere_area * _power(prof.amplitude, q) * integral
+
+
+def _power(base: float, expo: float) -> float:
+    """base**expo for an amplitude; AmplitudeOverflow past the float range.
+
+    Near p = 1 the optimizer's amplitude a_gamma^(1/(p-1)) grows like
+    exp(log(a_gamma)/(p-1)) and leaves the float range, e.g. at
+    (d, gamma, p) = (5, 1.9, 1.0067).
+    """
+    try:
+        return base**expo
+    except OverflowError:
+        raise AmplitudeOverflow(
+            f"amplitude {base:.6g}^{expo:.6g} = exp({expo * math.log(base):.1f}) "
+            f"exceeds the float range") from None
 
 
 def dilate_to_mass(params: ProblemParams, mass: float) -> AnalyticProfile:

@@ -142,12 +142,9 @@ def test_criterion_5_and_6_minimizer_and_kappa_relation():
         pp = validate(d, gamma, p)
         c_star, J_closed = best_constant_radial(pp)
         target = 1.0 / c_star
-        warm = minimize_radial(pp, GridConfig(n=1024), start="warm",
-                               richardson=False)
-        cold = minimize_radial(pp, GridConfig(n=1024), start="cold",
-                               richardson=False)
-        half = minimize_radial(pp, GridConfig(n=512), start="warm",
-                               richardson=False)
+        warm = minimize_radial(pp, GridConfig(n=1024), start="warm")
+        cold = minimize_radial(pp, GridConfig(n=1024), start="cold")
+        half = minimize_radial(pp, GridConfig(n=512), start="warm")
         elapsed = time.time() - t0
         checks.append(("warm lands", abs(warm.best_quotient - target) / target < 1e-4))
         checks.append(("cold lands", abs(cold.best_quotient - target) / target < 1e-4))

@@ -85,7 +85,7 @@ class TestCompute:
     def test_minimize_small_grid(self, tmp_path):
         out = tmp_path / "m.json"
         code = main(["minimize", "--d", "3", "--gamma", "0", "--p", "2",
-                     "--grid", "256", "--no-richardson", "--out", str(out)])
+                     "--grid", "256", "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         got = payload["result"]["best_quotient"]
@@ -183,6 +183,39 @@ class TestExitCodes:
     def test_radial_bounds_rejected(self, sub, bounds, capsys):
         assert main([sub, *bounds]) == 2
         assert "0 < r_min < r_max < inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--grid", "0"], ["--grid", "1"],
+                                      ["--grid", "2"], ["--solver-tol", "-1"],
+                                      ["--solver-tol", "0"]])
+    def test_minimize_bad_input(self, args):
+        assert main(["minimize", *args]) == 2
+
+    def test_no_richardson_flag_removed(self):
+        # argparse rejects the unknown flag with SystemExit(2)
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--no-richardson"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("gamma, p", [("1.5", "1.49"), ("1.9", "1.05"),
+                                          ("1.2", "1.7")])
+    def test_minimize_truncated_profile_fails(self, gamma, p, capsys):
+        # [1e-3, 1e3] truncates these minimizers; the dilation-balance guard
+        # turns the wrong quotient into a numerical failure
+        assert main(["minimize", "--d", "3", "--gamma", gamma, "--p", p]) == 3
+        assert "GridTooCoarse: dilation balance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--record-every", "0"], ["--T", "0"],
+                                      ["--T", "-1"], ["--r-out", "0"],
+                                      ["--cells", "0"], ["--cells", "7"],
+                                      ["--cells", "8"]])
+    def test_flow_bad_run_input(self, args, capsys):
+        assert main(["flow", "--cells", "50", *args]) == 2
+        assert "parameter error" in capsys.readouterr().err
+
+    def test_profile_amplitude_overflow(self, capsys):
+        assert main(["profile", "--d", "5", "--gamma", "1.9",
+                     "--p", "1.0067"]) == 3
+        assert "AmplitudeOverflow" in capsys.readouterr().err
 
     def test_sweep_per_point_dir(self, tmp_path):
         outdir = tmp_path / "points"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cknlab.flow as flow_module
-from cknlab.errors import CFLViolation, NegativeDensity
+from cknlab.errors import CFLViolation, NegativeDensity, ParameterError
 from cknlab.flow import (FlowMesh, fisher_information,
                          fit_decay_rate, free_energy, make_state, run_decay,
                          self_similar_map, stable_dt, stationary_profile, step,
@@ -165,6 +165,14 @@ class TestRunDecay:
         assert np.all(np.abs(series.F) < 1e-12)
         assert np.all(series.I < 1e-18)
 
+    @pytest.mark.parametrize("kwargs", [{"T": 0.0}, {"T": -1.0},
+                                        {"T": float("inf")}, {"dt": 0.0},
+                                        {"dt": -1e-3}, {"record_every": 0}])
+    def test_bad_run_input_rejected(self, stat, kwargs):
+        args = dict(T=0.5, n_cells=50, r_out=20.0) | kwargs
+        with pytest.raises(ParameterError):
+            run_decay(stat, 0.75, 0.0, **args)
+
     def test_energy_identity_and_bound(self, stat):
         pert = lambda r: stat(r) * (1.0 + 0.1 * np.cos(np.log(np.maximum(r, 1e-10))))
         series = run_decay(pert, 0.75, 0.0, T=1.0, n_cells=200, record_every=5)
@@ -267,6 +275,20 @@ class TestMesh:
         wexp = 3 - 0.5
         vol = (mesh.edges[1:] ** wexp - mesh.edges[:-1] ** wexp) / wexp
         assert np.allclose(mesh.vol_w, vol)
+
+    @pytest.mark.parametrize("kwargs", [{"n_cells": 0}, {"n_cells": 7},
+                                        {"n_cells": 8}, {"r_out": 0.0},
+                                        {"r_out": 1.0}])
+    def test_graded_mesh_rejects_bad_input(self, kwargs):
+        # the core patch holds 8 cells on [0, 1]; the tail needs at least one
+        # more cell and an outer radius beyond the core
+        with pytest.raises(ParameterError):
+            FlowMesh.graded(3, 0.0, **({"n_cells": 100, "r_out": 20.0} | kwargs))
+
+    def test_graded_mesh_smallest(self):
+        mesh = FlowMesh.graded(3, 0.0, n_cells=9, r_out=20.0)
+        assert mesh.centers.size == 9
+        assert np.all(np.diff(mesh.edges) > 0)
 
     def test_negative_density_rejected(self):
         mesh = FlowMesh.uniform(3, 0.0, n_cells=10, r_out=5.0)

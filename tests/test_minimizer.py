@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import cknlab.minimizer as minimizer_module
 from cknlab.errors import GridTooCoarse
 from cknlab.minimizer import (GridConfig, _objective_factory, best_constant_radial,
                               critical_constant, discretize, hs_upper_bound,
@@ -29,44 +30,44 @@ class TestMinimizeRadial:
     def test_lands_on_explicit_optimizer(self, d, gamma, p):
         pp = validate(d, gamma, p)
         c_star, _ = best_constant_radial(pp)
-        rep = minimize_radial(pp, GRID, richardson=False)
+        rep = minimize_radial(pp, GRID)
         assert rep.best_quotient == pytest.approx(1.0 / c_star, rel=1e-4)
 
     def test_two_seed_agreement(self):
         pp = validate(3, 0.0, 2.0)
-        warm = minimize_radial(pp, GRID, start="warm", richardson=False)
-        cold = minimize_radial(pp, GRID, start="cold", richardson=False)
+        warm = minimize_radial(pp, GRID, start="warm")
+        cold = minimize_radial(pp, GRID, start="cold")
         assert cold.best_quotient == pytest.approx(warm.best_quotient, rel=1e-4)
 
     def test_profile_matches_mass_matched_dilate(self):
         pp = validate(3, 0.5, 2.0)
-        rep = minimize_radial(pp, GRID, richardson=False)
+        rep = minimize_radial(pp, GRID)
         cand = dilate_to_mass(pp, rep.mass)(rep.best_profile.radii)
         dev = np.max(np.abs(rep.best_profile.values - cand)) / np.max(cand)
         assert dev < 1e-3
 
     def test_never_beats_reference_beyond_tolerance(self):
         pp = validate(3, 0.0, 2.0)
-        rep = minimize_radial(pp, GRID, richardson=False)
+        rep = minimize_radial(pp, GRID)
         assert rep.best_quotient <= rep.reference + 1e-4
 
     def test_J_independent_of_mass(self):
         pp = validate(3, 0.0, 2.0)
         M = barenblatt_mass(pp)
-        rep1 = minimize_radial(pp, GRID, mass=M, richardson=False)
-        rep2 = minimize_radial(pp, GRID, mass=2.0 * M, richardson=False)
+        rep1 = minimize_radial(pp, GRID, mass=M)
+        rep2 = minimize_radial(pp, GRID, mass=2.0 * M)
         assert rep2.J == pytest.approx(rep1.J, rel=1e-5)
 
     def test_mass_constraint_exact(self):
         pp = validate(3, 0.5, 2.0)
-        rep = minimize_radial(pp, GRID, richardson=False)
+        rep = minimize_radial(pp, GRID)
         disc = discretize(pp, GRID)
         _, _, mass = disc.functionals(rep.best_profile.values, pp.p)
         assert abs(mass - rep.mass) / rep.mass < 1e-12
 
     def test_dilation_balance_vanishes(self):
         pp = validate(3, 0.0, 2.0)
-        rep = minimize_radial(pp, GRID, richardson=False)
+        rep = minimize_radial(pp, GRID)
         assert abs(rep.dilation_balance) < 1e-6
 
     def test_descent_monotone_across_iterations(self):
@@ -91,9 +92,36 @@ class TestMinimizeRadial:
 
     def test_richardson_estimate_reported(self):
         pp = validate(3, 0.0, 2.0)
-        rep = minimize_radial(pp, GRID, richardson=True)
-        assert rep.err_estimate is not None
+        rep = minimize_radial(pp, GRID)
+        assert isinstance(rep.err_estimate, float)
         assert rep.err_estimate < 1e-4 * rep.J
+
+    @pytest.mark.parametrize("n, sizes", [(1024, [65, 129, 257, 513, 1024]),
+                                          (100, [51, 100])])
+    def test_one_ladder_per_solve(self, n, sizes, monkeypatch):
+        # the Richardson coarse grid is the ladder's own second-finest level:
+        # one L-BFGS solve per level and no second ladder, and even a grid of
+        # at most 128 nodes gets a coarse level
+        calls = []
+        lbfgs = minimizer_module.minimize
+
+        def counting(fun, x0, *args, **kwargs):
+            calls.append(x0.size)
+            return lbfgs(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(minimizer_module, "minimize", counting)
+        # tolerance loose enough for the 100-node grid's Richardson guard
+        minimize_radial(validate(3, 0.15, 2.0), GridConfig(n=n), solver_tol=1e-3)
+        assert calls == sizes
+
+    @pytest.mark.parametrize("d, gamma, p", [(3, 1.5, 1.49), (3, 1.9, 1.05),
+                                             (3, 1.2, 1.7)])
+    def test_dilation_balance_guard(self, d, gamma, p):
+        # on [1e-3, 1e3] these profiles' transitions are truncated: the
+        # quotient is off the closed form by +3.3%, -99.7% and +0.28%, which
+        # the Richardson pair cannot see; the dilation balance does
+        with pytest.raises(GridTooCoarse, match="dilation balance"):
+            minimize_radial(validate(d, gamma, p), GRID)
 
     def test_grid_too_coarse_raises(self):
         pp = validate(3, 0.0, 2.0)

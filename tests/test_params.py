@@ -174,5 +174,5 @@ class TestKappa:
         from cknlab.minimizer import GridConfig, best_constant_radial, minimize_radial
         pp = validate(3, 0.0, 2.0)
         _, J_closed = best_constant_radial(pp)
-        rep = minimize_radial(pp, GridConfig(n=512), richardson=False)
+        rep = minimize_radial(pp, GridConfig(n=512))
         assert rep.J == pytest.approx(J_closed, rel=1e-6)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import betaln
 
-from cknlab.errors import DivergentNorm
+from cknlab.errors import AmplitudeOverflow, DivergentNorm
 from cknlab.minimizer import best_constant_radial
 from cknlab.params import derive, validate
 from cknlab.profiles import (AnalyticProfile, RadialProfile, barenblatt_mass,
@@ -243,6 +243,14 @@ class TestMassHelpers:
             w = dilate_to_mass(pp, target)
             got = weighted_norm(w, 2 * pp.p, pp.gamma, pp) ** (2 * pp.p)
             assert got == pytest.approx(target, rel=1e-9)
+
+    def test_amplitude_overflow_is_named(self):
+        # a_gamma^(1/(p-1)) is about exp(773) at (5, 1.9, 1.0067)
+        with pytest.raises(AmplitudeOverflow):
+            w_gamma_star(validate(5, 1.9, 1.0067))
+        # finite amplitude, but its 2p-th power in the mass overflows
+        with pytest.raises(AmplitudeOverflow):
+            barenblatt_mass(validate(3, 0.0, 1.02))
 
     def test_dilate_preserves_optimality(self):
         pp = validate(3, 0.5, 2.0)
