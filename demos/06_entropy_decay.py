@@ -18,7 +18,7 @@ for gamma in (0.0, 0.5):
     m = 0.75
     stat = stationary_profile(m, gamma, 3, 50.0)
     print(f"== gamma = {gamma}, m = {m} ==")
-    print(f"  stationary constant C = {stat.C:.8f}")
+    print(f"  stationary constant C = {stat.b:.8f}")
 
     def datum(r):
         return stat(r) * (1.0 + 0.1 * np.cos(np.log(np.maximum(r, 1e-12))))

@@ -211,7 +211,7 @@ def _cmd_flow(args) -> None:
                        record_every=args.record_every)
     meta = {
         "rate_bound": (2.0 - args.gamma) ** 2,
-        "stationary_C": series.stationary.C,
+        "stationary_C": series.stationary.b,
         "max_identity_residual": float(np.max(series.identity_residuals())),
     }
     try:

@@ -47,10 +47,6 @@ class AmplitudeOverflow(CknError):
 
 # -- ODE shooting ---------------------------------------------------------------
 
-class StepSizeUnderflow(CknError):
-    pass
-
-
 class ClassificationAmbiguous(CknError):
     """Trajectory neither crossed zero nor settled within the integration window."""
 

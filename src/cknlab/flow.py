@@ -26,13 +26,12 @@ from scipy.optimize import brentq
 
 from .errors import CFLViolation, NegativeDensity, ParameterError, RootNotBracketed
 from .params import ProblemParams, validate_m
-from .profiles import RadialProfile
-from .quadrature import power_law_weighted_integral, sphere_area
+from .profiles import AnalyticProfile, RadialProfile
+from .quadrature import sphere_area
 
 __all__ = [
     "FlowMesh",
     "FlowState",
-    "StationaryProfile",
     "stationary_profile",
     "make_state",
     "step",
@@ -174,27 +173,13 @@ class FlowState:
         return min(dt_lin, dt_pos)
 
 
-@dataclass(frozen=True)
-class StationaryProfile:
-    C: float
-    mass: float
-    m: float
-    gamma: float
-    d: int
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        return (self.C + r ** (2.0 - self.gamma)) ** (1.0 / (self.m - 1.0))
+def _stationary(C: float, m: float, gamma: float) -> AnalyticProfile:
+    """Stationary state (C + r^(2-gamma))^(1/(m-1)), a Barenblatt profile."""
+    return AnalyticProfile(amplitude=1.0, b=C, c=2.0 - gamma, k=1.0 / (1.0 - m))
 
 
-def _stationary_mass(C: float, m: float, gamma: float, d: int) -> float:
-    q = 1.0 / (1.0 - m)
-    return sphere_area(d) * power_law_weighted_integral(
-        d - gamma, C, 2.0 - gamma, q)
-
-
-def stationary_profile(m: float, gamma: float, d: int, M: float) -> StationaryProfile:
-    """Stationary state with prescribed weighted mass.
+def stationary_profile(m: float, gamma: float, d: int, M: float) -> AnalyticProfile:
+    """Stationary state with prescribed weighted mass; its ``b`` is C.
 
     The profile, hence its weighted mass, decreases strictly in C (the
     exponent 1/(m-1) is negative), so mass(C) = M has exactly one root.
@@ -202,8 +187,8 @@ def stationary_profile(m: float, gamma: float, d: int, M: float) -> StationaryPr
     validate_m(d, gamma, m)
     if M <= 0:
         raise ParameterError(f"target mass must be positive, got {M}")
-    C = _solve_log_C(lambda C: _stationary_mass(C, m, gamma, d), M)
-    return StationaryProfile(C=C, mass=M, m=m, gamma=gamma, d=d)
+    C = _solve_log_C(lambda C: _stationary(C, m, gamma).moment(1.0, d, gamma), M)
+    return _stationary(C, m, gamma)
 
 
 def _solve_log_C(mass_of_C, M: float) -> float:
@@ -301,7 +286,7 @@ def step(state: FlowState, dt: float) -> FlowState:
     return replace(state, time=state.time + dt, density=v_new)
 
 
-def free_energy(state: FlowState, stationary: StationaryProfile) -> float:
+def free_energy(state: FlowState, stationary: AnalyticProfile) -> float:
     """Relative entropy of the density against the stationary profile."""
     mesh, v, m = state.mesh, state.density, state.m
     B = stationary(mesh.centers)
@@ -333,7 +318,7 @@ class DecaySeries:
     I: np.ndarray
     mass: np.ndarray
     dt: np.ndarray
-    stationary: StationaryProfile
+    stationary: AnalyticProfile
     final: FlowState
 
     def identity_residuals(self) -> np.ndarray:
@@ -351,7 +336,7 @@ class DecaySeries:
         return "\n".join(lines) + "\n"
 
 
-def _stationary_for_state(state: FlowState) -> StationaryProfile:
+def _stationary_for_state(state: FlowState) -> AnalyticProfile:
     """Stationary profile mass-matched through the mesh's own mass sum.
 
     The flow conserves the discrete weighted mass, so the free energy must be
@@ -360,16 +345,13 @@ def _stationary_for_state(state: FlowState) -> StationaryProfile:
     leave a spurious quadrature-sized energy floor at the end of every run.
     """
     mesh, m = state.mesh, state.m
-    target = state.mass
     area = sphere_area(mesh.d)
-    c, g = mesh.centers, mesh.gamma
 
     def mesh_mass(C):
-        B = (C + c ** (2.0 - g)) ** (1.0 / (m - 1.0))
+        B = _stationary(C, m, mesh.gamma)(mesh.centers)
         return area * float(np.sum(B * mesh.vol_w))
 
-    return StationaryProfile(C=_solve_log_C(mesh_mass, target), mass=target,
-                             m=m, gamma=mesh.gamma, d=mesh.d)
+    return _stationary(_solve_log_C(mesh_mass, state.mass), m, mesh.gamma)
 
 
 def run_decay(u0, m: float, gamma: float, T: float, dt: float | None = None,

@@ -22,9 +22,9 @@ from scipy.optimize import minimize
 from .errors import GridTooCoarse, NoDescent, ParameterError
 from .params import (ProblemParams, check_radial_bounds, derive, kappa,
                      scaling_exponents)
-from .profiles import (RadialProfile, barenblatt_mass, dilate_to_mass,
-                       w_gamma_star)
-from .quadrature import power_law_weighted_integral, sphere_area
+from .profiles import (AnalyticProfile, RadialProfile, barenblatt_mass,
+                       dilate_to_mass, w_gamma_star, w_star)
+from .quadrature import sphere_area
 
 __all__ = [
     "GridConfig",
@@ -114,7 +114,8 @@ def discretize(params: ProblemParams, grid: GridConfig) -> _Discretization:
 
 
 def _quotient(params: ProblemParams, X: float, Y: float, mass: float) -> float:
-    """Interpolation quotient from the discrete functionals of one profile."""
+    """Interpolation quotient from X = |w'|_2^2, Y = |w|_(p+1,gamma)^(p+1) and
+    mass = |w|_(2p,gamma)^(2p) of one profile, discrete or exact."""
     p, vt = params.p, derive(params).vartheta
     return X ** (vt / 2.0) * Y ** ((1.0 - vt) / (p + 1.0)) \
         / mass ** (1.0 / (2.0 * p))
@@ -285,31 +286,18 @@ def minimize_radial(params: ProblemParams, grid: GridConfig | None = None,
     )
 
 
-def _quotient_closed_form(params: ProblemParams) -> float:
-    """Quotient of the unit-coefficient optimizer from Beta integrals."""
-    ex = derive(params)
-    d, g, p = params.d, params.gamma, params.p
-    area = sphere_area(d)
-    k = 1.0 / (p - 1.0)
-    c = 2.0 - g
-    grad_sq = area * (c * k) ** 2 * power_law_weighted_integral(
-        d + 2.0 - 2.0 * g, 1.0, c, 2.0 * (k + 1.0))
-    np1 = (area * power_law_weighted_integral(d - g, 1.0, c, (p + 1) * k)) \
-        ** (1.0 / (p + 1.0))
-    n2p = (area * power_law_weighted_integral(d - g, 1.0, c, 2.0 * p * k)) \
-        ** (1.0 / (2.0 * p))
-    return grad_sq ** (ex.vartheta / 2.0) * np1 ** (1.0 - ex.vartheta) / n2p
-
-
 def best_constant_radial(params: ProblemParams) -> tuple[float, float]:
     """Radial best constant and energy constant from the explicit optimizer.
 
     Returns (C_star, J) with C_star the reciprocal of the quotient at the
-    explicit profile and J = kappa * C_star^(-2 p theta).
+    explicit profile, from its exact moments, and J = kappa * C_star^(-2 p theta).
     """
     ex = derive(params)
-    c_star = 1.0 / _quotient_closed_form(params)
-    J = kappa(params) * c_star ** (-2.0 * params.p * ex.theta_gamma)
+    d, g, p = params.d, params.gamma, params.p
+    w = w_star(params)
+    c_star = 1.0 / _quotient(params, w.gradient_moment(d),
+                             w.moment(p + 1.0, d, g), w.moment(2.0 * p, d, g))
+    J = kappa(params) * c_star ** (-2.0 * p * ex.theta_gamma)
     return c_star, J
 
 
@@ -317,22 +305,19 @@ def critical_constant(d: int, gamma: float) -> float:
     """Best constant of the single-norm endpoint inequality.
 
     For gamma in [0, 2) the endpoint exponent is p = (d - gamma)/(d - 2) and
-    the explicit radial optimizer gives the constant in closed form; at
-    gamma = 2 it degenerates to the classical Hardy value 2/(d - 2).
+    the explicit radial optimizer (1 + r^(2-gamma))^(-1/(p-1)) gives the
+    constant in closed form; at gamma = 2 it degenerates to the classical
+    Hardy value 2/(d - 2).
     """
     if not (0.0 <= gamma <= 2.0):
         raise ValueError(f"gamma must lie in [0, 2], got {gamma}")
     if gamma == 2.0:
         return 2.0 / (d - 2.0)
     p_crit = (d - gamma) / (d - 2.0)
-    area = sphere_area(d)
-    k = 1.0 / (p_crit - 1.0)
-    c = 2.0 - gamma
-    grad_sq = area * (c * k) ** 2 * power_law_weighted_integral(
-        d + 2.0 - 2.0 * gamma, 1.0, c, 2.0 * (k + 1.0))
-    n_crit = (area * power_law_weighted_integral(
-        d - gamma, 1.0, c, 2.0 * p_crit * k)) ** (1.0 / (2.0 * p_crit))
-    return n_crit / math.sqrt(grad_sq)
+    w = AnalyticProfile(amplitude=1.0, b=1.0, c=2.0 - gamma,
+                        k=1.0 / (p_crit - 1.0))
+    return w.moment(2.0 * p_crit, d, gamma) ** (1.0 / (2.0 * p_crit)) \
+        / math.sqrt(w.gradient_moment(d))
 
 
 def hs_upper_bound(params: ProblemParams) -> float:

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DimensionTooSmall, GammaOutOfRange, ParameterError, POutOfRange
+from .quadrature import sphere_area
 
 __all__ = [
     "ProblemParams",
@@ -141,7 +142,6 @@ def derive(params: ProblemParams) -> DerivedExponents:
     m_diff = (p + 1) / (2 * p)
     m_one = (2 * d - g - 2) / (2 * (d - g))
     m_c = (d - 2) / (d - g)
-    area = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
     return DerivedExponents(
         two_star_gamma=two_star,
         vartheta=vartheta,
@@ -153,7 +153,7 @@ def derive(params: ProblemParams) -> DerivedExponents:
         m_diff=m_diff,
         m_one=m_one,
         m_c=m_c,
-        sphere_area=area,
+        sphere_area=sphere_area(d),
     )
 
 

@@ -1,11 +1,12 @@
 """Barenblatt-type profiles, weighted norms, energies and optimality residuals.
 
 Profiles come in two flavors.  ``AnalyticProfile`` wraps a closed-form radial
-function together with exact derivatives; ``RadialProfile`` stores sampled
-values on a graded grid with optional derivative data and an asserted tail
-decay power.  Norms of analytic profiles go through the tanh-sinh quadrature
-(no truncation); norms of grid profiles use the trapezoid rule plus power-law
-head and tail corrections controlled by the tail exponent.
+function together with exact derivatives and exact Beta-integral moments;
+``RadialProfile`` stores sampled values on a graded grid with optional
+derivative data and an asserted tail decay power.  Norms of analytic profiles
+go through the tanh-sinh quadrature (no truncation); norms of grid profiles
+use the trapezoid rule plus power-law head and tail corrections controlled by
+the tail exponent.
 """
 
 from __future__ import annotations
@@ -187,6 +188,26 @@ class AnalyticProfile:
             meta={"derivatives": "analytic" if with_derivs else "absent"},
         )
 
+    def moment(self, q: float, d: float, gamma: float) -> float:
+        """|S^(d-1)| int_0^inf |w|^q r^(d-1-gamma) dr, exactly (Beta integral).
+
+        d may be real, so the same closed form serves the flattened radial
+        dimension d_gamma = 2 (d - gamma)/(2 - gamma).
+        """
+        return quad.sphere_area(d) * _power(abs(self.amplitude), q) \
+            * quad.power_law_weighted_integral(d - gamma, self.b, self.c,
+                                               q * self.k)
+
+    def gradient_moment(self, d: float) -> float:
+        """|S^(d-1)| int_0^inf w'(r)^2 r^(d-1) dr, exactly (Beta integral).
+
+        w'^2 = (a c k)^2 r^(2c-2) (b + r^c)^(-2(k+1)), a Beta integral with
+        mu = d + 2c - 2; d may be real.
+        """
+        return quad.sphere_area(d) * _power(abs(self.amplitude), 2.0) \
+            * (self.c * self.k) ** 2 * quad.power_law_weighted_integral(
+                d + 2.0 * self.c - 2.0, self.b, self.c, 2.0 * (self.k + 1.0))
+
     def scaled(self, amp_factor: float, dilation: float) -> "AnalyticProfile":
         """Profile amp_factor * w(dilation * r), still in closed form.
 
@@ -221,12 +242,7 @@ def w_gamma_star(params: ProblemParams) -> AnalyticProfile:
 
 def barenblatt_mass(params: ProblemParams) -> float:
     """Closed form of the weighted L^(2p) mass of the normalized optimizer."""
-    ex = derive(params)
-    prof = w_gamma_star(params)
-    q = 2.0 * params.p
-    integral = quad.power_law_weighted_integral(
-        params.d - params.gamma, prof.b, prof.c, q * prof.k)
-    return ex.sphere_area * _power(prof.amplitude, q) * integral
+    return w_gamma_star(params).moment(2.0 * params.p, params.d, params.gamma)
 
 
 def _power(base: float, expo: float) -> float:

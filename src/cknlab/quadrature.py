@@ -67,13 +67,15 @@ class RadialQuadrature:
                 representable while covering integrable endpoint singularities
     base_h      level-0 step
     max_level   refinement cap before NonConvergent is raised
+
+    The half line is split at r = 1: the identity on [0, 1] and u = 1/r on
+    [1, inf).
     """
 
     rel_tol: float = 1e-11
     t_max: float = 6.0
     base_h: float = 0.25
     max_level: int = 7
-    substitution: tuple[str, str] = ("identity on [0,1]", "u = 1/r on [1,inf)")
     _level_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def _nodes(self, level: int):

@@ -176,7 +176,6 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
     past ``tol`` so that the final trajectory tracks the ground state into its
     decaying tail, then the result is reported at the bracket midpoint.
     """
-    ex = derive(params)
     d_gamma, c_map = to_flat_variables(params)
     p = params.p
 

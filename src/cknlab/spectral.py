@@ -120,7 +120,6 @@ class SectorOperator:
     stiffness: sp.csc_matrix
     mass_matrix: sp.csc_matrix
     constraints: list = field(default_factory=list)
-    params: ProblemParams | None = None
 
     def rayleigh(self, f: np.ndarray) -> float:
         """Rayleigh quotient of the pencil; 0 means marginal stability."""
@@ -160,7 +159,7 @@ def assemble(params: ProblemParams, profile, ell: int,
 
     return SectorOperator(ell=ell, grid=r_full,
                           stiffness=_tri_sparse(diag_a, off_a),
-                          mass_matrix=_tri_sparse(diag_b, off_b), params=params)
+                          mass_matrix=_tri_sparse(diag_b, off_b))
 
 
 def mass_direction_constraint(params: ProblemParams, profile,

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criterion 8 is split in three: its mass/identity/decay-bound parts,
-its fitted-rate window, and its repeat at the second weight exponent.
+lines.  Criterion 8 is split in four: its mass/identity/decay-bound parts and
+its fitted-rate window, each at gamma = 0 and at gamma = 0.5.
 
 The fitted-rate window is centered on the radial spectral gap of the
 linearized gamma = 0 flow, taken from the closed-form Hardy-Poincare spectrum
@@ -17,7 +17,10 @@ sharp constant in I >= (2-gamma)^2 F, so 4 is the rate of the envelope bound
 F <= F(0) exp(-4t).  A radial flow carries no translation component; its
 asymptotic rate is the mass-constrained radial gap (0, 1), which in the same
 units is 4 lambda_{01}/lambda_{10} = 4 (2 + d(m-1)), that is 5 at d = 3,
-m = 3/4.
+m = 3/4.  At gamma > 0 the substitution s = r^((2-gamma)/2) turns the radial
+flow into the gamma = 0 flow in the real dimension
+d_gamma = 2 (d - gamma)/(2 - gamma), with time scaled by (2-gamma)^2/4, so
+the radial rate is (2-gamma)^2 (2 + d_gamma(m-1)), 2.625 at gamma = 0.5.
 """
 
 import math
@@ -230,10 +233,16 @@ def test_criterion_8_fitted_rate_window(flow_series_gamma0):
             f"around the radial gap {pred:.1f}")
 
 
-def test_criterion_8_flow_gamma05():
+@pytest.fixture(scope="module")
+def flow_run_gamma05():
+    # the run is timed here, once, for the runtime check of the test below
     t0 = time.time()
-    s = _flow_run(0.5)
-    elapsed = time.time() - t0
+    series = _flow_run(0.5)
+    return series, time.time() - t0
+
+
+def test_criterion_8_flow_gamma05(flow_run_gamma05):
+    s, elapsed = flow_run_gamma05
     drift = float(np.max(np.abs(s.mass - s.mass[0]))) / s.mass[0]
     res = float(np.max(s.identity_residuals()))
     rate_bound = (2.0 - 0.5) ** 2
@@ -244,6 +253,22 @@ def test_criterion_8_flow_gamma05():
     _report("8 (gamma=0.5)", ok,
             f"mass drift {drift:.1e}, residual {res:.1e}, bound={bound}, "
             f"min I/F {ratio:.3f} >= {rate_bound * 0.98:.3f}, {elapsed:.0f}s")
+
+
+def test_criterion_8_fitted_rate_window_gamma05(flow_run_gamma05):
+    # at weight gamma the radial flow is the gamma = 0 flow in the real
+    # dimension d_gamma = 2 (d - gamma)/(2 - gamma) with time scaled by
+    # (2-gamma)^2/4, so its radial gap is (2-gamma)^2 (2 + d_gamma(m-1)),
+    # 2.625 at d = 3, m = 3/4 (Bonforte-Dolbeault-Muratori-Nazaret, KRM 2017)
+    from cknlab.flow import fit_decay_rate
+    gamma = 0.5
+    rate = fit_decay_rate(flow_run_gamma05[0])
+    d_gamma = 2.0 * (3 - gamma) / (2.0 - gamma)
+    pred = (2.0 - gamma) ** 2 * _radial_to_translation_ratio(d_gamma, 0.75)
+    lo, hi = 0.95 * pred, 1.10 * pred
+    _report("8 (rate window, gamma=0.5)", lo <= rate <= hi,
+            f"fitted asymptotic rate {rate:.3f} in [{lo:.3f}, {hi:.3f}] "
+            f"around the radial gap {pred:.3f}")
 
 
 def test_criterion_9_selection_suite():

@@ -7,8 +7,7 @@ import cknlab.flow as flow_module
 from cknlab.errors import CFLViolation, NegativeDensity, ParameterError
 from cknlab.flow import (FlowMesh, fisher_information,
                          fit_decay_rate, free_energy, make_state, run_decay,
-                         self_similar_map, stable_dt, stationary_profile, step,
-                         _stationary_mass)
+                         self_similar_map, stable_dt, stationary_profile, step)
 from cknlab.params import validate
 from cknlab.profiles import RadialProfile, w_star
 from cknlab.quadrature import power_law_weighted_integral, sphere_area
@@ -21,25 +20,26 @@ def stat():
 
 class TestStationaryProfile:
     def test_mass_is_matched(self, stat):
-        assert _stationary_mass(stat.C, 0.75, 0.0, 3) == pytest.approx(
+        assert stat.moment(1.0, 3, 0.0) == pytest.approx(
             50.0, rel=1e-10)
 
     def test_against_closed_form(self, stat):
         # mass(C) = K0 C^(nu - q) solves in closed form
         K0 = sphere_area(3) * power_law_weighted_integral(3.0, 1.0, 2.0, 4.0)
         C = (50.0 / K0) ** (1.0 / (1.5 - 4.0))
-        assert stat.C == pytest.approx(C, rel=1e-12)
+        assert stat.b == pytest.approx(C, rel=1e-12)
 
     def test_mass_decreasing_in_C(self):
         # the profile is pointwise decreasing in C (negative exponent), so
         # the weighted mass decreases as well; uniqueness follows
-        masses = [_stationary_mass(C, 0.75, 0.0, 3) for C in (0.1, 0.3, 1.0)]
+        masses = [flow_module._stationary(C, 0.75, 0.0).moment(1.0, 3, 0.0)
+                  for C in (0.1, 0.3, 1.0)]
         assert masses[0] > masses[1] > masses[2]
 
     def test_doubling_mass_decreases_C(self):
         s1 = stationary_profile(0.75, 0.5, 3, 10.0)
         s2 = stationary_profile(0.75, 0.5, 3, 20.0)
-        assert s2.C < s1.C
+        assert s2.b < s1.b
 
     def test_power_of_profile_is_dilated_optimizer(self, stat):
         # B^(m - 1/2) is a constant multiple of a dilate of the unit profile
@@ -49,8 +49,8 @@ class TestStationaryProfile:
         ws = w_star(pp)
         r = np.geomspace(1e-2, 1e2, 40)
         lhs = stat(r) ** (m - 0.5)
-        lam = stat.C ** (-0.5)  # dilation factor for gamma = 0
-        rhs = stat.C ** (-1.0 / (p - 1.0)) * ws(lam * r)
+        lam = stat.b ** (-0.5)  # dilation factor for gamma = 0
+        rhs = stat.b ** (-1.0 / (p - 1.0)) * ws(lam * r)
         assert np.allclose(lhs, rhs, rtol=1e-12)
 
     def test_rejects_bad_exponent(self):

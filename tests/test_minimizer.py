@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import betaln
 
 import cknlab.minimizer as minimizer_module
 from cknlab.errors import GridTooCoarse
 from cknlab.minimizer import (GridConfig, _objective_factory, best_constant_radial,
                               critical_constant, discretize, hs_upper_bound,
                               minimize_radial)
-from cknlab.params import validate
+from cknlab.params import kappa, validate
 from cknlab.profiles import barenblatt_mass, dilate_to_mass
+from cknlab.quadrature import sphere_area
 
 GRID = GridConfig(n=512)
 
@@ -23,6 +27,53 @@ class TestBestConstant:
         _, J0 = best_constant_radial(validate(3, 0.0, 2.0))
         _, J1 = best_constant_radial(validate(3, 1e-3, 2.0))
         assert abs(J1 - J0) / J0 < 1e-2
+
+
+def beta_oracle(mu, b, c, q):
+    """int_0^inf r^(mu-1) (b + r^c)^(-q) dr."""
+    nu = mu / c
+    return b ** (nu - q) * math.exp(betaln(nu, q - nu)) / c
+
+
+def oracle_quotient(d, gamma, p):
+    """Quotient of (1 + r^(2-gamma))^(-1/(p-1)) from Beta integrals."""
+    area, c, k = sphere_area(d), 2.0 - gamma, 1.0 / (p - 1.0)
+    vt = (d - gamma) * (p - 1) / (p * (d + 2 - 2 * gamma - p * (d - 2)))
+    grad_sq = area * (c * k) ** 2 * beta_oracle(
+        d + 2.0 - 2.0 * gamma, 1.0, c, 2.0 * (k + 1.0))
+    n_p1 = area * beta_oracle(d - gamma, 1.0, c, (p + 1.0) * k)
+    n_2p = area * beta_oracle(d - gamma, 1.0, c, 2.0 * p * k)
+    return grad_sq ** (vt / 2.0) * n_p1 ** ((1.0 - vt) / (p + 1.0)) \
+        / n_2p ** (1.0 / (2.0 * p))
+
+
+# (d, gamma, p) with gamma > 0, p halfway into the admissible range
+GAMMA_POINTS = [(d, g, 1.0 + 0.5 * ((d - g) / (d - 2.0) - 1.0))
+                for d in (3, 4) for g in (0.5, 1.2, 1.9)]
+
+
+class TestClosedFormOracle:
+    @pytest.mark.parametrize("d,gamma,p", GAMMA_POINTS)
+    def test_best_constant_radial(self, d, gamma, p):
+        pp = validate(d, gamma, p)
+        c_star, J = best_constant_radial(pp)
+        assert c_star == pytest.approx(1.0 / oracle_quotient(d, gamma, p),
+                                       rel=1e-13)
+        theta = (d + 2 - 2 * gamma - p * (d - 2)) \
+            / (d - gamma - p * (d + gamma - 4))
+        assert J == pytest.approx(kappa(pp) * c_star ** (-2.0 * p * theta),
+                                  rel=1e-13)
+
+    @pytest.mark.parametrize("d,gamma", [(d, g) for d, g, _ in GAMMA_POINTS])
+    def test_critical_constant(self, d, gamma):
+        p = (d - gamma) / (d - 2.0)
+        area, c, k = sphere_area(d), 2.0 - gamma, 1.0 / (p - 1.0)
+        grad_sq = area * (c * k) ** 2 * beta_oracle(
+            d + 2.0 - 2.0 * gamma, 1.0, c, 2.0 * (k + 1.0))
+        n_crit = (area * beta_oracle(d - gamma, 1.0, c, 2.0 * p * k)) \
+            ** (1.0 / (2.0 * p))
+        assert critical_constant(d, gamma) == pytest.approx(
+            n_crit / math.sqrt(grad_sq), rel=1e-13)
 
 
 class TestMinimizeRadial:

@@ -259,6 +259,60 @@ class TestMassHelpers:
                                                 rel=1e-10)
 
 
+# (d, gamma, p) with gamma > 0, p halfway into the admissible range
+GAMMA_POINTS = [(d, g, 1.0 + 0.5 * ((d - g) / (d - 2.0) - 1.0))
+                for d in (3, 4) for g in (0.5, 1.2, 1.9)]
+
+
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("d,gamma,p", GAMMA_POINTS)
+    def test_barenblatt_mass_beta_oracle(self, d, gamma, p):
+        # (a/(b + r^(2-gamma)))^(1/(p-1)) with eta = d - gamma - p (d-2),
+        # a = (2-gamma) eta/(p-1)^2 and b = eta^2/(p (p-1)^2)
+        eta = d - gamma - p * (d - 2.0)
+        a = (2.0 - gamma) * eta / (p - 1.0) ** 2
+        b = eta**2 / (p * (p - 1.0) ** 2)
+        k = 1.0 / (p - 1.0)
+        q = 2.0 * p
+        exact = sphere_area(d) * a ** (q * k) * beta_oracle(
+            d - gamma, b, 2.0 - gamma, q * k)
+        got = barenblatt_mass(validate(d, gamma, p))
+        assert got == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [3.5, 10.0 / 3.0, 5.25])
+    @pytest.mark.parametrize("gamma", [0.5, 1.2, 1.9])
+    def test_moments_in_real_dimension(self, d, gamma):
+        # k = d_gamma keeps every moment with q >= 1 finite
+        w = AnalyticProfile(amplitude=1.7, b=0.6, c=2.0 - gamma,
+                            k=2.0 * (d - gamma) / (2.0 - gamma))
+        area = sphere_area(d)
+        for q in (1.0, 2.0, 2.5):
+            exact = area * 1.7**q * beta_oracle(d - gamma, 0.6, w.c, q * w.k)
+            assert w.moment(q, d, gamma) == pytest.approx(exact, rel=1e-13)
+        exact = area * (1.7 * w.c * w.k) ** 2 * beta_oracle(
+            d + 2.0 * w.c - 2.0, 0.6, w.c, 2.0 * (w.k + 1.0))
+        assert w.gradient_moment(d) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("d", [3.0, 3.5, 5.25])
+    @pytest.mark.parametrize("gamma", [0.5, 1.2, 1.9])
+    def test_flattening_identity(self, d, gamma):
+        # s = r^alpha, alpha = (2-gamma)/2, maps (1 + r^(2-gamma))^(-k) at
+        # weight gamma in dimension d onto (1 + s^2)^(-k) at weight 0 in
+        # d_gamma = 2 (d-gamma)/(2-gamma): r^(d-1-gamma) dr = s^(d_gamma-1) ds
+        # / alpha and w_r^2 r^(d-1) dr = alpha w_s^2 s^(d_gamma-1) ds
+        alpha = (2.0 - gamma) / 2.0
+        d_gamma = 2.0 * (d - gamma) / (2.0 - gamma)
+        k = d_gamma
+        w = AnalyticProfile(amplitude=1.0, b=1.0, c=2.0 - gamma, k=k)
+        flat = AnalyticProfile(amplitude=1.0, b=1.0, c=2.0, k=k)
+        area, area_flat = sphere_area(d), sphere_area(d_gamma)
+        for q in (1.0, 2.0, 3.5):
+            assert w.moment(q, d, gamma) / area == pytest.approx(
+                flat.moment(q, d_gamma, 0.0) / (alpha * area_flat), rel=1e-13)
+        assert w.gradient_moment(d) / area == pytest.approx(
+            alpha * flat.gradient_moment(d_gamma) / area_flat, rel=1e-13)
+
+
 class TestSerialization:
     def test_json_round_trip_bit_exact(self):
         pp = validate(3, 0.5, 2.0)
