@@ -14,13 +14,14 @@ import dataclasses
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .errors import CknError, ParameterError
-from .params import derive, kappa, validate
+from .params import check_radial_bounds, derive, kappa, validate
 
 SCHEMA = "ckn/1"
 
@@ -232,6 +233,9 @@ def _cmd_selection(args) -> None:
                             inverse_square_integral, isotropy_matrix, m3_closed,
                             m_d, total_K_integral)
 
+    check_radial_bounds(args.s_min, args.s_max)
+    if args.s_points < 1:
+        raise ParameterError(f"--s-points must be >= 1, got {args.s_points}")
     ctx = SelectionContext(args.d, args.p)
     quad_val, closed = total_K_integral(ctx)
     inv2 = inverse_square_integral(ctx)
@@ -271,25 +275,21 @@ def _cmd_selection(args) -> None:
         _emit_csv(args, header, rows, result_meta=result)
 
 
-def _sweep_point(task):
-    d, p, g, ell_idx, r_min, r_max, n = task
-    from .spectral import sector_min, spectral_grid
-
-    return g, sector_min(validate(d, g, p), ell_idx,
-                         spectral_grid(n, r_min, r_max))
-
-
 def _cmd_sweep(args) -> None:
-    lo, hi, count = args.gamma_start, args.gamma_stop, args.gamma_points
-    gammas = np.linspace(lo, hi, count)
-    tasks = [(args.d, args.p, float(g), args.ell, args.r_min, args.r_max,
-              args.n) for g in gammas]
+    from .spectral import gamma_sweep
+
+    if args.gamma_points < 1:
+        raise ParameterError(f"--gamma-points must be >= 1, got {args.gamma_points}")
+    gammas = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_points)
+    sweep = partial(gamma_sweep, args.d, args.p, ell=args.ell, n=args.n,
+                    r_min=args.r_min, r_max=args.r_max)
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            points = list(pool.map(_sweep_point, tasks))
+            points = [pt for chunk in pool.map(sweep, [[g] for g in gammas])
+                      for pt in chunk]
     else:
-        points = [_sweep_point(t) for t in tasks]
+        points = sweep(gammas)
     if args.per_point_dir is not None:
         outdir = Path(args.per_point_dir)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -75,27 +75,27 @@ class FlowMesh:
 
     @classmethod
     def graded(cls, d: int, gamma: float, n_cells: int = 400,
-               r_out: float = 25.0, r_core: float = 1.0,
-               core_fraction: float = 0.25) -> "FlowMesh":
+               r_out: float = 25.0) -> "FlowMesh":
         """Uniform core patch continued by a geometric tail.
 
-        The core [0, r_core] is resolved uniformly; beyond it the cell width
-        grows geometrically.  The mobility of the thin outer tail grows like
-        r^(2-gamma), so cells must widen at least linearly with r or the tail
-        dominates the stability bound and the explicit update parks the tail
-        on the stability edge, where it rings instead of relaxing.
+        A quarter of the cells, at least 8, resolve the core [0, 1] uniformly;
+        beyond it the cell width grows geometrically.  The mobility of the
+        thin outer tail grows like r^(2-gamma), so cells must widen at least
+        linearly with r or the tail dominates the stability bound and the
+        explicit update parks the tail on the stability edge, where it rings
+        instead of relaxing.
         """
-        n_core = max(8, int(round(core_fraction * n_cells)))
+        n_core = max(8, int(round(0.25 * n_cells)))
         n_tail = n_cells - n_core
         if n_tail < 1:
             raise ParameterError(f"a graded mesh needs more cells than its "
                                  f"{n_core} core cells, got n_cells={n_cells}")
-        if not r_core < r_out < math.inf:
-            raise ParameterError(f"r_out must lie in ({r_core}, inf), beyond the "
+        if not 1.0 < r_out < math.inf:
+            raise ParameterError(f"r_out must lie in (1.0, inf), beyond the "
                                  f"core radius, got r_out={r_out}")
-        core = np.linspace(0.0, r_core, n_core + 1)
-        ratio = (r_out / r_core) ** (1.0 / n_tail)
-        tail = r_core * ratio ** np.arange(1, n_tail + 1)
+        core = np.linspace(0.0, 1.0, n_core + 1)
+        ratio = r_out ** (1.0 / n_tail)
+        tail = ratio ** np.arange(1, n_tail + 1)
         return cls(d=d, gamma=gamma, edges=np.concatenate([core, tail]))
 
 
@@ -354,19 +354,20 @@ def _stationary_for_state(state: FlowState) -> AnalyticProfile:
     return _stationary(_solve_log_C(mesh_mass, state.mass), m, mesh.gamma)
 
 
-def run_decay(u0, m: float, gamma: float, T: float, dt: float | None = None,
-              d: int = 3, n_cells: int = 400, r_out: float = 25.0,
-              max_steps: int = 2_000_000, record_every: int = 1) -> DecaySeries:
+# step budget of run_decay; a run that needs more has stalled
+_MAX_STEPS = 2_000_000
+
+
+def run_decay(u0, m: float, gamma: float, T: float, d: int = 3,
+              n_cells: int = 400, r_out: float = 25.0,
+              record_every: int = 1) -> DecaySeries:
     """Evolve an initial datum to time T, tracking energy and dissipation.
 
-    dt = None uses the adaptive stability bound each step (never more than
-    T/64, so even a stationary start produces a resolved series); a fixed dt
-    is checked against the bound and rejected if too large.
+    Each step takes the adaptive stability bound, never more than T/64, so
+    even a stationary start produces a resolved series.
     """
     if not 0.0 < T < math.inf:
         raise ParameterError(f"final time T must lie in (0, inf), got T={T}")
-    if dt is not None and not dt > 0.0:
-        raise ParameterError(f"time step dt must be > 0, got dt={dt}")
     if record_every < 1:
         raise ParameterError(f"record_every must be >= 1, got {record_every}")
     state = make_state(u0, m, gamma, d, n_cells=n_cells, r_out=r_out)
@@ -383,24 +384,22 @@ def run_decay(u0, m: float, gamma: float, T: float, dt: float | None = None,
     record(state, 0.0)
     steps = 0
     while state.time < T:
-        h = min(stable_dt(state), T / 64.0) if dt is None else dt
-        h = min(h, T - state.time)
+        h = min(stable_dt(state), T / 64.0, T - state.time)
         state = step(state, h)
         steps += 1
         if steps % record_every == 0 or state.time >= T:
             record(state, h)
-        if steps >= max_steps:
-            raise CFLViolation(f"exceeded {max_steps} steps before reaching T={T}")
+        if steps >= _MAX_STEPS:
+            raise CFLViolation(f"exceeded {_MAX_STEPS} steps before reaching T={T}")
     return DecaySeries(t=np.array(ts), F=np.array(Fs), I=np.array(Is),
                        mass=np.array(masses), dt=np.array(dts),
                        stationary=stat, final=state)
 
 
-def fit_decay_rate(series: DecaySeries, f_hi: float = 1e-1,
-                   f_lo: float = 1e-3) -> float:
-    """Least-squares slope of -log F over the window F/F(0) in [f_lo, f_hi]."""
+def fit_decay_rate(series: DecaySeries) -> float:
+    """Least-squares slope of -log F over the window F/F(0) in [1e-3, 1e-1]."""
     F0 = series.F[0]
-    mask = (series.F > 0) & (series.F <= f_hi * F0) & (series.F >= f_lo * F0)
+    mask = (series.F > 0) & (series.F <= 1e-1 * F0) & (series.F >= 1e-3 * F0)
     if mask.sum() < 8:
         raise ValueError("decay window too short to fit a rate")
     t, logF = series.t[mask], np.log(series.F[mask])

@@ -146,8 +146,7 @@ def _objective_factory(disc: _Discretization, target_mass: float):
     return objective
 
 
-def _lbfgs(disc: _Discretization, w0: np.ndarray, target_mass: float,
-           max_iter: int):
+def _lbfgs(disc: _Discretization, w0: np.ndarray, target_mass: float):
     objective = _objective_factory(disc, target_mass)
     # diagonal preconditioning: equalize the stiffness/mass scale spread that
     # a graded grid otherwise inflicts on quasi-Newton steps
@@ -162,12 +161,12 @@ def _lbfgs(disc: _Discretization, w0: np.ndarray, target_mass: float,
 
     res = minimize(objective_u, w0 * scale, jac=True, method="L-BFGS-B",
                    bounds=[(0.0, None)] * w0.size,
-                   options={"maxiter": max_iter, "ftol": 1e-16, "gtol": 1e-14,
-                            "maxcor": 30, "maxfun": 10 * max_iter})
+                   options={"maxiter": 4000, "ftol": 1e-16, "gtol": 1e-14,
+                            "maxcor": 30, "maxfun": 40000})
     return np.maximum(res.x, 0.0) / scale, int(res.nit)
 
 
-def _solve(disc: _Discretization, start_fn, target_mass: float, max_iter: int):
+def _solve(disc: _Discretization, start_fn, target_mass: float):
     """Coarse-to-fine continuation on the ladder n -> n//2 + 1 -> ... <= 128.
 
     The ladder has at least two levels; its second-finest level is the
@@ -192,7 +191,7 @@ def _solve(disc: _Discretization, start_fn, target_mass: float, max_iter: int):
             w0 = np.asarray(start_fn(level.r), dtype=float)
         else:
             w0 = np.interp(np.log(level.r), np.log(coarse.r), w)
-        w, nit = _lbfgs(level, w0, target_mass, max_iter)
+        w, nit = _lbfgs(level, w0, target_mass)
         total_it += nit
     G_coarse, _ = _objective_factory(coarse, target_mass)(w_coarse)
 
@@ -206,7 +205,7 @@ def _solve(disc: _Discretization, start_fn, target_mass: float, max_iter: int):
 
 def minimize_radial(params: ProblemParams, grid: GridConfig | None = None,
                     solver_tol: float = 1e-4, mass: float | None = None,
-                    start: str = "warm", max_iter: int = 4000) -> MinimizationReport:
+                    start: str = "warm") -> MinimizationReport:
     """Minimize the constrained energy over nonnegative radial grid profiles.
 
     start: 'warm' begins at 1.2 x the explicit optimizer, 'cold' at a Gaussian
@@ -239,7 +238,7 @@ def minimize_radial(params: ProblemParams, grid: GridConfig | None = None,
     else:
         raise ValueError(f"unknown start {start!r}")
 
-    w_hat, G, pgnorm, nit, G_c = _solve(disc, start_fn, target_mass, max_iter)
+    w_hat, G, pgnorm, nit, G_c = _solve(disc, start_fn, target_mass)
 
     X, Y, mass_h = disc.functionals(w_hat, p)
     quot = _quotient(params, X, Y, mass_h)

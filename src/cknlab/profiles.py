@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature as quad
-from .errors import AmplitudeOverflow, DivergentNorm, ZeroDenominator
+from .errors import (AmplitudeOverflow, DivergentNorm, ParameterError,
+                     ZeroDenominator)
 from .params import ProblemParams, check_radial_bounds, derive
 
 __all__ = [
@@ -42,6 +43,8 @@ def default_grid(r_min: float = 1e-4, r_max: float = 1e4,
                  points_per_decade: int = 64) -> np.ndarray:
     """Geometric grid resolving both the origin weight and the algebraic tail."""
     check_radial_bounds(r_min, r_max)
+    if points_per_decade < 1:
+        raise ParameterError(f"points_per_decade must be >= 1, got {points_per_decade}")
     decades = math.log10(r_max / r_min)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     return np.geomspace(r_min, r_max, n)
@@ -77,16 +80,17 @@ class RadialProfile:
 
     # -- tail fit -------------------------------------------------------------
 
-    def tail_slope_ok(self, rel_window: float = 100.0, max_rel_err: float = 0.05) -> bool:
-        """Check the asserted decay power against a log-log fit of the tail."""
+    def tail_slope_ok(self) -> bool:
+        """Check the asserted decay power, to 5 percent, against a log-log fit
+        of the last two decades of the grid."""
         if self.tail_exponent is None:
             return True
         r, v = self.radii, self.values
-        mask = (r >= r[-1] / rel_window) & (v > 0)
+        mask = (r >= r[-1] / 100.0) & (v > 0)
         if mask.sum() < 4:
             return False
         slope = np.polyfit(np.log(r[mask]), np.log(v[mask]), 1)[0]
-        return abs(-slope - self.tail_exponent) <= max_rel_err * abs(self.tail_exponent)
+        return abs(-slope - self.tail_exponent) <= 0.05 * abs(self.tail_exponent)
 
     # -- serialization ----------------------------------------------------------
 
@@ -177,15 +181,14 @@ class AnalyticProfile:
         # as in deriv: an underflowed `base` makes the product 0
         return np.where((base == 0.0) & np.isnan(out), 0.0, out)
 
-    def sample(self, radii: np.ndarray | None = None,
-               with_derivs: bool = True) -> RadialProfile:
+    def sample(self, radii: np.ndarray | None = None) -> RadialProfile:
         radii = default_grid() if radii is None else np.asarray(radii, dtype=float)
         return RadialProfile(
             radii=radii,
             values=self(radii),
             tail_exponent=self.tail_exponent,
-            derivs=self.deriv(radii) if with_derivs else None,
-            meta={"derivatives": "analytic" if with_derivs else "absent"},
+            derivs=self.deriv(radii),
+            meta={"derivatives": "analytic"},
         )
 
     def moment(self, q: float, d: float, gamma: float) -> float:
@@ -304,8 +307,7 @@ def _grid_weighted_integral(prof: RadialProfile, integrand: np.ndarray,
     return total
 
 
-def weighted_norm(w, q: float, gamma: float, params: ProblemParams,
-                  scheme: quad.RadialQuadrature | None = None) -> float:
+def weighted_norm(w, q: float, gamma: float, params: ProblemParams) -> float:
     """Weighted Lebesgue norm (|S^(d-1)| int |w|^q r^(d-1-gamma) dr)^(1/q)."""
     if q < 1:
         raise ValueError(f"norm exponent must satisfy q >= 1, got {q}")
@@ -317,7 +319,7 @@ def weighted_norm(w, q: float, gamma: float, params: ProblemParams,
                 f"q * tail_exponent = {q * w.tail_exponent} must exceed "
                 f"d - gamma = {d - gamma}"
             )
-        integral = quad.integrate(lambda r: np.abs(w(r)) ** q, d, gamma, scheme)
+        integral = quad.integrate(lambda r: np.abs(w(r)) ** q, d, gamma)
     elif isinstance(w, RadialProfile):
         decay = None if w.tail_exponent is None else q * w.tail_exponent
         if decay is not None and decay <= d - gamma:
@@ -327,7 +329,7 @@ def weighted_norm(w, q: float, gamma: float, params: ProblemParams,
         integral = _grid_weighted_integral(
             w, np.abs(w.values) ** q, d - 1.0 - gamma, decay)
     else:  # bare callable: trust integrability, let the quadrature complain
-        integral = quad.integrate(lambda r: np.abs(w(r)) ** q, d, gamma, scheme)
+        integral = quad.integrate(lambda r: np.abs(w(r)) ** q, d, gamma)
     return (area * integral) ** (1.0 / q)
 
 
@@ -341,13 +343,12 @@ def _grid_derivative(prof: RadialProfile) -> np.ndarray:
     return dv
 
 
-def gradient_norm(w, params: ProblemParams,
-                  scheme: quad.RadialQuadrature | None = None) -> float:
+def gradient_norm(w, params: ProblemParams) -> float:
     """Unweighted gradient norm (|S^(d-1)| int w'(r)^2 r^(d-1) dr)^(1/2)."""
     d = params.d
     area = quad.sphere_area(d)
     if isinstance(w, AnalyticProfile):
-        integral = quad.integrate(lambda r: w.deriv(r) ** 2, d, 0.0, scheme)
+        integral = quad.integrate(lambda r: w.deriv(r) ** 2, d, 0.0)
         return math.sqrt(area * integral)
     if not isinstance(w, RadialProfile):
         raise TypeError("gradient_norm expects an AnalyticProfile or RadialProfile")
@@ -366,21 +367,19 @@ def gradient_norm(w, params: ProblemParams,
     return math.sqrt(area * integral)
 
 
-def quotient(w, params: ProblemParams,
-             scheme: quad.RadialQuadrature | None = None) -> float:
+def quotient(w, params: ProblemParams) -> float:
     """Scale- and dilation-invariant quotient whose infimum is 1/C."""
     ex = derive(params)
     p, g = params.p, params.gamma
-    n2p = weighted_norm(w, 2 * p, g, params, scheme)
+    n2p = weighted_norm(w, 2 * p, g, params)
     if n2p == 0.0:
         raise ZeroDenominator("profile has vanishing weighted L^(2p) norm")
-    grad = gradient_norm(w, params, scheme)
-    np1 = weighted_norm(w, p + 1, g, params, scheme)
+    grad = gradient_norm(w, params)
+    np1 = weighted_norm(w, p + 1, g, params)
     return grad**ex.vartheta * np1 ** (1.0 - ex.vartheta) / n2p
 
 
-def energy(w, params: ProblemParams, J: float,
-           scheme: quad.RadialQuadrature | None = None) -> tuple[float, float]:
+def energy(w, params: ProblemParams, J: float) -> tuple[float, float]:
     """Energy pair (E, G) of the non-scale-invariant formulation.
 
     G = 0.5 |grad w|_2^2 + (p+1)^(-1) |w|_(p+1,gamma)^(p+1) and
@@ -389,9 +388,9 @@ def energy(w, params: ProblemParams, J: float,
     """
     ex = derive(params)
     p, g = params.p, params.gamma
-    grad = gradient_norm(w, params, scheme)
-    np1 = weighted_norm(w, p + 1, g, params, scheme)
-    n2p = weighted_norm(w, 2 * p, g, params, scheme)
+    grad = gradient_norm(w, params)
+    np1 = weighted_norm(w, p + 1, g, params)
+    n2p = weighted_norm(w, 2 * p, g, params)
     G = 0.5 * grad**2 + np1 ** (p + 1) / (p + 1)
     E = G - J * n2p ** (2.0 * p * ex.theta_gamma)
     return E, G

@@ -19,15 +19,15 @@ caller's f is evaluated in linear space and may underflow to zero harmlessly.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .errors import NaNEncountered, NonConvergent
 
-__all__ = ["RadialQuadrature", "integrate", "sphere_area", "power_law_weighted_integral"]
+__all__ = ["integrate", "sphere_area", "power_law_weighted_integral"]
 
 
 def sphere_area(d: int) -> float:
@@ -58,61 +58,34 @@ def _tanhsinh_nodes(h: float, kmax: int):
     return x_lo, x_hi, log_x_lo, log_x_hi, log_w
 
 
-@dataclass(frozen=True)
-class RadialQuadrature:
-    """Node and weight scheme for weighted radial integrals.
-
-    rel_tol     target relative tolerance of the adaptive refinement
-    t_max       truncation of the tanh-sinh parameter; 6.0 keeps every node
-                representable while covering integrable endpoint singularities
-    base_h      level-0 step
-    max_level   refinement cap before NonConvergent is raised
-
-    The half line is split at r = 1: the identity on [0, 1] and u = 1/r on
-    [1, inf).
-    """
-
-    rel_tol: float = 1e-11
-    t_max: float = 6.0
-    base_h: float = 0.25
-    max_level: int = 7
-    _level_cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def _nodes(self, level: int):
-        """Nodes new at ``level`` (level 0 holds the full base set)."""
-        key = level
-        if key not in self._level_cache:
-            h = self.base_h / 2**level
-            kmax = int(self.t_max / h)
-            x_lo, x_hi, lxl, lxh, lw = _tanhsinh_nodes(h, kmax)
-            if level == 0:
-                sel = np.arange(0, kmax + 1)
-            else:
-                sel = np.arange(1, kmax + 1, 2)  # odd multiples only
-            self._level_cache[key] = tuple(v[sel] for v in (x_lo, x_hi, lxl, lxh, lw))
-        return self._level_cache[key]
-
-    @property
-    def panels(self) -> list:
-        """Base-level panels as (interval, nodes, weights) triples."""
-        x_lo, x_hi, _, _, lw = self._nodes(0)
-        w = np.exp(lw)
-        core_nodes = np.concatenate([x_lo[::-1], x_hi[1:]])
-        core_w = np.concatenate([w[::-1], w[1:]])
-        return [
-            ((0.0, 1.0), core_nodes, core_w),
-            ((1.0, math.inf), 1.0 / core_nodes[::-1], core_w[::-1]),
-        ]
+# tanh-sinh parameters: level-0 step, and the truncation of the parameter t;
+# 6.0 keeps every node representable while covering integrable endpoint
+# singularities.  The half line is split at r = 1: the identity on [0, 1] and
+# u = 1/r on [1, inf).
+_BASE_H = 0.25
+_T_MAX = 6.0
 
 
-def _piece_sum(f: Callable, scheme: RadialQuadrature, level: int, sigma: float,
-               tail: bool) -> float:
+@functools.lru_cache(maxsize=None)
+def _nodes(level: int):
+    """Nodes new at ``level`` (level 0 holds the full base set), read-only."""
+    h = _BASE_H / 2**level
+    kmax = int(_T_MAX / h)
+    # level 0 keeps every node, finer levels only the odd multiples of h
+    sel = np.arange(0, kmax + 1) if level == 0 else np.arange(1, kmax + 1, 2)
+    out = tuple(v[sel] for v in _tanhsinh_nodes(h, kmax))
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
+def _piece_sum(f: Callable, level: int, sigma: float, tail: bool) -> float:
     """Sum of new-node contributions of one piece at one refinement level.
 
     The piece is int_0^1 g(x) x^sigma dx with g(x) = f(x) on the core piece
     and g(u) = f(1/u) on the tail piece.
     """
-    x_lo, x_hi, log_x_lo, log_x_hi, log_w = scheme._nodes(level)
+    x_lo, x_hi, log_x_lo, log_x_hi, log_w = _nodes(level)
     total = 0.0
     for x, log_x, skip_first in ((x_lo, log_x_lo, False), (x_hi, log_x_hi, level == 0)):
         xs = x[1:] if skip_first else x  # center node t=0 counted once
@@ -135,17 +108,16 @@ def _piece_sum(f: Callable, scheme: RadialQuadrature, level: int, sigma: float,
     return total
 
 
-def integrate(f: Callable, d: int, gamma: float,
-              scheme: RadialQuadrature | None = None,
-              return_error: bool = False):
+def integrate(f: Callable, d: int, gamma: float, rel_tol: float = 1e-11,
+              max_level: int = 7, return_error: bool = False):
     """Evaluate int_0^inf f(r) r^(d-1-gamma) dr.
 
     f must accept a numpy array of radii and evaluate without raising on the
     full node range (underflow to 0 at huge arguments is fine).  The caller
-    multiplies by ``sphere_area(d)`` for full-space integrals.
+    multiplies by ``sphere_area(d)`` for full-space integrals.  Refinement
+    halves the step until two successive levels agree to ``rel_tol``;
+    NonConvergent is raised past ``max_level``.
     """
-    if scheme is None:
-        scheme = RadialQuadrature()
     if gamma >= d:
         raise ValueError(f"weight exponent requires gamma < d, got gamma={gamma}, d={d}")
     sigma_core = d - 1.0 - gamma       # r^(d-1-gamma) on [0,1]
@@ -154,9 +126,9 @@ def integrate(f: Callable, d: int, gamma: float,
     vals = []
     s_core = s_tail = 0.0
     err = math.inf
-    for level in range(scheme.max_level + 1):
-        new_core = _piece_sum(f, scheme, level, sigma_core, tail=False)
-        new_tail = _piece_sum(f, scheme, level, sigma_tail, tail=True)
+    for level in range(max_level + 1):
+        new_core = _piece_sum(f, level, sigma_core, tail=False)
+        new_tail = _piece_sum(f, level, sigma_tail, tail=True)
         if level == 0:
             s_core, s_tail = new_core, new_tail
         else:
@@ -167,14 +139,14 @@ def integrate(f: Callable, d: int, gamma: float,
         if level >= 2:
             err = abs(vals[-1] - vals[-2])
             scale = max(abs(vals[-1]), 1e-300)
-            if err <= scheme.rel_tol * scale:
+            if err <= rel_tol * scale:
                 return (total, err) if return_error else total
             # stagnation at roundoff level counts as converged
             if err <= 4.0 * np.finfo(float).eps * scale and \
                     abs(vals[-2] - vals[-3]) <= 4.0 * np.finfo(float).eps * scale:
                 return (total, err) if return_error else total
     raise NonConvergent(
-        f"tanh-sinh refinement exhausted at level {scheme.max_level}; "
+        f"tanh-sinh refinement exhausted at level {max_level}; "
         f"last error estimate {err:.3e} relative to {vals[-1]:.6e}"
     )
 

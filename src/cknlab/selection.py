@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 
 from .params import ProblemParams, validate
 from .profiles import AnalyticProfile, w_gamma_star
-from .quadrature import RadialQuadrature, integrate, sphere_area
+from .quadrature import integrate, sphere_area
 
 __all__ = [
     "SelectionContext",
@@ -74,7 +74,7 @@ def K_profile(ctx: SelectionContext):
     return K
 
 
-def crossing_radius(ctx: SelectionContext, tol: float = 1e-12) -> float:
+def crossing_radius(ctx: SelectionContext) -> float:
     """Unique sign change of K, located by bisection.
 
     K >= 0 exactly where w0^(p-1) >= 2p/(p+1), and w0 is strictly decreasing,
@@ -86,11 +86,10 @@ def crossing_radius(ctx: SelectionContext, tol: float = 1e-12) -> float:
         lo, hi = hi, hi * 2.0
         if hi > 1e12:
             raise RuntimeError("no sign change of K found")
-    return float(brentq(K, lo, hi, xtol=tol, rtol=4.0 * np.finfo(float).eps))
+    return float(brentq(K, lo, hi, xtol=1e-12, rtol=4.0 * np.finfo(float).eps))
 
 
-def total_K_integral(ctx: SelectionContext,
-                     scheme: RadialQuadrature | None = None):
+def total_K_integral(ctx: SelectionContext):
     """Full-space integral of K, by quadrature and in closed form.
 
     Returns (quadrature_value, closed_form) where the closed form is
@@ -98,7 +97,7 @@ def total_K_integral(ctx: SelectionContext,
     """
     d, p = ctx.d, ctx.p
     K = K_profile(ctx)
-    val = sphere_area(d) * integrate(K, d, 0.0, scheme)
+    val = sphere_area(d) * integrate(K, d, 0.0)
     closed = (p - 1.0) * (d - 2.0) * ctx.mass / (2.0 * p * (d + 2.0 - p * (d - 2.0)))
     return val, closed
 
@@ -197,13 +196,7 @@ def _ell_fast(ctx: SelectionContext):
     return ctx._ell_spline
 
 
-# the spline kernel is only piecewise smooth, so convolution integrals run on
-# a dedicated scheme whose tolerance matches the interpolation error
-_CONV_SCHEME = RadialQuadrature(rel_tol=1e-6, max_level=8)
-
-
-def G_prime(t: float, ctx: SelectionContext,
-            scheme: RadialQuadrature | None = None) -> float:
+def G_prime(t: float, ctx: SelectionContext) -> float:
     """Derivative of the log-convolution profile G at t > 0.
 
     G'(t) = |S^(d-2)|/t * int_0^inf K(r) ell(r^2/t) r^(d-1) dr, positive for
@@ -215,8 +208,10 @@ def G_prime(t: float, ctx: SelectionContext,
     K = K_profile(ctx)
     ell_f = _ell_fast(ctx)
     area_sub = sphere_area(d - 1)
+    # the spline kernel is only piecewise smooth, so the tolerance matches
+    # its interpolation error
     val = integrate(lambda r: K(r) * ell_f(r * r / t), d, 0.0,
-                    scheme or _CONV_SCHEME)
+                    rel_tol=1e-6, max_level=8)
     return area_sub / t * val
 
 
@@ -250,12 +245,11 @@ def F_selection(y_mag: float, ctx: SelectionContext) -> float:
     return G0 + val
 
 
-def inverse_square_integral(ctx: SelectionContext,
-                            scheme: RadialQuadrature | None = None) -> float:
+def inverse_square_integral(ctx: SelectionContext) -> float:
     """Positive integral of K against |x|^(-2)."""
     d = ctx.d
     K = K_profile(ctx)
-    return sphere_area(d) * integrate(K, d, 2.0, scheme)
+    return sphere_area(d) * integrate(K, d, 2.0)
 
 
 def isotropy_matrix(ctx: SelectionContext) -> np.ndarray:

@@ -15,13 +15,14 @@ initial value recovers it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import BracketNotFound, ClassificationAmbiguous
+from .errors import BracketNotFound, ClassificationAmbiguous, ParameterError
 from .params import ProblemParams, derive
 from .profiles import RadialProfile
 
@@ -76,8 +77,7 @@ def _rhs(d_gamma: float, p: float):
 
 
 def integrate_ode(d_gamma: float, p: float, v0: float, s_max: float = 2e3,
-                  rtol: float = 1e-12, n_sample: int = 2000,
-                  stop_on_decay: bool = False) -> ShootingResult:
+                  n_sample: int = 2000, stop_on_decay: bool = False) -> ShootingResult:
     """Integrate one shooting trajectory and classify it.
 
     Initial values v0 <= 1 are classified as plateau-bound without
@@ -124,7 +124,7 @@ def integrate_ode(d_gamma: float, p: float, v0: float, s_max: float = 2e3,
     events = (crossed, rebound, decayed) if stop_on_decay else (crossed, rebound)
     s_eval = np.geomspace(s0, s_max, n_sample)
     sol = solve_ivp(_rhs(d_gamma, p), (s0, s_max), y0, method="DOP853",
-                    rtol=rtol, atol=1e-14, events=events, t_eval=s_eval)
+                    rtol=1e-12, atol=1e-14, events=events, t_eval=s_eval)
     if not sol.success:
         raise ClassificationAmbiguous(f"integrator failed: {sol.message}")
 
@@ -149,8 +149,8 @@ def integrate_ode(d_gamma: float, p: float, v0: float, s_max: float = 2e3,
         slope_ratio = abs(dv_ev) * s_ev * (p - 1.0) / (2.0 * v_ev)
         if 0.2 <= slope_ratio <= 5.0:
             return ShootingResult(v0, Classification.GROUND_STATE, profile)
-        return integrate_ode(d_gamma, p, v0, s_max=s_max, rtol=rtol,
-                             n_sample=n_sample, stop_on_decay=False)
+        return integrate_ode(d_gamma, p, v0, s_max=s_max, n_sample=n_sample,
+                             stop_on_decay=False)
 
     v_end, dv_end = v_arr[-1], dv_arr[-1]
     tail = s_arr >= s_arr[-1] / 10.0
@@ -176,6 +176,11 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
     past ``tol`` so that the final trajectory tracks the ground state into its
     decaying tail, then the result is reported at the bracket midpoint.
     """
+    if not _TAYLOR_LAUNCH < s_max < math.inf:
+        raise ParameterError(f"s_max must lie in ({_TAYLOR_LAUNCH}, inf), beyond "
+                             f"the launch radius, got s_max={s_max}")
+    if not 0.0 < tol < math.inf:
+        raise ParameterError(f"tol must lie in (0, inf), got tol={tol}")
     d_gamma, c_map = to_flat_variables(params)
     p = params.p
 

@@ -212,6 +212,30 @@ class TestExitCodes:
         assert main(["flow", "--cells", "50", *args]) == 2
         assert "parameter error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["--s-min", "0"], ["--s-min", "-1"],
+                                      ["--s-max", "-1"],
+                                      ["--s-min", "10", "--s-max", "1"],
+                                      ["--s-points", "0"], ["--s-points", "-2"]])
+    def test_selection_bad_input(self, args, capsys):
+        assert main(["selection", *args]) == 2
+        assert "parameter error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--s-max", "0"], ["--s-max", "-5"],
+                                      ["--s-max", "1e-7"], ["--tol", "0"],
+                                      ["--tol", "-1"]])
+    def test_shoot_bad_input(self, args, capsys):
+        assert main(["shoot", *args]) == 2
+        assert "parameter error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_sweep_bad_gamma_points(self, points, capsys):
+        assert main(["sweep", "--n", "100", "--gamma-points", points]) == 2
+        assert "--gamma-points" in capsys.readouterr().err
+
+    def test_profile_bad_points_per_decade(self, capsys):
+        assert main(["profile", "--points-per-decade", "0"]) == 2
+        assert "points_per_decade" in capsys.readouterr().err
+
     def test_profile_amplitude_overflow(self, capsys):
         assert main(["profile", "--d", "5", "--gamma", "1.9",
                      "--p", "1.0067"]) == 3

@@ -166,8 +166,8 @@ class TestRunDecay:
         assert np.all(series.I < 1e-18)
 
     @pytest.mark.parametrize("kwargs", [{"T": 0.0}, {"T": -1.0},
-                                        {"T": float("inf")}, {"dt": 0.0},
-                                        {"dt": -1e-3}, {"record_every": 0}])
+                                        {"T": float("inf")}, {"T": float("nan")},
+                                        {"record_every": -1}, {"record_every": 0}])
     def test_bad_run_input_rejected(self, stat, kwargs):
         args = dict(T=0.5, n_cells=50, r_out=20.0) | kwargs
         with pytest.raises(ParameterError):

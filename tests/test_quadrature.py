@@ -5,8 +5,7 @@ import pytest
 from scipy.special import betaln, gamma as gamma_fn
 
 from cknlab.errors import NaNEncountered, NonConvergent
-from cknlab.quadrature import (RadialQuadrature, integrate,
-                               power_law_weighted_integral, sphere_area)
+from cknlab.quadrature import integrate, power_law_weighted_integral, sphere_area
 
 
 def beta_oracle(mu, b, c, q):
@@ -63,8 +62,7 @@ class TestIntegrate:
         f = lambda r: (0.5 + r**2) ** (-4.0)
         errs = []
         for tol in (1e-5, 1e-7, 1e-9, 1e-11):
-            scheme = RadialQuadrature(rel_tol=tol)
-            errs.append(abs(integrate(f, 3, 0.0, scheme) - exact))
+            errs.append(abs(integrate(f, 3, 0.0, rel_tol=tol) - exact))
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-15
 
@@ -91,11 +89,17 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(lambda r: np.exp(-r), 3, 3.0)
 
-    def test_panels_structure(self):
-        scheme = RadialQuadrature()
-        panels = scheme.panels
-        assert len(panels) == 2
-        (iv0, n0, w0), (iv1, n1, w1) = panels
-        assert iv0 == (0.0, 1.0) and iv1[0] == 1.0 and math.isinf(iv1[1])
-        assert np.all(w0 > 0) and np.all(w1 > 0)
-        assert np.all((n0 > 0) & (n0 <= 1.0)) and np.all(n1 >= 1.0)
+    def test_max_level_caps_refinement(self):
+        # the fractional weight r^1.7 needs four levels at rel_tol 1e-11
+        f = lambda r: np.exp(-r)
+        with pytest.raises(NonConvergent, match="level 2"):
+            integrate(f, 3, 0.3, max_level=2)
+        assert integrate(f, 3, 0.3, max_level=3) == pytest.approx(
+            gamma_fn(2.7), rel=1e-12)
+
+    def test_nodes_built_once_and_read_only(self):
+        from cknlab.quadrature import _nodes
+
+        assert _nodes(3) is _nodes(3)
+        with pytest.raises(ValueError):
+            _nodes(3)[0][0] = 0.5
