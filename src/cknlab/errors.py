@@ -77,8 +77,8 @@ class EigenSolverFailure(CknError):
 
 # -- flow --------------------------------------------------------------------------
 
-class CFLViolation(CknError):
-    """Requested time step exceeds the stability limit of the explicit scheme."""
+class StepFailure(CknError):
+    """An implicit flow step did not converge, or a run ran out of steps."""
 
 
 class NegativeDensity(CknError):

@@ -60,6 +60,7 @@ MIN_NODES = 16
 
 
 def spectral_grid(n: int = 1200, r_min: float = 1e-4, r_max: float = 1e4) -> np.ndarray:
+    _require_nodes(n)
     check_radial_bounds(r_min, r_max)
     return np.geomspace(r_min, r_max, n)
 
@@ -255,9 +256,8 @@ def hardy_poincare_gap(d: int, p: float, n: int = 2000,
     part of the minimizer and its correlation with the coordinate function.
     """
     params = validate(d, 0.0, p)
-    _require_nodes(n)
-    w0 = w_gamma_star(params)
     r = spectral_grid(n, r_min, r_max)
+    w0 = w_gamma_star(params)
 
     dgrad, ograd = _tri_grad(r, lambda x: w0(x) ** (2.0 * p) * x ** (d - 1.0))
     dden, oden = _tri_mass(r, lambda x: w0(x) ** (3.0 * p - 1.0) * x ** (d - 1.0))

@@ -153,6 +153,19 @@ class TestExitCodes:
         assert code == 2
         assert "at least" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [["spectrum", "--n", "-1"],
+                                      ["sweep", "--n", "-1", "--gamma-points", "2"]])
+    def test_negative_grid_size(self, args, capsys):
+        # the node count is checked before the grid is built
+        assert main(args) == 2
+        assert "at least 16 nodes, got -1" in capsys.readouterr().err
+
+    def test_flow_newton_failure(self, monkeypatch, capsys):
+        import cknlab.flow
+        monkeypatch.setattr(cknlab.flow, "_NEWTON_ITERS", 1)
+        assert main(["flow", "--T", "0.01", "--cells", "50"]) == 3
+        assert "StepFailure: Newton did not converge" in capsys.readouterr().err
+
     def test_spectrum_negative_ell(self):
         assert main(["spectrum", "--ell", "-1", "--n", "100"]) == 2
 
