@@ -12,8 +12,7 @@ import numpy as np
 
 from cknlab import validate, w_gamma_star
 from cknlab.spectral import (assemble, gamma_sweep, hardy_poincare_gap,
-                             lowest_eigenvalue, mass_direction_constraint,
-                             spectral_grid)
+                             lowest_eigenvalue, spectral_grid)
 
 pp = validate(3, 0.0, 2.0)
 grid = spectral_grid(n=2000)
@@ -25,8 +24,8 @@ lam, prof = lowest_eigenvalue(op)
 print(f"  lowest eigenvalue: {lam:+.2e} (exact: 0)")
 
 print("\n== radial sector with the mass direction projected out ==")
+# a radial operator carries its zero-mean constraint in op0.constraints
 op0 = assemble(pp, w0, ell=0, grid=grid)
-op0.constraints = [mass_direction_constraint(pp, w0, grid)]
 lam0, _ = lowest_eigenvalue(op0)
 print(f"  lowest constrained eigenvalue: {lam0:.6f} (positive: stable)")
 

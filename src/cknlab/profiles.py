@@ -159,6 +159,15 @@ class AnalyticProfile:
         with np.errstate(over="ignore", under="ignore"):
             return self.amplitude * (self.b + r**self.c) ** (-self.k)
 
+    def log(self, r):
+        """log w(r) = log a - k log(b + r^c), for a positive amplitude.
+
+        exp(q log w) keeps w^q representable in the far tail, where w
+        itself underflows to 0.
+        """
+        r = np.asarray(r, dtype=float)
+        return math.log(self.amplitude) - self.k * np.log(self.b + r**self.c)
+
     def deriv(self, r):
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):

@@ -1,20 +1,25 @@
 """Linearized stability analysis around Barenblatt profiles, sector by sector.
 
-Perturbations decompose over spherical-harmonic sectors; in sector ell the
-quadratic form of the linearization around a positive radial profile w is
+Perturbations decompose over spherical-harmonic sectors.  One builder
+assembles the sector-ell pencils (A, B), in a real dimension d, of
 
-    a(f) = int (f'^2 + ell (ell + d - 2) f^2 / r^2) r^(d-1) dr
-           + p int w^(p-1) f^2 r^(d-1-gamma) dr
+    A(f) = int omega (f'^2 + ell (ell + d - 2) f^2 / r^2) r^(d-1) dr
+           + int V f^2 r^(d-1) dr,        B(f) = int rho f^2 r^(d-1) dr.
 
-against  b(f) = (2p - 1) int w^(2(p-1)) f^2 r^(d-1-gamma) dr.  The sector
-operator is the pencil (a - b, b), so eigenvalue 0 marks marginal stability
-and the unweighted translation mode sits exactly at 0 in sector ell = 1.
+The linearization around a positive radial profile w (``assemble``) has
+omega = 1, V = r^-gamma (p w^(p-1) - (2p-1) w^(2p-2)) and
+rho = (2p-1) r^-gamma w^(2p-2): eigenvalue 0 marks marginal stability, and
+the unweighted translation mode sits exactly at 0 in sector ell = 1.  The
+weighted spectral-gap (Hardy-Poincare) quotient has omega = w^(2p), V = 0
+and rho = w^(3p-1).  A radial (ell = 0) operator carries the zero-mean
+constraint that removes the mass direction.  Profile powers w^q are taken as
+exp(q log w), which stays representable in the far tail where w underflows.
 
 Discretization is piecewise-linear finite elements on a graded grid with
-per-cell Gauss quadrature: the forms stay symmetric and the discrete
-eigenvalues are variational upper bounds.  Every form is tridiagonal and is
-stored as a sparse matrix.  Constraints are imposed exactly, through the
-bordered (KKT) system of the shift-invert solve, never by penalties.
+per-cell Gauss quadrature: the forms stay symmetric, tridiagonal and sparse,
+and the discrete eigenvalues are variational upper bounds.  Constraints are
+imposed exactly, through the bordered (KKT) system of the shift-invert
+solve, never by penalties.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverFailure, ParameterError, SingularMass
 from .params import ProblemParams, check_radial_bounds, validate
-from .profiles import RadialProfile, w_gamma_star
+from .profiles import AnalyticProfile, RadialProfile, w_gamma_star
 
 __all__ = [
     "SectorOperator",
@@ -46,6 +51,10 @@ _GL_X = 0.5 * (1.0 + np.array([-0.8611363115940526, -0.3399810435848563,
                                0.3399810435848563, 0.8611363115940526]))
 _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                         0.6521451548625461, 0.3478548451374538])
+# products of a cell's falling and rising hats at the Gauss nodes, weighted:
+# the columns give the left diagonal, right diagonal and off-diagonal entry
+_GL_HATS = _GL_W[:, None] * np.column_stack(
+    [(1.0 - _GL_X) ** 2, _GL_X ** 2, (1.0 - _GL_X) * _GL_X])
 
 # shift of the shift-invert solve, a strict lower bound of every pencil
 # spectrum here: A - SHIFT B is the positive definite form a for the sector
@@ -69,12 +78,7 @@ def _tri_mass(r: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal FE mass matrix for int f g weight(r) dr: (diag, off)."""
     h = np.diff(r)
     x = r[:-1, None] + h[:, None] * _GL_X[None, :]
-    wq = weight(x) * (h[:, None] * _GL_W[None, :])
-    phi_r = (x - r[:-1, None]) / h[:, None]   # rising hat on the cell
-    phi_l = 1.0 - phi_r
-    d_l = np.sum(wq * phi_l * phi_l, axis=1)
-    d_r = np.sum(wq * phi_r * phi_r, axis=1)
-    off = np.sum(wq * phi_l * phi_r, axis=1)
+    d_l, d_r, off = ((weight(x) @ _GL_HATS) * h[:, None]).T
     diag = np.zeros(r.size)
     diag[:-1] += d_l
     diag[1:] += d_r
@@ -85,8 +89,7 @@ def _tri_grad(r: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal FE stiffness for int f' g' weight(r) dr."""
     h = np.diff(r)
     x = r[:-1, None] + h[:, None] * _GL_X[None, :]
-    wcell = np.sum(weight(x) * (h[:, None] * _GL_W[None, :]), axis=1)
-    coeff = wcell / h**2
+    coeff = (weight(x) @ _GL_W) / h
     diag = np.zeros(r.size)
     diag[:-1] += coeff
     diag[1:] += coeff
@@ -94,11 +97,7 @@ def _tri_grad(r: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _tri_sparse(diag: np.ndarray, off: np.ndarray) -> sp.csc_matrix:
-    """Symmetric tridiagonal matrix from full-grid bands, outer node dropped.
-
-    The outer boundary carries a Dirichlet condition, so the last node is
-    not an unknown.
-    """
+    """Sparse symmetric tridiagonal from full-grid bands, Dirichlet outer node dropped."""
     n = diag.size - 1
     return sp.diags([off[: n - 1], diag[:n], off[: n - 1]], [-1, 0, 1],
                     format="csc")
@@ -106,10 +105,7 @@ def _tri_sparse(diag: np.ndarray, off: np.ndarray) -> sp.csc_matrix:
 
 def _load(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """The full-grid mass matrix applied to the constants, outer node dropped."""
-    vec = diag.copy()
-    vec[:-1] += off
-    vec[1:] += off
-    return vec[:-1]
+    return diag[:-1] + off + np.append(0.0, off[:-1])
 
 
 @dataclass
@@ -127,52 +123,70 @@ class SectorOperator:
         return float(f @ self.stiffness @ f) / float(f @ self.mass_matrix @ f)
 
 
-def assemble(params: ProblemParams, profile, ell: int,
-             grid: np.ndarray | None = None) -> SectorOperator:
-    """Assemble the sector operator around a positive radial profile.
+def _sector_pencils(r: np.ndarray, d: float, ells, rho, omega=None,
+                    potential=None, constraint=None) -> list[SectorOperator]:
+    """The pencils (A, B) of the module docstring on grid r, one per ell.
 
-    profile may be an AnalyticProfile or any callable w(r) > 0.  The outer
-    boundary carries a Dirichlet condition (the last node is dropped); the
-    inner boundary is natural, which is the regular choice on a truncated
-    radial domain.
+    The weights are callables of r; omega None means 1, potential None
+    means 0.  The ell = 0 operator carries the load vector of the
+    constraint weight (rho, from its own bands, when None), the discrete
+    zero-mean condition int constraint f r^(d-1) dr = 0.  Each band is
+    assembled once for all sectors.  The outer boundary is Dirichlet (its
+    node is dropped), the inner one natural.  Raises ParameterError for
+    grids of fewer than MIN_NODES nodes and for ell < 0.
     """
-    d, g, p = params.d, params.gamma, params.p
-    r_full = spectral_grid() if grid is None else np.asarray(grid, dtype=float)
-    w = profile
+    _require_nodes(r.size)
+    if min(ells) < 0:
+        raise ParameterError(f"sector index ell must be >= 0, got {min(ells)}")
 
-    dg1, off1 = _tri_grad(r_full, lambda x: x ** (d - 1.0))
-    lam_ell = float(ell * (ell + d - 2))
-    if lam_ell:
-        dgc, offc = _tri_mass(r_full, lambda x: x ** (d - 3.0))
-        dg1 = dg1 + lam_ell * dgc
-        off1 = off1 + lam_ell * offc
-    dgv, offv = _tri_mass(r_full, lambda x: w(x) ** (p - 1.0) * x ** (d - 1.0 - g))
-    dgb, offb = _tri_mass(r_full,
-                          lambda x: w(x) ** (2.0 * (p - 1.0)) * x ** (d - 1.0 - g))
+    def measured(weight, power):
+        return lambda x: x ** power if weight is None else weight(x) * x ** power
 
-    diag_a = dg1 + p * dgv - (2.0 * p - 1.0) * dgb
-    off_a = off1 + p * offv - (2.0 * p - 1.0) * offb
-    diag_b = (2.0 * p - 1.0) * dgb
-    off_b = (2.0 * p - 1.0) * offb
-
+    diag_a, off_a = _tri_grad(r, measured(omega, d - 1.0))
+    if potential is not None:
+        diag_v, off_v = _tri_mass(r, measured(potential, d - 1.0))
+        diag_a, off_a = diag_a + diag_v, off_a + off_v
+    if max(ells) > 0:
+        diag_c, off_c = _tri_mass(r, measured(omega, d - 3.0))
+    diag_b, off_b = _tri_mass(r, measured(rho, d - 1.0))
     if np.any(diag_b <= 0.0) or not np.all(np.isfinite(diag_b)):
         raise SingularMass("weight underflow produced a singular mass matrix")
+    if 0 in ells:
+        load = _load(*((diag_b, off_b) if constraint is None else
+                       _tri_mass(r, measured(constraint, d - 1.0))))
+    B = _tri_sparse(diag_b, off_b)
+    ops = []
+    for ell in ells:
+        diag, off, lam = diag_a, off_a, ell * (ell + d - 2.0)
+        if ell:
+            diag, off = diag + lam * diag_c, off + lam * off_c
+        ops.append(SectorOperator(ell=ell, grid=r, mass_matrix=B,
+                                  stiffness=_tri_sparse(diag, off),
+                                  constraints=[] if ell else [load]))
+    return ops
 
-    return SectorOperator(ell=ell, grid=r_full,
-                          stiffness=_tri_sparse(diag_a, off_a),
-                          mass_matrix=_tri_sparse(diag_b, off_b))
 
+def assemble(params: ProblemParams, profile: AnalyticProfile, ell: int,
+             grid: np.ndarray | None = None) -> SectorOperator:
+    """Sector operator around a positive closed-form profile.
 
-def mass_direction_constraint(params: ProblemParams, profile,
-                              grid: np.ndarray) -> np.ndarray:
-    """Load vector of w^(2p-1) r^(-gamma) against the FE basis.
-
-    Orthogonality to it is the discrete form of the zero-mean condition
-    int omega w^(2p-1) |x|^(-gamma) dx = 0 that removes the mass direction.
+    The weights are those of the module docstring; in the radial sector the
+    zero-mean condition weighs f by r^-gamma w^(2p-1).
     """
     d, g, p = params.d, params.gamma, params.p
-    return _load(*_tri_mass(grid, lambda x: profile(x) ** (2.0 * p - 1.0)
-                            * x ** (d - 1.0 - g)))
+    r = spectral_grid() if grid is None else np.asarray(grid, dtype=float)
+
+    def power(q):
+        # r^-gamma w^q, in log form
+        return lambda x: np.exp(q * profile.log(x) - g * np.log(x))
+
+    w_p1, w_2p2 = power(p - 1.0), power(2.0 * p - 2.0)
+    (op,) = _sector_pencils(
+        r, d, [ell],
+        potential=lambda x: p * w_p1(x) - (2.0 * p - 1.0) * w_2p2(x),
+        rho=lambda x: (2.0 * p - 1.0) * w_2p2(x),
+        constraint=power(2.0 * p - 1.0))
+    return op
 
 
 def lowest_eigenvalue(op: SectorOperator):
@@ -228,19 +242,10 @@ def _require_nodes(count: int) -> None:
 def sector_min(params: ProblemParams, ell: int, grid: np.ndarray) -> float:
     """Lowest eigenvalue of sector ell around the explicit optimizer.
 
-    Assembles the sector operator around w_gamma_star(params) on grid and,
-    in the radial sector, projects out the mass direction.  Raises
+    In the radial sector the mass direction is projected out.  Raises
     ParameterError for grids of fewer than MIN_NODES nodes and for ell < 0.
     """
-    grid = np.asarray(grid, dtype=float)
-    _require_nodes(grid.size)
-    if ell < 0:
-        raise ParameterError(f"sector index ell must be >= 0, got {ell}")
-    prof = w_gamma_star(params)
-    op = assemble(params, prof, ell, grid)
-    if ell == 0:
-        op.constraints = [mass_direction_constraint(params, prof, grid)]
-    return lowest_eigenvalue(op)[0]
+    return lowest_eigenvalue(assemble(params, w_gamma_star(params), ell, grid))[0]
 
 
 def hardy_poincare_gap(d: int, p: float, n: int = 2000,
@@ -255,25 +260,19 @@ def hardy_poincare_gap(d: int, p: float, n: int = 2000,
     Returns (gap, info) where info holds the minimizing sector, the radial
     part of the minimizer and its correlation with the coordinate function.
     """
-    params = validate(d, 0.0, p)
+    w0 = w_gamma_star(validate(d, 0.0, p))
     r = spectral_grid(n, r_min, r_max)
-    w0 = w_gamma_star(params)
-
-    dgrad, ograd = _tri_grad(r, lambda x: w0(x) ** (2.0 * p) * x ** (d - 1.0))
-    dden, oden = _tri_mass(r, lambda x: w0(x) ** (3.0 * p - 1.0) * x ** (d - 1.0))
-    dcent, ocent = _tri_mass(r, lambda x: w0(x) ** (2.0 * p) * x ** (d - 3.0))
-    B = _tri_sparse(dden, oden)
-    op0 = SectorOperator(ell=0, grid=r, stiffness=_tri_sparse(dgrad, ograd),
-                         mass_matrix=B, constraints=[_load(dden, oden)])
-    op1 = SectorOperator(ell=1, grid=r, mass_matrix=B, stiffness=_tri_sparse(
-        dgrad + (d - 1.0) * dcent, ograd + (d - 1.0) * ocent))
-    results = {0: lowest_eigenvalue(op0), 1: lowest_eigenvalue(op1)}
+    ops = _sector_pencils(r, d, (0, 1),
+                          omega=lambda x: np.exp(2.0 * p * w0.log(x)),
+                          rho=lambda x: np.exp((3.0 * p - 1.0) * w0.log(x)))
+    results = {op.ell: lowest_eigenvalue(op) for op in ops}
 
     sector = min(results, key=lambda k: results[k][0])
     gap, prof = results[sector]
 
     # correlation of the minimizer with the coordinate function in the
     # denominator inner product (meaningful for the ell = 1 sector)
+    B = ops[0].mass_matrix
     coord = r[:-1]
     v = prof.values[:-1]
     Bc = B @ coord

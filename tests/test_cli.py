@@ -100,6 +100,26 @@ class TestCompute:
         lam = json.loads(out.read_text())["result"]["lambda_min"]
         assert abs(lam) < 1e-4
 
+    @pytest.mark.parametrize("ell", ["0", "1", "2"])
+    def test_spectrum_near_p_one(self, ell, tmp_path):
+        # the weights are taken in log form, so the far tail of the profile
+        # no longer underflows into a singular mass matrix
+        out = tmp_path / "s.json"
+        assert main(["spectrum", "--d", "3", "--gamma", "0", "--p", "1.02",
+                     "--ell", ell, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["lambda_min"] > 0
+
+    @pytest.mark.parametrize("args, low, high", [
+        (["--T", "20", "--cells", "100"], 1e-3, 0.02),
+        (["--T", "1", "--amplitude", "0"], 0.0, 0.0)])
+    def test_flow_identity_residual_at_roundoff(self, args, low, high, tmp_path):
+        # once F reaches roundoff its increments and I are noise; those
+        # intervals count as 0, not as residuals of 1e12
+        out = tmp_path / "f.json"
+        assert main(["flow", *args, "--format", "json", "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["result"]["max_identity_residual"]
+        assert low <= res <= high
+
     def test_flow_csv_decay(self, tmp_path):
         out = tmp_path / "f.csv"
         code = main(["flow", "--d", "3", "--gamma", "0", "--m", "0.75",

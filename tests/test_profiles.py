@@ -66,6 +66,17 @@ class TestPointValues:
             assert peak ** (p - 1.0) == pytest.approx(
                 p * (2.0 - gamma) / ex.eta, rel=1e-12)
 
+    def test_log_form(self):
+        # log w agrees with w where w is representable, and stays finite in
+        # the tail where w underflows: at p = 1.02, k = 50 and
+        # (b + r^2)^(-50) is below the float range at r = 1e4
+        wg = w_gamma_star(validate(3, 0.0, 1.02))
+        r = np.geomspace(1e-4, 10.0, 40)
+        assert np.allclose(np.exp(wg.log(r)), wg(r), rtol=1e-12, atol=0)
+        assert wg(1e4) == 0.0
+        assert wg.log(1e4) == pytest.approx(
+            math.log(wg.amplitude) - 50.0 * math.log(wg.b + 1e8), rel=1e-12)
+
 
 class TestNorms:
     def test_norm_vs_beta_oracle(self):

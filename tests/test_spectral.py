@@ -3,12 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from cknlab.errors import EigenSolverFailure, ParameterError
-from cknlab.params import validate
+from cknlab.params import ProblemParams, validate
 from cknlab.profiles import w_gamma_star
 from cknlab.spectral import (MIN_NODES, assemble, gamma_sweep,
                              hardy_poincare_gap, lowest_eigenvalue,
-                             mass_direction_constraint, sector_min,
-                             spectral_grid)
+                             sector_min, spectral_grid)
 
 
 def _tri(diag, off):
@@ -55,6 +54,18 @@ class TestAssemble:
         vals = np.linalg.eigvalsh(op_ell1.mass_matrix.toarray())
         assert vals.min() > 0
 
+    def test_only_radial_sector_carries_constraint(self, pp0, op_ell1):
+        grid = spectral_grid(n=300)
+        op0 = assemble(pp0, w_gamma_star(pp0), ell=0, grid=grid)
+        assert len(op0.constraints) == 1
+        assert op0.constraints[0].shape == (grid.size - 1,)
+        assert np.all(op0.constraints[0] > 0)
+        assert op_ell1.constraints == []
+
+    def test_rejects_negative_ell(self, pp0):
+        with pytest.raises(ParameterError):
+            assemble(pp0, w_gamma_star(pp0), ell=-1, grid=spectral_grid(n=300))
+
 
 class TestLowestEigenvalue:
     def test_translation_zero_mode(self, pp0, op_ell1):
@@ -74,7 +85,6 @@ class TestLowestEigenvalue:
         grid = spectral_grid(n=1200)
         prof = w_gamma_star(pp0)
         op = assemble(pp0, prof, ell=0, grid=grid)
-        op.constraints = [mass_direction_constraint(pp0, prof, grid)]
         lam, _ = lowest_eigenvalue(op)
         assert lam > 0.1
 
@@ -83,8 +93,7 @@ class TestLowestEigenvalue:
         grid = spectral_grid(n=1000)
         prof = w_gamma_star(pp0)
         op = assemble(pp0, prof, ell=0, grid=grid)
-        c = mass_direction_constraint(pp0, prof, grid)
-        op.constraints = [c]
+        c = op.constraints[0]
         lam, eig = lowest_eigenvalue(op)
         v = eig.values[:-1]
         assert abs(c @ v) < 1e-12 * np.linalg.norm(c) * np.linalg.norm(v)
@@ -94,7 +103,7 @@ class TestLowestEigenvalue:
         grid = spectral_grid(n=400)
         prof = w_gamma_star(pp0)
         op = assemble(pp0, prof, ell=0, grid=grid)
-        c = mass_direction_constraint(pp0, prof, grid)
+        c = op.constraints[0]
         op.constraints = [c, 3.7 * c]
         with pytest.raises(EigenSolverFailure):
             lowest_eigenvalue(op)
@@ -123,6 +132,27 @@ class TestLowestEigenvalue:
             sector_min(pp0, ell, np.geomspace(1e-4, 1e4, MIN_NODES - 1))
         assert np.isfinite(sector_min(pp0, ell, spectral_grid(n=MIN_NODES)))
 
+    def test_near_p_one(self):
+        # at p = 1.02 the tail (b + r^c)^(-k) underflows long before the
+        # small powers w^(p-1) and w^(2p-2) of the weights do
+        pp = validate(3, 0.0, 1.02)
+        assert abs(sector_min(pp, 1, spectral_grid(n=2000))) < 1e-5
+        coarse = sector_min(pp, 0, spectral_grid(n=2000))
+        fine = sector_min(pp, 0, spectral_grid(n=4000))
+        assert coarse > 0
+        assert abs(coarse - fine) < 1e-3
+
+    @pytest.mark.parametrize("d, gamma, p, n", [(5, 1.0, 1.3, 8000),
+                                                (3, 0.5, 1.75, 2000)])
+    def test_radial_sector_flattens_to_real_dimension(self, d, gamma, p, n):
+        # s = r^((2-gamma)/2) maps the radial sector at weight gamma onto the
+        # unweighted one in the real dimension d_gamma = 2(d-gamma)/(2-gamma)
+        grid = spectral_grid(n=n)
+        d_gamma = 2.0 * (d - gamma) / (2.0 - gamma)
+        weighted = sector_min(validate(d, gamma, p), 0, grid)
+        flat = sector_min(ProblemParams(d=d_gamma, gamma=0.0, p=p), 0, grid)
+        assert weighted == pytest.approx(flat, rel=1e-3)
+
     def test_grid_convergence(self, pp0):
         prof = w_gamma_star(pp0)
         lams = []
@@ -149,18 +179,16 @@ class TestHardyPoincare:
         assert info["by_sector"][0] > info["by_sector"][1]
 
     def test_dropping_constraint_gives_zero(self):
-        # without the zero-mean constraint the constants annihilate the form
-        from cknlab.spectral import SectorOperator, _tri_grad, _tri_mass
-        pp = validate(3, 0.0, 2.0)
-        w0 = w_gamma_star(pp)
-        r = np.geomspace(1e-4, 1e4, 800)
+        # the radial Hardy-Poincare operator carries the zero-mean
+        # constraint; without it the constants annihilate the form
+        from cknlab.spectral import _sector_pencils
         d, p = 3, 2.0
-        dgrad, ograd = _tri_grad(r, lambda x: w0(x) ** (2 * p) * x ** (d - 1.0))
-        dden, oden = _tri_mass(r, lambda x: w0(x) ** (3 * p - 1) * x ** (d - 1.0))
-        n = r.size - 1
-        op = SectorOperator(ell=0, grid=r,
-                            stiffness=_tri(dgrad[:n], ograd[: n - 1]).tocsc(),
-                            mass_matrix=_tri(dden[:n], oden[: n - 1]).tocsc())
+        w0 = w_gamma_star(validate(d, 0.0, p))
+        (op,) = _sector_pencils(spectral_grid(n=800), d, [0],
+                                omega=lambda x: w0(x) ** (2 * p),
+                                rho=lambda x: w0(x) ** (3 * p - 1))
+        assert lowest_eigenvalue(op)[0] > 1.0
+        op.constraints = []
         lam, _ = lowest_eigenvalue(op)
         assert abs(lam) < 1e-8
 
