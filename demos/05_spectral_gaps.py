@@ -10,22 +10,21 @@ sweep of the lowest sector-one eigenvalue quantifies that lift.
 
 import numpy as np
 
-from cknlab import validate, w_gamma_star
+from cknlab import validate
 from cknlab.spectral import (assemble, gamma_sweep, hardy_poincare_gap,
                              lowest_eigenvalue, spectral_grid)
 
 pp = validate(3, 0.0, 2.0)
 grid = spectral_grid(n=2000)
-w0 = w_gamma_star(pp)
 
 print("== translation zero mode (sector 1, gamma = 0) ==")
-op = assemble(pp, w0, ell=1, grid=grid)
+op = assemble(pp, ell=1, grid=grid)
 lam, prof = lowest_eigenvalue(op)
 print(f"  lowest eigenvalue: {lam:+.2e} (exact: 0)")
 
 print("\n== radial sector with the mass direction projected out ==")
 # a radial operator carries its zero-mean constraint in op0.constraints
-op0 = assemble(pp, w0, ell=0, grid=grid)
+op0 = assemble(pp, ell=0, grid=grid)
 lam0, _ = lowest_eigenvalue(op0)
 print(f"  lowest constrained eigenvalue: {lam0:.6f} (positive: stable)")
 

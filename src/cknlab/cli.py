@@ -320,6 +320,14 @@ def _add_common(sp, *, need_p=True):
                     help="key=value file; command-line flags take precedence")
 
 
+def _add_s_bounds(sp) -> None:
+    for flag, default, end in (("--r-min", 1e-4, "lower"),
+                               ("--r-max", 1e4, "upper")):
+        sp.add_argument(flag, type=float, default=default, help=(
+            f"{end} end of the grid in the flat variable s; "
+            "r = c_map s^(2/(2-gamma)), the map `ckn shoot` reports"))
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ckn",
@@ -358,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--ell", type=int, default=1)
     sp.add_argument("--n", type=int, default=2000)
-    sp.add_argument("--r-min", type=float, default=1e-4)
-    sp.add_argument("--r-max", type=float, default=1e4)
+    _add_s_bounds(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
     sp = sub.add_parser("flow", help="weighted fast-diffusion decay run")
@@ -391,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma-points", type=int, default=20)
     sp.add_argument("--ell", type=int, default=1)
     sp.add_argument("--n", type=int, default=2000)
-    sp.add_argument("--r-min", type=float, default=1e-4)
-    sp.add_argument("--r-max", type=float, default=1e4)
+    _add_s_bounds(sp)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--per-point-dir", type=Path, default=None,
                     help="also write one JSON file per sweep point here")

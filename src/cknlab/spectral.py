@@ -1,19 +1,26 @@
-"""Linearized stability analysis around Barenblatt profiles, sector by sector.
+"""Linearized stability analysis around the explicit optimizer, sector by sector.
 
-Perturbations decompose over spherical-harmonic sectors.  One builder
-assembles the sector-ell pencils (A, B), in a real dimension d, of
+Perturbations decompose over spherical-harmonic sectors.  Under s = r^alpha,
+alpha = (2-gamma)/2, and the dilation r = c_map s^(1/alpha) with
+c_map = alpha^(1/alpha), the optimizer (a/(b + r^(2-gamma)))^(1/(p-1)) at
+weight gamma and its sector-ell linearization are the gamma = 0 ones in the
+real dimension d_gamma = 2 (d-gamma)/(2-gamma) at the real sector ell/alpha:
+ell (ell+d-2)/alpha^2 = (ell/alpha)(ell/alpha + d_gamma - 2).  So every solve
+is a gamma = 0 problem on a grid in s (s = r at gamma = 0).  One builder
+assembles the sector pencils (A, B), in a real dimension d, of
 
-    A(f) = int omega (f'^2 + ell (ell + d - 2) f^2 / r^2) r^(d-1) dr
-           + int V f^2 r^(d-1) dr,        B(f) = int rho f^2 r^(d-1) dr.
+    A(f) = int omega (f'^2 + ell (ell + d - 2) f^2 / s^2) s^(d-1) ds
+           + int V f^2 s^(d-1) ds,        B(f) = int rho f^2 s^(d-1) ds.
 
-The linearization around a positive radial profile w (``assemble``) has
-omega = 1, V = r^-gamma (p w^(p-1) - (2p-1) w^(2p-2)) and
-rho = (2p-1) r^-gamma w^(2p-2): eigenvalue 0 marks marginal stability, and
-the unweighted translation mode sits exactly at 0 in sector ell = 1.  The
-weighted spectral-gap (Hardy-Poincare) quotient has omega = w^(2p), V = 0
-and rho = w^(3p-1).  A radial (ell = 0) operator carries the zero-mean
-constraint that removes the mass direction.  Profile powers w^q are taken as
-exp(q log w), which stays representable in the far tail where w underflows.
+The linearization around the gamma = 0 optimizer w (``assemble``) has
+omega = 1, V = p w^(p-1) - (2p-1) w^(2p-2) and rho = (2p-1) w^(2p-2); 0 marks
+marginal stability, and at gamma = 0 the translation mode sits exactly at 0
+in sector 1.  The weighted spectral-gap (Hardy-Poincare) quotient has
+omega = w^(2p), V = 0 and rho = w^(3p-1).  Radial (ell = 0) operators carry
+the zero-mean constraint that removes the mass direction.  Powers are
+w^q = exp(q log(a/(b + s^2))/(p-1)), through ``AnalyticProfile.log`` of
+w^(p-1) = a/(b + s^2): none needs the amplitude a^(1/(p-1)), which leaves
+the float range near p = 1, and w^q stays representable in the far tail.
 
 Discretization is piecewise-linear finite elements on a graded grid with
 per-cell Gauss quadrature: the forms stay symmetric, tridiagonal and sparse,
@@ -33,18 +40,11 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenSolverFailure, ParameterError, SingularMass
-from .params import ProblemParams, check_radial_bounds, validate
-from .profiles import AnalyticProfile, RadialProfile, w_gamma_star
+from .params import ProblemParams, check_radial_bounds, derive, validate
+from .profiles import AnalyticProfile, RadialProfile
 
-__all__ = [
-    "SectorOperator",
-    "spectral_grid",
-    "assemble",
-    "lowest_eigenvalue",
-    "sector_min",
-    "hardy_poincare_gap",
-    "gamma_sweep",
-]
+__all__ = ["SectorOperator", "spectral_grid", "assemble", "lowest_eigenvalue",
+           "sector_min", "hardy_poincare_gap", "gamma_sweep"]
 
 # 4-point Gauss-Legendre on [0, 1]
 _GL_X = 0.5 * (1.0 + np.array([-0.8611363115940526, -0.3399810435848563,
@@ -63,12 +63,13 @@ _GL_HATS = _GL_W[:, None] * np.column_stack(
 SHIFT = -1.0
 
 # smallest grid a sector solve accepts: two nodes per decade of the default
-# eight-decade grid.  Coarser grids leave the profile's transition near r = 1
+# eight-decade grid.  Coarser grids leave the profile's transition near s = 1
 # unresolved; at 3 nodes the radial sector at (3, 0, 2) reads 1.4e4 for 0.24
 MIN_NODES = 16
 
 
 def spectral_grid(n: int = 1200, r_min: float = 1e-4, r_max: float = 1e4) -> np.ndarray:
+    """Geometric grid of n nodes in the flat variable s, on [r_min, r_max]."""
     _require_nodes(n)
     check_radial_bounds(r_min, r_max)
     return np.geomspace(r_min, r_max, n)
@@ -112,7 +113,7 @@ def _load(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
 class SectorOperator:
     """Discretized linearization in one spherical-harmonic sector."""
 
-    ell: int
+    ell: float  # sector of the gamma = 0 problem, ell/alpha
     grid: np.ndarray
     stiffness: sp.csc_matrix
     mass_matrix: sp.csc_matrix
@@ -125,13 +126,13 @@ class SectorOperator:
 
 def _sector_pencils(r: np.ndarray, d: float, ells, rho, omega=None,
                     potential=None, constraint=None) -> list[SectorOperator]:
-    """The pencils (A, B) of the module docstring on grid r, one per ell.
+    """The pencils (A, B) of the module docstring on grid r (its s), one per ell.
 
-    The weights are callables of r; omega None means 1, potential None
-    means 0.  The ell = 0 operator carries the load vector of the
-    constraint weight (rho, from its own bands, when None), the discrete
-    zero-mean condition int constraint f r^(d-1) dr = 0.  Each band is
-    assembled once for all sectors.  The outer boundary is Dirichlet (its
+    ell may be real.  The weights are callables of r; omega None means 1,
+    potential None means 0.  The ell = 0 operator carries the load vector
+    of the constraint weight (rho, from its own bands, when None), the
+    discrete zero-mean condition int constraint f r^(d-1) dr = 0.  Each band
+    is assembled once for all sectors.  The outer boundary is Dirichlet (its
     node is dropped), the inner one natural.  Raises ParameterError for
     grids of fewer than MIN_NODES nodes and for ell < 0.
     """
@@ -166,23 +167,28 @@ def _sector_pencils(r: np.ndarray, d: float, ells, rho, omega=None,
     return ops
 
 
-def assemble(params: ProblemParams, profile: AnalyticProfile, ell: int,
+def _optimizer_power(flat: ProblemParams):
+    """q -> (s -> w(s)^q) for the optimizer w of a gamma = 0 triple."""
+    ex = derive(flat)
+    base = AnalyticProfile(amplitude=ex.a_gamma, b=ex.b_gamma, c=2.0, k=1.0)
+    return lambda q: lambda s: np.exp(q / (flat.p - 1.0) * base.log(s))
+
+
+def assemble(params: ProblemParams, ell: int,
              grid: np.ndarray | None = None) -> SectorOperator:
-    """Sector operator around a positive closed-form profile.
+    """Sector-ell operator around the explicit optimizer, on a grid in s.
 
-    The weights are those of the module docstring; in the radial sector the
-    zero-mean condition weighs f by r^-gamma w^(2p-1).
+    It is the gamma = 0 operator in the dimension d_gamma at the sector
+    ell/alpha (module docstring); in the radial sector the zero-mean
+    condition weighs f by w^(2p-1).
     """
-    d, g, p = params.d, params.gamma, params.p
-    r = spectral_grid() if grid is None else np.asarray(grid, dtype=float)
-
-    def power(q):
-        # r^-gamma w^q, in log form
-        return lambda x: np.exp(q * profile.log(x) - g * np.log(x))
-
+    p, alpha = params.p, 1.0 - params.gamma / 2.0
+    d_gamma = derive(params).d_gamma
+    s = spectral_grid() if grid is None else np.asarray(grid, dtype=float)
+    power = _optimizer_power(ProblemParams(d_gamma, 0.0, p))
     w_p1, w_2p2 = power(p - 1.0), power(2.0 * p - 2.0)
     (op,) = _sector_pencils(
-        r, d, [ell],
+        s, d_gamma, [ell / alpha],
         potential=lambda x: p * w_p1(x) - (2.0 * p - 1.0) * w_2p2(x),
         rho=lambda x: (2.0 * p - 1.0) * w_2p2(x),
         constraint=power(2.0 * p - 1.0))
@@ -245,7 +251,7 @@ def sector_min(params: ProblemParams, ell: int, grid: np.ndarray) -> float:
     In the radial sector the mass direction is projected out.  Raises
     ParameterError for grids of fewer than MIN_NODES nodes and for ell < 0.
     """
-    return lowest_eigenvalue(assemble(params, w_gamma_star(params), ell, grid))[0]
+    return lowest_eigenvalue(assemble(params, ell, grid))[0]
 
 
 def hardy_poincare_gap(d: int, p: float, n: int = 2000,
@@ -260,11 +266,10 @@ def hardy_poincare_gap(d: int, p: float, n: int = 2000,
     Returns (gap, info) where info holds the minimizing sector, the radial
     part of the minimizer and its correlation with the coordinate function.
     """
-    w0 = w_gamma_star(validate(d, 0.0, p))
+    power = _optimizer_power(validate(d, 0.0, p))
     r = spectral_grid(n, r_min, r_max)
-    ops = _sector_pencils(r, d, (0, 1),
-                          omega=lambda x: np.exp(2.0 * p * w0.log(x)),
-                          rho=lambda x: np.exp((3.0 * p - 1.0) * w0.log(x)))
+    ops = _sector_pencils(r, d, (0, 1), omega=power(2.0 * p),
+                          rho=power(3.0 * p - 1.0))
     results = {op.ell: lowest_eigenvalue(op) for op in ops}
 
     sector = min(results, key=lambda k: results[k][0])
@@ -277,23 +282,17 @@ def hardy_poincare_gap(d: int, p: float, n: int = 2000,
     v = prof.values[:-1]
     Bc = B @ coord
     corr = abs(float(v @ Bc)) / math.sqrt(float(coord @ Bc) * float(v @ B @ v))
-    info = {
-        "sector": sector,
-        "by_sector": {k: results[k][0] for k in results},
-        "eigenprofile": prof,
-        "coordinate_correlation": corr,
-    }
-    return gap, info
+    return gap, {"sector": sector, "eigenprofile": prof,
+                  "by_sector": {k: results[k][0] for k in results},
+                  "coordinate_correlation": corr}
 
 
 def gamma_sweep(d: int, p: float, gamma_grid, ell: int = 1,
                 n: int = 800, r_min: float = 1e-4, r_max: float = 1e4):
     """Lowest sector eigenvalue around the explicit optimizer along gamma.
 
-    Uses one shared grid for the whole sweep so the curve is a continuous
-    function of gamma alone.  In the radial sector the mass direction is
-    projected out; higher sectors need no constraint.  Returns a list of
-    (gamma, lambda_min) pairs.
+    One grid in s serves the whole sweep, so the curve is a continuous
+    function of gamma alone.  Returns a list of (gamma, lambda_min) pairs.
     """
     grid = spectral_grid(n, r_min, r_max)
     return [(float(g), sector_min(validate(d, float(g), p), ell, grid))

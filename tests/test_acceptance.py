@@ -35,6 +35,7 @@ from cknlab.params import derive, validate
 from cknlab.profiles import el_residual, w_gamma_star, weighted_norm
 from cknlab.quadrature import sphere_area
 from cknlab.shooting import Classification, find_ground_state
+from sector_oracle import ABS_TOL, REL_TOL, sector_closed_form
 
 
 def _report(num, ok, detail):
@@ -176,7 +177,7 @@ def test_criterion_7_hardy_poincare():
 
     pp = validate(3, 0.0, 2.0)
     grid = spectral_grid(n=2000)
-    op = assemble(pp, w_gamma_star(pp), ell=1, grid=grid)
+    op = assemble(pp, ell=1, grid=grid)
     lam, prof = lowest_eigenvalue(op)
     zero_ok = abs(lam) < 1e-5
     B = op.mass_matrix
@@ -320,7 +321,14 @@ def test_criterion_10_gamma_sweep():
     stable_ok = all(abs(a[1] - b[1]) < 1e-4 for a, b in zip(fine, coarse))
     # recorded fixture: the curve lifts to positive values on (0, 0.1]
     signs_positive = all(lam > 0 for g, lam in curve[1:])
+    # every point against the sector-one closed form of tests/sector_oracle.py
+    worst = max(abs(lam - sector_closed_form(3, g, 2.0, 1)) for g, lam in curve)
+    oracle_ok = all(lam == pytest.approx(sector_closed_form(3, g, 2.0, 1),
+                                         rel=REL_TOL, abs=ABS_TOL)
+                    for g, lam in curve)
     elapsed = time.time() - t0
-    _report(10, start_ok and stable_ok and signs_positive and elapsed < 300.0,
+    _report(10, start_ok and stable_ok and signs_positive and oracle_ok
+            and elapsed < 300.0,
             f"sweep endpoint {lam0:.1e}, refinement-stable={stable_ok}, "
-            f"positive on (0,0.1]={signs_positive}, {elapsed:.0f}s")
+            f"positive on (0,0.1]={signs_positive}, closed form within "
+            f"{worst:.1e}, {elapsed:.0f}s")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cknlab.cli import main, parse_config_echo
+from sector_oracle import sector_closed_form
 
 
 def run_cli(args, capsys):
@@ -108,6 +109,21 @@ class TestCompute:
         assert main(["spectrum", "--d", "3", "--gamma", "0", "--p", "1.02",
                      "--ell", ell, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["result"]["lambda_min"] > 0
+
+    @pytest.mark.parametrize("d, gamma, p, rel", [
+        # the default bounds are bounds in s; the same bounds in r would cut
+        # through the profile here
+        ("3", "1.5", "1.49", 1e-3),
+        # near p = 1 the amplitude a^(1/(p-1)) leaves the float range, but no
+        # sector weight needs it; 0.15069 at n = 2000 against 0.15012
+        ("5", "1.9", "1.0067", 1e-2)])
+    def test_spectrum_large_gamma(self, d, gamma, p, rel, tmp_path):
+        out = tmp_path / "s.json"
+        assert main(["spectrum", "--d", d, "--gamma", gamma, "--p", p,
+                     "--ell", "1", "--out", str(out)]) == 0
+        lam = json.loads(out.read_text())["result"]["lambda_min"]
+        want = sector_closed_form(int(d), float(gamma), float(p), 1)
+        assert lam == pytest.approx(want, rel=rel)
 
     @pytest.mark.parametrize("args, low, high", [
         (["--T", "20", "--cells", "100"], 1e-3, 0.02),

@@ -3,11 +3,12 @@ import pytest
 import scipy.sparse as sp
 
 from cknlab.errors import EigenSolverFailure, ParameterError
-from cknlab.params import ProblemParams, validate
+from cknlab.params import validate
 from cknlab.profiles import w_gamma_star
-from cknlab.spectral import (MIN_NODES, assemble, gamma_sweep,
-                             hardy_poincare_gap, lowest_eigenvalue,
-                             sector_min, spectral_grid)
+from cknlab.spectral import (MIN_NODES, _sector_pencils, assemble,
+                             gamma_sweep, hardy_poincare_gap,
+                             lowest_eigenvalue, sector_min, spectral_grid)
+from sector_oracle import ABS_TOL, REL_TOL, sector_closed_form
 
 
 def _tri(diag, off):
@@ -22,7 +23,7 @@ def pp0():
 @pytest.fixture(scope="module")
 def op_ell1(pp0):
     grid = spectral_grid(n=2000)
-    return assemble(pp0, w_gamma_star(pp0), ell=1, grid=grid)
+    return assemble(pp0, ell=1, grid=grid)
 
 
 class TestAssemble:
@@ -35,9 +36,8 @@ class TestAssemble:
     def test_centrifugal_difference(self, pp0):
         # sectors 0 and 1 differ exactly by the (d-1)/r^2 mass term
         grid = spectral_grid(n=300)
-        prof = w_gamma_star(pp0)
-        op0 = assemble(pp0, prof, ell=0, grid=grid)
-        op1 = assemble(pp0, prof, ell=1, grid=grid)
+        op0 = assemble(pp0, ell=0, grid=grid)
+        op1 = assemble(pp0, ell=1, grid=grid)
         from cknlab.spectral import _tri_mass
         d = pp0.d
         dgc, offc = _tri_mass(grid, lambda x: x ** (d - 3.0))
@@ -56,7 +56,7 @@ class TestAssemble:
 
     def test_only_radial_sector_carries_constraint(self, pp0, op_ell1):
         grid = spectral_grid(n=300)
-        op0 = assemble(pp0, w_gamma_star(pp0), ell=0, grid=grid)
+        op0 = assemble(pp0, ell=0, grid=grid)
         assert len(op0.constraints) == 1
         assert op0.constraints[0].shape == (grid.size - 1,)
         assert np.all(op0.constraints[0] > 0)
@@ -64,7 +64,7 @@ class TestAssemble:
 
     def test_rejects_negative_ell(self, pp0):
         with pytest.raises(ParameterError):
-            assemble(pp0, w_gamma_star(pp0), ell=-1, grid=spectral_grid(n=300))
+            assemble(pp0, ell=-1, grid=spectral_grid(n=300))
 
 
 class TestLowestEigenvalue:
@@ -83,16 +83,14 @@ class TestLowestEigenvalue:
 
     def test_radial_sector_positive_with_constraint(self, pp0):
         grid = spectral_grid(n=1200)
-        prof = w_gamma_star(pp0)
-        op = assemble(pp0, prof, ell=0, grid=grid)
+        op = assemble(pp0, ell=0, grid=grid)
         lam, _ = lowest_eigenvalue(op)
         assert lam > 0.1
 
     def test_constrained_eigenprofile_is_feasible(self, pp0):
         # the bordered solve keeps every iterate orthogonal to the constraint
         grid = spectral_grid(n=1000)
-        prof = w_gamma_star(pp0)
-        op = assemble(pp0, prof, ell=0, grid=grid)
+        op = assemble(pp0, ell=0, grid=grid)
         c = op.constraints[0]
         lam, eig = lowest_eigenvalue(op)
         v = eig.values[:-1]
@@ -101,8 +99,7 @@ class TestLowestEigenvalue:
 
     def test_dependent_constraints_rejected(self, pp0):
         grid = spectral_grid(n=400)
-        prof = w_gamma_star(pp0)
-        op = assemble(pp0, prof, ell=0, grid=grid)
+        op = assemble(pp0, ell=0, grid=grid)
         c = op.constraints[0]
         op.constraints = [c, 3.7 * c]
         with pytest.raises(EigenSolverFailure):
@@ -110,7 +107,7 @@ class TestLowestEigenvalue:
 
     def test_spectral_shift_identity(self, pp0):
         grid = spectral_grid(n=400)
-        op = assemble(pp0, w_gamma_star(pp0), ell=0, grid=grid)
+        op = assemble(pp0, ell=0, grid=grid)
         lam_a, _ = lowest_eigenvalue(op)
         op.stiffness = op.stiffness + 0.37 * op.mass_matrix
         lam_b, _ = lowest_eigenvalue(op)
@@ -118,10 +115,9 @@ class TestLowestEigenvalue:
 
     def test_sector_ordering(self, pp0):
         grid = spectral_grid(n=600)
-        prof = w_gamma_star(pp0)
         lams = []
         for ell in (1, 2, 3):
-            op = assemble(pp0, prof, ell=ell, grid=grid)
+            op = assemble(pp0, ell=ell, grid=grid)
             lam, _ = lowest_eigenvalue(op)
             lams.append(lam)
         assert lams[0] < lams[1] < lams[2]
@@ -145,22 +141,51 @@ class TestLowestEigenvalue:
     @pytest.mark.parametrize("d, gamma, p, n", [(5, 1.0, 1.3, 8000),
                                                 (3, 0.5, 1.75, 2000)])
     def test_radial_sector_flattens_to_real_dimension(self, d, gamma, p, n):
-        # s = r^((2-gamma)/2) maps the radial sector at weight gamma onto the
-        # unweighted one in the real dimension d_gamma = 2(d-gamma)/(2-gamma)
-        grid = spectral_grid(n=n)
-        d_gamma = 2.0 * (d - gamma) / (2.0 - gamma)
-        weighted = sector_min(validate(d, gamma, p), 0, grid)
-        flat = sector_min(ProblemParams(d=d_gamma, gamma=0.0, p=p), 0, grid)
-        assert weighted == pytest.approx(flat, rel=1e-3)
+        # sector_min solves the radial sector at weight gamma as the gamma = 0
+        # one in the real dimension d_gamma, on a grid in s = r^((2-gamma)/2);
+        # the reference is the radial pencil in r with its r^-gamma weights,
+        # on an r-grid that holds the profile at these points
+        w = w_gamma_star(validate(d, gamma, p))
+
+        def weight(q):
+            return lambda r: np.exp(q * w.log(r) - gamma * np.log(r))
+
+        (op,) = _sector_pencils(
+            spectral_grid(n=n), d, [0], constraint=weight(2 * p - 1),
+            potential=lambda r: p * weight(p - 1)(r)
+            - (2 * p - 1) * weight(2 * p - 2)(r),
+            rho=lambda r: (2 * p - 1) * weight(2 * p - 2)(r))
+        weighted = lowest_eigenvalue(op)[0]
+        flat = sector_min(validate(d, gamma, p), 0, spectral_grid(n=n))
+        assert flat == pytest.approx(weighted, rel=1e-3)
+
+    def test_radial_sector_refines_at_large_gamma(self):
+        # at gamma = 1.5 a default grid in r would cut through the profile;
+        # in s the radial value moves by 0.6% from n = 2000 to n = 4000
+        pp = validate(3, 1.5, 1.49)
+        coarse = sector_min(pp, 0, spectral_grid(n=2000))
+        fine = sector_min(pp, 0, spectral_grid(n=4000))
+        assert 0 < fine < coarse
+        assert coarse == pytest.approx(fine, rel=1e-2)
 
     def test_grid_convergence(self, pp0):
-        prof = w_gamma_star(pp0)
         lams = []
         for n in (1000, 2000):
-            op = assemble(pp0, prof, ell=1, grid=spectral_grid(n=n))
+            op = assemble(pp0, ell=1, grid=spectral_grid(n=n))
             lam, _ = lowest_eigenvalue(op)
             lams.append(lam)
         assert abs(lams[1] - lams[0]) < 1e-4
+
+
+class TestSectorClosedForm:
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("d, gamma, p", [(3, 0.05, 2.0), (4, 0.3, 1.5),
+                                             (3, 1.2, 1.7), (3, 1.5, 1.49),
+                                             (3, 1.9, 1.05)])
+    def test_matches_closed_form(self, d, gamma, p, ell):
+        lam = sector_min(validate(d, gamma, p), ell, spectral_grid(n=2000))
+        want = sector_closed_form(d, gamma, p, ell)
+        assert lam == pytest.approx(want, rel=REL_TOL, abs=ABS_TOL)
 
 
 class TestHardyPoincare:
@@ -181,7 +206,6 @@ class TestHardyPoincare:
     def test_dropping_constraint_gives_zero(self):
         # the radial Hardy-Poincare operator carries the zero-mean
         # constraint; without it the constants annihilate the form
-        from cknlab.spectral import _sector_pencils
         d, p = 3, 2.0
         w0 = w_gamma_star(validate(d, 0.0, p))
         (op,) = _sector_pencils(spectral_grid(n=800), d, [0],
