@@ -6,6 +6,12 @@ s = (r/c)^((2-gamma)/2), at the price of a non-integer effective dimension
 d_gamma = 2(d - gamma)/(2 - gamma).  Trajectories launched from v(0) > 1
 either cross zero (too high), get trapped by the stable plateau at v = 1
 (too low), or follow the separatrix down to zero: the unique ground state.
+
+The energy E = v'^2/2 + v^(2p)/(2p) - v^(p+1)/(p+1) only decreases along a
+trajectory and is >= 0 wherever v = 0, so each shot is classed exactly: it
+crosses zero when it reaches v = 0, and is plateau-bound once E < 0.  The
+bisection keeps a certified bracket [plateau start, crossing start] around
+the ground state.
 """
 
 import numpy as np
@@ -30,6 +36,8 @@ print(f"  found  v0 = {res.v0:.10f}")
 print(f"  closed form (p(2-gamma)/eta)^(1/(p-1)) = {exact:.10f}")
 print(f"  relative difference = {abs(res.v0 - exact) / exact:.2e}")
 print(f"  bisection evaluations: {len(res.bisection_history)}")
+lo, hi = res.bracket
+print(f"  certified bracket [{lo:.10f}, {hi:.10f}], width {(hi - lo) / hi:.1e}")
 
 prof = res.profile
 wg = w_gamma_star(pp)

@@ -48,7 +48,7 @@ class AmplitudeOverflow(CknError):
 # -- ODE shooting ---------------------------------------------------------------
 
 class ClassificationAmbiguous(CknError):
-    """Trajectory neither crossed zero nor settled within the integration window."""
+    """Shots cannot place the ground state within the requested tolerance."""
 
 
 class BracketNotFound(CknError):

@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 _TAYLOR_LAUNCH = 1e-6
-_DECAY_THRESHOLD = 1e-4
-_PLATEAU_GUARD_S = 10.0
+_DECAY_FLOOR = 1e-5
+_PROFILE_WIDTH = 1e-10
 
 
 class Classification(str, Enum):
@@ -51,6 +51,7 @@ class ShootingResult:
     classification: Classification
     profile: RadialProfile | None
     bisection_history: list = field(default_factory=list)
+    bracket: tuple[float, float] | None = None
 
 
 def to_flat_variables(params: ProblemParams) -> tuple[float, float]:
@@ -78,24 +79,27 @@ def _rhs(d_gamma: float, p: float):
 
 def integrate_ode(d_gamma: float, p: float, v0: float, s_max: float = 2e3,
                   n_sample: int = 2000, stop_on_decay: bool = False) -> ShootingResult:
-    """Integrate one shooting trajectory and classify it.
+    """Integrate one shooting trajectory and classify it exactly.
 
-    Initial values v0 <= 1 are classified as plateau-bound without
-    integration: there the reaction term v^p - v^(2p-1) is nonnegative, so the
-    trajectory can only move up toward the stable plateau and never decays.
-    The same phase-plane fact classifies any trajectory that turns around
-    (v' > 0) while 0 < v < 1.
+    The energy E = v'^2/2 + v^(2p)/(2p) - v^(p+1)/(p+1) obeys
+    dE/ds = -(d_gamma - 1)/s v'^2 <= 0, and E >= 0 wherever v = 0.  So a
+    trajectory that reaches v = 0 crosses zero, and one whose energy drops
+    below 0 can never reach v = 0 and is plateau-bound; both are terminal
+    events.  A start with E(v0) <= 0, which holds for every v0 <= 1, is
+    plateau-bound without integration.  A trajectory that meets neither event
+    before ``s_max`` is classed as a ground state: on [0, s_max] it cannot be
+    told apart from one.
 
-    With ``stop_on_decay`` the run terminates once v drops one decade below
-    the decay threshold while tracking the algebraic separatrix slope; this is
-    what :func:`find_ground_state` uses for its final, fully converged shot.
+    With ``stop_on_decay`` the run also terminates once v drops to the decay
+    floor; this is what :func:`find_ground_state` uses for its final shot.
+    ``n_sample`` points on a geometric grid sample the profile; with 0 the
+    shot only classifies and ``profile`` is None.
     """
     if v0 <= 0:
         raise ValueError(f"initial value must be positive, got {v0}")
-    if v0 <= 1.0:
-        return ShootingResult(v0=v0,
-                              classification=Classification.DIVERGES_TO_PLATEAU,
-                              profile=None)
+    # E(v0) = v0^(p+1) (v0^(p-1)/(2p) - 1/(p+1)) <= 0, tested without v0^(2p)
+    if v0 ** (p - 1.0) <= 2.0 * p / (p + 1.0):
+        return ShootingResult(v0, Classification.DIVERGES_TO_PLATEAU, None)
 
     s0 = _TAYLOR_LAUNCH
     curv = (v0**p - v0 ** (2 * p - 1)) / (2.0 * d_gamma)
@@ -103,78 +107,55 @@ def integrate_ode(d_gamma: float, p: float, v0: float, s_max: float = 2e3,
 
     def crossed(s, y):
         return y[0]
-    crossed.terminal = True
-    crossed.direction = -1.0
 
-    def rebound(s, y):
-        # v' turning positive while v > 1 beyond the guard radius: trapped
-        if s < _PLATEAU_GUARD_S or y[0] < 1.0:
-            return -1.0
-        return y[1]
-    rebound.terminal = True
-    rebound.direction = 1.0
-
-    decay_floor = _DECAY_THRESHOLD / 10.0
+    def energy(s, y):
+        av = abs(y[0])
+        return 0.5 * y[1] ** 2 + av ** (2 * p) / (2 * p) - av ** (p + 1) / (p + 1)
 
     def decayed(s, y):
-        return y[0] - decay_floor
-    decayed.terminal = True
-    decayed.direction = -1.0
+        return y[0] - _DECAY_FLOOR
 
-    events = (crossed, rebound, decayed) if stop_on_decay else (crossed, rebound)
-    s_eval = np.geomspace(s0, s_max, n_sample)
+    events = (crossed, energy, decayed) if stop_on_decay else (crossed, energy)
+    for event in events:
+        event.terminal = True
+        event.direction = -1.0
     sol = solve_ivp(_rhs(d_gamma, p), (s0, s_max), y0, method="DOP853",
-                    rtol=1e-12, atol=1e-14, events=events, t_eval=s_eval)
+                    rtol=1e-12, atol=1e-14, events=events,
+                    t_eval=np.geomspace(s0, s_max, n_sample))
     if not sol.success:
         raise ClassificationAmbiguous(f"integrator failed: {sol.message}")
 
-    s_arr, v_arr, dv_arr = sol.t, sol.y[0], sol.y[1]
-    keep = v_arr > 0
     profile = None
-    if keep.sum() >= 2:
-        profile = RadialProfile(radii=s_arr[keep],
-                                values=np.maximum(v_arr[keep], 0.0),
-                                derivs=dv_arr[keep],
+    keep = sol.y[0] > 0 if n_sample else []
+    if np.count_nonzero(keep) >= 2:
+        profile = RadialProfile(radii=sol.t[keep], values=sol.y[0][keep],
+                                derivs=sol.y[1][keep],
                                 meta={"variable": "s", "derivatives": "integrator"})
 
     if sol.t_events[0].size:
         return ShootingResult(v0, Classification.CROSSES_ZERO, profile)
     if sol.t_events[1].size:
         return ShootingResult(v0, Classification.DIVERGES_TO_PLATEAU, profile)
-    if stop_on_decay and sol.t_events[2].size:
-        s_ev = float(sol.t_events[2][0])
-        v_ev, dv_ev = sol.y_events[2][0]
-        # the separatrix decays like s^(-2/(p-1)); a plunge toward a zero
-        # crossing moves far faster than that and is handed back for a full run
-        slope_ratio = abs(dv_ev) * s_ev * (p - 1.0) / (2.0 * v_ev)
-        if 0.2 <= slope_ratio <= 5.0:
-            return ShootingResult(v0, Classification.GROUND_STATE, profile)
-        return integrate_ode(d_gamma, p, v0, s_max=s_max, n_sample=n_sample,
-                             stop_on_decay=False)
-
-    v_end, dv_end = v_arr[-1], dv_arr[-1]
-    tail = s_arr >= s_arr[-1] / 10.0
-    monotone = bool(np.all(np.diff(v_arr[tail]) < 0))
-    if v_end < _DECAY_THRESHOLD and monotone:
-        return ShootingResult(v0, Classification.GROUND_STATE, profile)
-    if dv_end > 0.0 and v_end < 1.0:
-        # turned around inside the well basin: plateau-bound
-        return ShootingResult(v0, Classification.DIVERGES_TO_PLATEAU, profile)
-    if v_end > 0.5:
-        return ShootingResult(v0, Classification.DIVERGES_TO_PLATEAU, profile)
-    raise ClassificationAmbiguous(
-        f"trajectory from v0={v0} ended at v={v_end:.3e} without a clear class; "
-        f"increase s_max"
-    )
+    return ShootingResult(v0, Classification.GROUND_STATE, profile)
 
 
 def find_ground_state(params: ProblemParams, tol: float = 1e-8,
                       s_max: float = 2e3) -> ShootingResult:
     """Bisect the initial value to the separatrix between the two failure modes.
 
-    The bracket is [plateau side, crossing side]; bisection tightens it well
-    past ``tol`` so that the final trajectory tracks the ground state into its
-    decaying tail, then the result is reported at the bracket midpoint.
+    Every shot is classified by the exact energy events of
+    :func:`integrate_ode`, so the bracket [lo, hi] is certified: lo is a
+    plateau-bound start and hi a crossing one, and the ground state lies
+    between them.  Starts whose shots reach ``s_max`` with neither event
+    cannot be placed on either side; the bisection halves the wider gap
+    next to their span.  ``v0`` is returned, at the bracket midpoint, once
+    hi - lo <= tol * hi; a span wider than that raises
+    ``ClassificationAmbiguous``.
+
+    Only the final shot samples the profile, stopping at the decay floor.
+    Every crossing shot passes the floor, so the final shot starts at an
+    undecided start if there is one, and otherwise at the midpoint of a
+    bracket bisected down to ``_PROFILE_WIDTH`` (or ``tol``, if smaller).
     """
     if not _TAYLOR_LAUNCH < s_max < math.inf:
         raise ParameterError(f"s_max must lie in ({_TAYLOR_LAUNCH}, inf), beyond "
@@ -185,41 +166,55 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
     p = params.p
 
     history: list[tuple[float, Classification]] = []
+    lo, hi = 1.0, math.inf
+    # span of the starts whose shots reached s_max undecided; empty while
+    # u_lo > u_hi
+    u_lo, u_hi = math.inf, -math.inf
 
-    def classify(v0: float) -> Classification:
-        res = integrate_ode(d_gamma, p, v0, s_max=s_max)
+    def shoot(v0: float, final: bool) -> ShootingResult:
+        nonlocal lo, hi, u_lo, u_hi
+        res = integrate_ode(d_gamma, p, v0, s_max=s_max,
+                            n_sample=2000 if final else 0, stop_on_decay=final)
         history.append((v0, res.classification))
-        return res.classification
+        if res.classification is Classification.CROSSES_ZERO:
+            hi = v0
+        elif res.classification is Classification.DIVERGES_TO_PLATEAU:
+            lo = v0
+        else:
+            u_lo, u_hi = min(u_lo, v0), max(u_hi, v0)
+        return res
 
-    lo, hi = 1.0 + 1e-9, 2.0
+    v0 = 2.0
     for _ in range(60):
-        c = classify(hi)
-        if c is Classification.CROSSES_ZERO:
+        shoot(v0, final=False)
+        if hi < math.inf:
             break
-        lo = hi
-        hi *= 2.0
+        v0 *= 2.0
     else:
         raise BracketNotFound("no zero-crossing initial value found while doubling")
 
-    target_width = max(tol * 1e-4, 4.0 * np.finfo(float).eps)
-    while (hi - lo) / hi > target_width:
-        mid = 0.5 * (lo + hi)
-        res = integrate_ode(d_gamma, p, mid, s_max=s_max)
-        history.append((mid, res.classification))
-        if res.classification is Classification.CROSSES_ZERO:
-            hi = mid
-        else:
-            lo = mid
+    while True:
+        if u_hi - u_lo > tol * hi:
+            raise ClassificationAmbiguous(
+                f"starts in [{u_lo:.9g}, {u_hi:.9g}] reach s_max={s_max:g} with "
+                f"neither a zero crossing nor a negative energy, a span wider "
+                f"than tol={tol:g}; increase s_max")
+        undecided = u_lo <= u_hi
+        final = hi - lo <= tol * hi and (undecided or hi - lo <= _PROFILE_WIDTH * hi)
+        a, b = lo, hi
+        if undecided and not final:
+            a, b = (lo, u_lo) if u_lo - lo >= hi - u_hi else (u_hi, hi)
+        # an undecided start tracks the ground state up to s_max, and so does
+        # its re-run, which stops at the decay floor
+        start = u_lo if final and undecided else 0.5 * (a + b)
+        if not a < start < b:
+            raise ClassificationAmbiguous(
+                f"bracket [{lo!r}, {hi!r}] cannot be split further in floating "
+                f"point before the ground state is resolved to tol={tol:g}")
+        best_ground = shoot(start, final)
+        if final and best_ground.classification is Classification.GROUND_STATE:
+            break
     v0 = 0.5 * (lo + hi)
-    # final shot at the converged midpoint, terminated inside the decay regime
-    # before the unstable mode can pollute the tail
-    best_ground = integrate_ode(d_gamma, p, v0, s_max=s_max, stop_on_decay=True)
-    history.append((v0, best_ground.classification))
-    if best_ground.classification is not Classification.GROUND_STATE:
-        raise ClassificationAmbiguous(
-            "bisection converged but the midpoint trajectory did not decay; "
-            "increase s_max"
-        )
 
     # map the s-profile back to the physical radius, including the slope:
     # r = c s^(2/(2-gamma))  gives  dw/dr = v'(s) / (dr/ds)
@@ -236,4 +231,5 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
               "derivatives": "integrator"},
     )
     return ShootingResult(v0=v0, classification=Classification.GROUND_STATE,
-                          profile=profile, bisection_history=history)
+                          profile=profile, bisection_history=history,
+                          bracket=(lo, hi))

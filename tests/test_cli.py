@@ -290,6 +290,14 @@ class TestExitCodes:
                      "--p", "1.0067"]) == 3
         assert "AmplitudeOverflow" in capsys.readouterr().err
 
+    def test_shoot_unresolved_near_p_max(self, capsys):
+        # starts over 1e-4 relative wide reach s_max undecided at p = 2.9:
+        # no v0 within --tol can be certified
+        assert main(["shoot", "--d", "3", "--gamma", "0", "--p", "2.9",
+                     "--tol", "1e-8"]) == 3
+        err = capsys.readouterr().err
+        assert "ClassificationAmbiguous" in err and "s_max" in err
+
     def test_sweep_per_point_dir(self, tmp_path):
         outdir = tmp_path / "points"
         assert main(["sweep", "--n", "100", "--gamma-points", "2",

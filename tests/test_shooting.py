@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from cknlab.errors import ClassificationAmbiguous, CknError
 from cknlab.params import derive, validate
 from cknlab.profiles import el_residual, w_gamma_star
-from cknlab.shooting import (Classification, find_ground_state, integrate_ode,
-                             to_flat_variables)
+from cknlab.shooting import (Classification, _rhs, find_ground_state,
+                             integrate_ode, to_flat_variables)
+
+
+def closed_form_peak(d, gamma, p):
+    eta = derive(validate(d, gamma, p)).eta
+    return (p * (2.0 - gamma) / eta) ** (1.0 / (p - 1.0))
+
+
+def energy(v, dv, p):
+    return 0.5 * dv**2 + v ** (2 * p) / (2 * p) - v ** (p + 1) / (p + 1)
 
 
 class TestFlatVariables:
@@ -60,6 +71,23 @@ class TestIntegrateOde:
         assert res.classification is Classification.DIVERGES_TO_PLATEAU
         assert res.profile is None
 
+    def test_classify_only_shot_has_no_profile(self):
+        d_gamma, _ = to_flat_variables(validate(3, 0.0, 2.0))
+        for v0, want in [(8.0, Classification.CROSSES_ZERO),
+                         (2.0, Classification.DIVERGES_TO_PLATEAU)]:
+            res = integrate_ode(d_gamma, 2.0, v0, n_sample=0)
+            assert res.classification is want
+            assert res.profile is None
+
+    def test_nonpositive_energy_start_classified_without_integration(self):
+        # E(v0) = v0^(2p)/(2p) - v0^(p+1)/(p+1) <= 0 up to v0 = (2p/(p+1))^(1/(p-1))
+        p = 2.0
+        v_star = (2.0 * p / (p + 1.0)) ** (1.0 / (p - 1.0))
+        assert energy(v_star, 0.0, p) == pytest.approx(0.0, abs=1e-15)
+        res = integrate_ode(3.0, p, v_star * (1.0 - 1e-12))
+        assert res.classification is Classification.DIVERGES_TO_PLATEAU
+        assert res.profile is None
+
     def test_rejects_nonpositive_start(self):
         with pytest.raises(ValueError):
             integrate_ode(3.0, 2.0, -1.0)
@@ -67,8 +95,6 @@ class TestIntegrateOde:
     def test_energy_monotone_along_trajectory(self):
         # 0.5 v'^2 - v^(p+1)/(p+1) + v^(2p)/(2p) dissipates through the
         # friction term
-        from scipy.integrate import solve_ivp
-        from cknlab.shooting import _rhs
         d_gamma, p = 3.0, 2.0
         v0 = 3.0
         s0 = 1e-6
@@ -78,8 +104,48 @@ class TestIntegrateOde:
                         method="DOP853", rtol=1e-10, atol=1e-12,
                         t_eval=np.linspace(s0, 50.0, 400))
         v, dv = sol.y
-        E = 0.5 * dv**2 - v ** (p + 1) / (p + 1) + v ** (2 * p) / (2 * p)
+        E = energy(v, dv, p)
         assert np.all(np.diff(E) <= 1e-10)
+
+    def test_classes_agree_with_energy(self):
+        # every decided shot of a bisection is re-integrated here, past the
+        # point where the module stops it, with this file's energy: a
+        # plateau-bound one reaches E < 0 while v > 0, a crossing one reaches
+        # v = 0 while E >= 0
+        pp = validate(3, 0.5, 2.0)
+        d_gamma, _ = to_flat_variables(pp)
+        p = pp.p
+        res = find_ground_state(pp, tol=1e-4)
+        decided = [(v0, c) for v0, c in res.bisection_history
+                   if c is not Classification.GROUND_STATE]
+        assert {c for _, c in decided} == {Classification.CROSSES_ZERO,
+                                           Classification.DIVERGES_TO_PLATEAU}
+
+        def past_zero(s, y):
+            return y[0] + 0.5
+        past_zero.terminal = True
+
+        def well_below_zero_energy(s, y):
+            return energy(abs(y[0]), y[1], p) + 1e-3
+        well_below_zero_energy.terminal = True
+
+        s0 = 1e-6
+        for v0, c in decided:
+            curv = (v0**p - v0 ** (2 * p - 1)) / (2 * d_gamma)
+            sol = solve_ivp(_rhs(d_gamma, p), (s0, 2e3),
+                            (v0 + curv * s0**2, 2 * curv * s0), method="DOP853",
+                            rtol=1e-12, atol=1e-14,
+                            events=(past_zero, well_below_zero_energy))
+            v, dv = sol.y
+            E = energy(np.abs(v), dv, p)
+            first_cross = np.argmax(v <= 0) if np.any(v <= 0) else None
+            first_negative = np.argmax(E < 0) if np.any(E < 0) else None
+            if c is Classification.CROSSES_ZERO:
+                assert first_cross is not None, v0
+                assert np.all(E[:first_cross] >= 0), v0
+            else:
+                assert first_negative is not None, v0
+                assert np.all(v[:first_negative + 1] > 0), v0
 
 
 class TestFindGroundState:
@@ -87,14 +153,40 @@ class TestFindGroundState:
         (3, 0.0, 2.0, 1e-6),
         (3, 0.5, 2.0, 1e-6),
         (4, 0.25, 1.5, 1e-4),
+        (3, 0.0, 2.0, 1e-8),
+        (3, 0.5, 2.0, 1e-8),
+        (4, 0.25, 1.5, 1e-8),
+        (3, 1.5, 1.49, 1e-8),
+        (3, 1.9, 1.05, 1e-8),
+        # the corners of the benchmark's shoot box
+        (3, 0.2, 1.95, 1e-8),
+        (3, 0.2, 2.05, 1e-8),
+        (3, 0.3, 1.95, 1e-8),
+        (3, 0.3, 2.05, 1e-8),
     ])
     def test_recovers_closed_form_peak(self, d, gamma, p, tol):
-        pp = validate(d, gamma, p)
-        ex = derive(pp)
-        expected = (p * (2.0 - gamma) / ex.eta) ** (1.0 / (p - 1.0))
-        res = find_ground_state(pp, tol=tol)
+        expected = closed_form_peak(d, gamma, p)
+        res = find_ground_state(validate(d, gamma, p), tol=tol)
         assert res.classification is Classification.GROUND_STATE
-        assert abs(res.v0 - expected) / expected < tol
+        assert abs(res.v0 - expected) < tol * expected
+        lo, hi = res.bracket
+        assert lo < res.v0 < hi and (hi - lo) / hi <= tol
+        assert lo <= expected <= hi
+
+    def test_undecided_span_wider_than_tol_raises(self):
+        # at (3, 0, 2.5) the starts that reach s_max = 2e3 undecided span more
+        # than 1e-8 but less than 1e-6 relative
+        pp = validate(3, 0.0, 2.5)
+        with pytest.raises(ClassificationAmbiguous, match="s_max"):
+            find_ground_state(pp, tol=1e-8)
+        res = find_ground_state(pp, tol=1e-6)
+        expected = closed_form_peak(3, 0.0, 2.5)
+        assert abs(res.v0 - expected) <= 1e-6 * expected
+
+    @pytest.mark.parametrize("p", [2.8, 2.96])
+    def test_near_p_max_raises(self, p):
+        with pytest.raises(CknError):
+            find_ground_state(validate(3, 0.0, p), tol=1e-8)
 
     def test_mapped_back_profile_matches_optimizer(self):
         pp = validate(3, 0.5, 2.0)

@@ -242,14 +242,21 @@ class TestGammaSweep:
             assert abs(l1 - l2) < 1e-4
 
     def test_sign_fixture_small_gamma(self):
-        # recorded fixture: the translation mode lifts upward for small
-        # positive gamma at (3, 2); the sweep is the oracle here
-        curve = gamma_sweep(3, 2.0, np.linspace(0.02, 0.1, 5), ell=1, n=1000)
-        assert all(lam > 0 for _, lam in curve)
+        # the translation mode lifts upward for small positive gamma at (3, 2),
+        # as the closed form says; n = 2000 meets it within 7.5e-6 here
+        curve = gamma_sweep(3, 2.0, np.linspace(0.02, 0.1, 5), ell=1, n=2000)
+        for g, lam in curve:
+            want = sector_closed_form(3, g, 2.0, 1)
+            assert want > 0
+            assert lam == pytest.approx(want, rel=REL_TOL, abs=ABS_TOL)
 
     def test_small_step_continuity(self):
-        curve = gamma_sweep(3, 2.0, [0.05, 0.051], ell=1, n=1000)
-        assert abs(curve[1][1] - curve[0][1]) < 5e-3
+        curve = gamma_sweep(3, 2.0, [0.05, 0.051], ell=1, n=2000)
+        want = [sector_closed_form(3, g, 2.0, 1) for g, _ in curve]
+        for (_, lam), w in zip(curve, want):
+            assert lam == pytest.approx(w, rel=REL_TOL, abs=ABS_TOL)
+        step = curve[1][1] - curve[0][1]
+        assert abs(step - (want[1] - want[0])) < ABS_TOL
 
 
 class TestOrthogonalityIntegrals:
