@@ -2,11 +2,11 @@
 """Radial best constants by direct constrained minimization.
 
 The energy 0.5 |grad w|^2 + (p+1)^(-1) |w|_(p+1,gamma)^(p+1) is minimized
-over nonnegative grid profiles at fixed weighted L^(2p) mass, from a warm
-start (a scaled optimizer) and from a cold Gaussian start.  Both descend to
-the same minimum, which matches the closed-form quotient of the explicit
-profile, and the energy constant obeys the dilation relation
-J = kappa C*^(-2 p theta).
+over nonnegative grid profiles at fixed weighted L^(2p) mass by damped
+Newton steps on a coarse-to-fine ladder of grids, from a warm start (a
+scaled optimizer) and from a cold Gaussian start.  Both reach the same
+minimum, which matches the closed-form quotient of the explicit profile, and
+the energy constant obeys the dilation relation J = kappa C*^(-2 p theta).
 """
 
 import time
@@ -29,7 +29,7 @@ for d, g, p in [(3, 0.0, 2.0), (3, 0.5, 2.0)]:
         rel_j = abs(rep.J - J_closed) / J_closed
         print(f"  {start:4s} start: quotient rel err {rel_q:.1e}, "
               f"J rel err {rel_j:.1e}, iterations {rep.iterations}, "
-              f"Richardson est {rep.err_estimate:.1e}, {dt:.1f}s")
+              f"Richardson est {rep.err_estimate:.1e}, {dt:.3f}s")
         print(f"             dilation balance at the minimizer: "
               f"{rep.dilation_balance:+.1e}")
 

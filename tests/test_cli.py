@@ -235,7 +235,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [["--grid", "0"], ["--grid", "1"],
                                       ["--grid", "2"], ["--solver-tol", "-1"],
-                                      ["--solver-tol", "0"]])
+                                      ["--solver-tol", "0"],
+                                      ["--solver-tol", "inf"]])
     def test_minimize_bad_input(self, args):
         assert main(["minimize", *args]) == 2
 

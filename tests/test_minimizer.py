@@ -5,13 +5,16 @@ import pytest
 from scipy.special import betaln
 
 import cknlab.minimizer as minimizer_module
-from cknlab.errors import GridTooCoarse
-from cknlab.minimizer import (GridConfig, _objective_factory, best_constant_radial,
-                              critical_constant, discretize, hs_upper_bound,
-                              minimize_radial)
+from cknlab.errors import GridTooCoarse, ParameterError
+from cknlab.minimizer import (GridConfig, _newton, _objective_factory,
+                              best_constant_radial, critical_constant, discretize,
+                              hs_upper_bound, minimize_radial)
 from cknlab.params import kappa, validate
-from cknlab.profiles import barenblatt_mass, dilate_to_mass
+from cknlab.profiles import barenblatt_mass, dilate_to_mass, w_gamma_star
 from cknlab.quadrature import sphere_area
+
+# an overflowing Newton iterate, or 0 ** negative, fails the suite
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 GRID = GridConfig(n=512)
 
@@ -121,25 +124,29 @@ class TestMinimizeRadial:
         rep = minimize_radial(pp, GRID)
         assert abs(rep.dilation_balance) < 1e-6
 
-    def test_descent_monotone_across_iterations(self):
-        # the accepted iterates of the bound-constrained solver never
-        # increase the mass-normalized energy
-        from scipy.optimize import minimize as sp_minimize
-        from cknlab.profiles import w_gamma_star
+    def test_descent_monotone_across_iterations(self, monkeypatch):
+        # the accepted Newton iterates never increase the mass-normalized
+        # energy, and the last one is stationary.  Every accepted iterate but
+        # the last goes through _kkt, which builds the next step
         pp = validate(3, 0.0, 2.0)
         disc = discretize(pp, GridConfig(n=200))
-        objective = _objective_factory(disc, barenblatt_mass(pp))
+        M = barenblatt_mass(pp)
+        objective = _objective_factory(disc, M)
         w0 = w_gamma_star(pp)(disc.r) * (1.0 + 0.3 * np.sin(np.log(disc.r)))
-        values = []
+        iterates = []
+        kkt = minimizer_module._kkt
 
-        def record(xk):
-            values.append(objective(xk)[0])
+        def recording(level, w, target_mass):
+            iterates.append(w.copy())
+            return kkt(level, w, target_mass)
 
-        sp_minimize(objective, w0, jac=True, method="L-BFGS-B",
-                    bounds=[(0.0, None)] * w0.size, callback=record,
-                    options={"maxiter": 300})
-        assert len(values) > 10
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+        monkeypatch.setattr(minimizer_module, "_kkt", recording)
+        w, _ = _newton(disc, w0, M)
+        values = [objective(v)[0] for v in iterates + [w]]
+        assert len(values) >= 3
+        assert all(b <= a for a, b in zip(values, values[1:]))
+        grad = objective(w)[1]
+        assert np.max(np.abs(np.where(w > 0, grad, np.minimum(grad, 0.0)))) <= 1e-8
 
     def test_richardson_estimate_reported(self):
         pp = validate(3, 0.0, 2.0)
@@ -151,19 +158,40 @@ class TestMinimizeRadial:
                                           (100, [51, 100])])
     def test_one_ladder_per_solve(self, n, sizes, monkeypatch):
         # the Richardson coarse grid is the ladder's own second-finest level:
-        # one L-BFGS solve per level and no second ladder, and even a grid of
+        # one Newton solve per level and no second ladder, and even a grid of
         # at most 128 nodes gets a coarse level
         calls = []
-        lbfgs = minimizer_module.minimize
+        newton = minimizer_module._newton
 
-        def counting(fun, x0, *args, **kwargs):
-            calls.append(x0.size)
-            return lbfgs(fun, x0, *args, **kwargs)
+        def counting(level, w0, target_mass):
+            calls.append(w0.size)
+            return newton(level, w0, target_mass)
 
-        monkeypatch.setattr(minimizer_module, "minimize", counting)
+        monkeypatch.setattr(minimizer_module, "_newton", counting)
         # tolerance loose enough for the 100-node grid's Richardson guard
         minimize_radial(validate(3, 0.15, 2.0), GridConfig(n=n), solver_tol=1e-3)
         assert calls == sizes
+
+    @pytest.mark.parametrize("d, gamma, p", [(3, 0.0, 2.0), (5, 1.0, 1.3),
+                                             (4, 1.5, 1.1)])
+    def test_stationary_from_either_start(self, d, gamma, p):
+        # both starts reach the same stationary point.  Started with too
+        # little damping, the cold start at (4, 1.5, 1.1) settles on the
+        # constant profile, a local minimum of the discrete problem
+        pp = validate(d, gamma, p)
+        warm = minimize_radial(pp, GridConfig(n=1024), start="warm")
+        cold = minimize_radial(pp, GridConfig(n=1024), start="cold")
+        assert cold.best_quotient == pytest.approx(warm.best_quotient, rel=1e-9)
+        assert warm.gradient_norm <= 1e-8
+        assert cold.gradient_norm <= 1e-8
+
+    @pytest.mark.parametrize("kwargs", [{"mass": -1.0}, {"mass": 0.0},
+                                        {"mass": math.nan}, {"mass": math.inf},
+                                        {"solver_tol": math.inf},
+                                        {"start": "hot"}])
+    def test_bad_input_raises_parameter_error(self, kwargs):
+        with pytest.raises(ParameterError):
+            minimize_radial(validate(3, 0.0, 2.0), GRID, **kwargs)
 
     @pytest.mark.parametrize("d, gamma, p", [(3, 1.5, 1.49), (3, 1.9, 1.05),
                                              (3, 1.2, 1.7)])
@@ -186,7 +214,6 @@ class TestMinimizeRadial:
         disc = discretize(pp, GridConfig(n=256))
         objective = _objective_factory(disc, barenblatt_mass(pp))
         rng = np.random.default_rng(11)
-        from cknlab.profiles import w_gamma_star
         w = w_gamma_star(pp)(disc.r) * (1.0 + 0.1 * rng.standard_normal(disc.r.size))
         w = np.abs(w) + 1e-8
         _, grad = objective(w)
