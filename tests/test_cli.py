@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from cknlab import shooting
 from cknlab.cli import main, parse_config_echo
 from sector_oracle import sector_closed_form
 
@@ -298,6 +299,15 @@ class TestExitCodes:
                      "--tol", "1e-8"]) == 3
         err = capsys.readouterr().err
         assert "ClassificationAmbiguous" in err and "s_max" in err
+
+    def test_shoot_integrator_failure(self, monkeypatch, capfd):
+        # a compiled-integrator failure is a numerical failure: exit 3 with
+        # the library error, and neither a traceback nor scipy's warning
+        monkeypatch.setattr(shooting, "_MAX_STEPS", 5)
+        assert main(["shoot", "--d", "3", "--gamma", "0", "--p", "2"]) == 3
+        err = capfd.readouterr().err
+        assert "ClassificationAmbiguous" in err and "nsteps" in err
+        assert "Traceback" not in err and "UserWarning" not in err
 
     def test_sweep_per_point_dir(self, tmp_path):
         outdir = tmp_path / "points"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from cknlab import shooting
 from cknlab.errors import ClassificationAmbiguous, CknError
 from cknlab.params import derive, validate
 from cknlab.profiles import el_residual, w_gamma_star
@@ -87,6 +88,34 @@ class TestIntegrateOde:
         res = integrate_ode(3.0, p, v_star * (1.0 - 1e-12))
         assert res.classification is Classification.DIVERGES_TO_PLATEAU
         assert res.profile is None
+
+    def test_classify_only_and_sampled_shots_agree(self):
+        # classify-only shots run on the compiled integrator, sampled ones on
+        # solve_ivp; the bisection relies on both classing a start alike
+        for d, gamma, p in [(3, 0.5, 2.0), (4, 0.25, 1.5), (3, 1.5, 1.49)]:
+            d_gamma, _ = to_flat_variables(validate(d, gamma, p))
+            peak = closed_form_peak(d, gamma, p)
+            for rel in np.geomspace(1e-3, 1e-10, 8):
+                for v0 in (peak * (1.0 + rel), peak * (1.0 - rel)):
+                    fast = integrate_ode(d_gamma, p, v0, n_sample=0)
+                    sampled = integrate_ode(d_gamma, p, v0, n_sample=2)
+                    assert fast.classification is sampled.classification, \
+                        (d, gamma, p, rel, v0)
+
+    def test_paths_agree_with_decay_stop(self):
+        # the decay floor outranks the other events on both paths
+        d_gamma, _ = to_flat_variables(validate(3, 0.0, 2.0))
+        for v0 in (1.01, 4.0 * (1.0 - 1e-6), 4.0, 4.0 * (1.0 + 1e-6), 8.0):
+            fast = integrate_ode(d_gamma, 2.0, v0, n_sample=0,
+                                 stop_on_decay=True)
+            sampled = integrate_ode(d_gamma, 2.0, v0, n_sample=2,
+                                    stop_on_decay=True)
+            assert fast.classification is sampled.classification, v0
+
+    def test_integrator_failure_raises(self, monkeypatch):
+        monkeypatch.setattr(shooting, "_MAX_STEPS", 5)
+        with pytest.raises(ClassificationAmbiguous, match="nsteps"):
+            integrate_ode(3.0, 2.0, 8.0, n_sample=0)
 
     def test_rejects_nonpositive_start(self):
         with pytest.raises(ValueError):
