@@ -12,11 +12,9 @@ large), get trapped by the stable plateau at v = 1 (too small), or ride the
 separatrix down to zero, which is the unique ground state.  Bisection on the
 initial value recovers it.
 
-Shots that only classify run on scipy's compiled DOP853
-(``scipy.integrate.ode``) and test the class events at each step end; the
-one shot that samples a profile runs on ``solve_ivp``, which has dense
-output, and since ``solve_ivp`` also detects events only by a sign change
-between step ends, both paths class a shot alike.
+Every shot runs on scipy's compiled DOP853 (``scipy.integrate.ode``), which
+tests the class events at each accepted step end and keeps the step ends as
+the sampled profile.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
+from scipy.integrate import ode
 
 from .errors import BracketNotFound, ClassificationAmbiguous, ParameterError
 from .params import ProblemParams, derive
@@ -45,8 +43,8 @@ __all__ = [
 _TAYLOR_LAUNCH = 1e-6
 _DECAY_FLOOR = 1e-5
 _PROFILE_WIDTH = 1e-10
-# step budget of a classify-only shot, far above the 2261 steps of the
-# longest shot seen, at (3, 1.98, 1.005)
+# step budget of a shot, far above the 2261 steps of the longest shot seen,
+# at (3, 1.98, 1.005)
 _MAX_STEPS = 1_000_000
 
 
@@ -89,7 +87,7 @@ def _rhs(d_gamma: float, p: float):
 
 
 def integrate_ode(d_gamma: float, p: float, v0: float, s_max: float = 2e3,
-                  n_sample: int = 2000, stop_on_decay: bool = False) -> ShootingResult:
+                  stop_on_decay: bool = False) -> ShootingResult:
     """Integrate one shooting trajectory and classify it exactly.
 
     The energy E = v'^2/2 + v^(2p)/(2p) - v^(p+1)/(p+1) obeys
@@ -97,21 +95,20 @@ def integrate_ode(d_gamma: float, p: float, v0: float, s_max: float = 2e3,
     trajectory that reaches v = 0 crosses zero, and one whose energy drops
     below 0 can never reach v = 0 and is plateau-bound; both are terminal
     events.  A start with E(v0) <= 0, which holds for every v0 <= 1, is
-    plateau-bound without integration.  A trajectory that meets neither event
-    before ``s_max`` is classed as a ground state: on [0, s_max] it cannot be
-    told apart from one.
+    plateau-bound without integration, and its ``profile`` is None.  A
+    trajectory that meets neither event before ``s_max`` is classed as a
+    ground state: on [0, s_max] it cannot be told apart from one.
 
     With ``stop_on_decay`` the run also terminates once v drops to the decay
     floor; this is what :func:`find_ground_state` uses for its final shot.
-    ``n_sample`` points on a geometric grid sample the profile; with 0 the
-    shot only classifies and ``profile`` is None.  A classify-only shot runs
-    on the compiled DOP853 and a sampled one on ``solve_ivp``; both test the
-    events only at step ends, so they class a shot alike.  Where one step
-    passes several events, the first in the order decay floor, zero
-    crossing, negative energy decides the class.
+    The shot runs on the compiled DOP853, which tests the events at each
+    accepted step end; where one step passes several events, the first in
+    the order decay floor, zero crossing, negative energy decides the class.
+    The step ends with v > 0 are the sampled ``profile``, in the variable s;
+    with ``stop_on_decay``, those with v above the decay floor.
     """
-    if v0 <= 0:
-        raise ValueError(f"initial value must be positive, got {v0}")
+    if not 0.0 < v0 < math.inf:
+        raise ParameterError(f"initial value must lie in (0, inf), got v0={v0}")
     # E(v0) = v0^(p+1) (v0^(p-1)/(2p) - 1/(p+1)) <= 0, tested without v0^(2p)
     if v0 ** (p - 1.0) <= 2.0 * p / (p + 1.0):
         return ShootingResult(v0, Classification.DIVERGES_TO_PLATEAU, None)
@@ -136,34 +133,19 @@ def integrate_ode(d_gamma: float, p: float, v0: float, s_max: float = 2e3,
               (energy, Classification.DIVERGES_TO_PLATEAU)]
     if stop_on_decay:
         events.insert(0, (decayed, Classification.GROUND_STATE))
-    rhs = _rhs(d_gamma, p)
-    if not n_sample:
-        cls = _compiled_shot(_MAX_STEPS).classify(rhs, s0, y0, s_max, events)
-        return ShootingResult(v0, cls, None)
-
-    for event, _ in events:
-        event.terminal = True
-        event.direction = -1.0
-    sol = solve_ivp(rhs, (s0, s_max), y0, method="DOP853",
-                    rtol=1e-12, atol=1e-14, events=[e for e, _ in events],
-                    t_eval=np.geomspace(s0, s_max, n_sample))
-    if not sol.success:
-        raise ClassificationAmbiguous(f"integrator failed: {sol.message}")
-
+    cls, steps = _compiled_shot(_MAX_STEPS).shoot(_rhs(d_gamma, p), s0, y0,
+                                                  s_max, events)
+    # the step end past the decay floor only detects it; the profile ends above
+    s, v, dv = steps[steps[:, 1] > (_DECAY_FLOOR if stop_on_decay else 0.0)].T
     profile = None
-    keep = sol.y[0] > 0
-    if np.count_nonzero(keep) >= 2:
-        profile = RadialProfile(radii=sol.t[keep], values=sol.y[0][keep],
-                                derivs=sol.y[1][keep],
+    if s.size >= 2:
+        profile = RadialProfile(radii=s, values=v, derivs=dv,
                                 meta={"variable": "s", "derivatives": "integrator"})
-    # solve_ivp records only the first terminal event it meets
-    cls = next((c for (_, c), t in zip(events, sol.t_events) if t.size),
-               Classification.GROUND_STATE)
     return ShootingResult(v0, cls, profile)
 
 
 class _CompiledShot:
-    """Compiled DOP853 for classify-only shots, testing the events at step ends.
+    """Compiled DOP853 that tests the events and keeps (s, v, v') at step ends.
 
     scipy's compiled dop853 keeps a reference to the callbacks of every run,
     so one integrator and its two callbacks serve every shot; a shot only
@@ -181,15 +163,18 @@ class _CompiledShot:
         return self.rhs(s, y.tolist())
 
     def _solout(self, s, y):
+        self.steps.append((s, y[0], y[1]))
         for event, cls in self.events:
             if event(s, y) <= 0:
                 self.hit = cls
                 return -1
         return 0
 
-    def classify(self, rhs, s0, y0, s_max, events) -> Classification:
+    def shoot(self, rhs, s0, y0, s_max, events) -> tuple[Classification, np.ndarray]:
+        """Class of one shot and its step ends, one (s, v, v') row each."""
         self.rhs, self.events = rhs, events
         self.hit = Classification.GROUND_STATE
+        self.steps = []
         self.solver.set_initial_value(y0, s0)
         with warnings.catch_warnings():
             # scipy reports a negative return code only by this warning
@@ -200,7 +185,7 @@ class _CompiledShot:
             except UserWarning as exc:
                 raise ClassificationAmbiguous(
                     f"integrator failed: {exc}") from None
-        return self.hit
+        return self.hit, np.array(self.steps)
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,7 +206,7 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
     hi - lo <= tol * hi; a span wider than that raises
     ``ClassificationAmbiguous``.
 
-    Only the final shot samples the profile, stopping at the decay floor.
+    The final shot stops at the decay floor, and its profile is returned.
     Every crossing shot passes the floor, so the final shot starts at an
     undecided start if there is one, and otherwise at the midpoint of a
     bracket bisected down to ``_PROFILE_WIDTH`` (or ``tol``, if smaller).
@@ -242,8 +227,7 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
 
     def shoot(v0: float, final: bool) -> ShootingResult:
         nonlocal lo, hi, u_lo, u_hi
-        res = integrate_ode(d_gamma, p, v0, s_max=s_max,
-                            n_sample=2000 if final else 0, stop_on_decay=final)
+        res = integrate_ode(d_gamma, p, v0, s_max=s_max, stop_on_decay=final)
         history.append((v0, res.classification))
         if res.classification is Classification.CROSSES_ZERO:
             hi = v0
@@ -285,16 +269,21 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
             break
     v0 = 0.5 * (lo + hi)
 
-    # map the s-profile back to the physical radius, including the slope:
-    # r = c s^(2/(2-gamma))  gives  dw/dr = v'(s) / (dr/ds)
+    # map the s-profile back to the physical radius in log form, since
+    # r = c s^expo underflows near the launch radius as gamma nears 2:
+    # log r = expo (log((2-gamma)/2) + log s), and
+    # dw/dr = v'(s) / (dr/ds) = v' s / (expo r)
     sprof = best_ground.profile
     g = params.gamma
     expo = 2.0 / (2.0 - g)
-    radii = c_map * sprof.radii**expo
-    dr_ds = c_map * expo * sprof.radii ** (expo - 1.0)
+    radii = np.exp(expo * (math.log((2.0 - g) / 2.0) + np.log(sprof.radii)))
+    # radii below the normal float range, and slopes beyond it, lie where
+    # v = v0 to roundoff; those points are dropped
+    with np.errstate(divide="ignore", over="ignore"):
+        derivs = sprof.derivs * sprof.radii / (expo * radii)
+    keep = (radii >= np.finfo(float).tiny) & np.isfinite(derivs)
     profile = RadialProfile(
-        radii=radii, values=sprof.values,
-        derivs=sprof.derivs / dr_ds,
+        radii=radii[keep], values=sprof.values[keep], derivs=derivs[keep],
         tail_exponent=(2.0 - g) / (params.p - 1.0),
         meta={"variable": "r", "v0": v0, "d_gamma": d_gamma, "c_map": c_map,
               "derivatives": "integrator"},

@@ -300,6 +300,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "ClassificationAmbiguous" in err and "s_max" in err
 
+    def test_shoot_near_gamma_two(self, capfd):
+        # the map back to r leaves the float range near the launch radius
+        # here; the command still succeeds, with nothing on stderr
+        assert main(["shoot", "--d", "3", "--gamma", "1.965", "--p", "1.01"]) == 0
+        assert capfd.readouterr().err == ""
+
     def test_shoot_integrator_failure(self, monkeypatch, capfd):
         # a compiled-integrator failure is a numerical failure: exit 3 with
         # the library error, and neither a traceback nor scipy's warning

@@ -3,11 +3,14 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cknlab import shooting
-from cknlab.errors import ClassificationAmbiguous, CknError
+from cknlab.errors import ClassificationAmbiguous, CknError, ParameterError
 from cknlab.params import derive, validate
 from cknlab.profiles import el_residual, w_gamma_star
 from cknlab.shooting import (Classification, _rhs, find_ground_state,
                              integrate_ode, to_flat_variables)
+
+# an underflowing radius map, or 0 ** negative, fails the suite
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def closed_form_peak(d, gamma, p):
@@ -17,6 +20,46 @@ def closed_form_peak(d, gamma, p):
 
 def energy(v, dv, p):
     return 0.5 * dv**2 + v ** (2 * p) / (2 * p) - v ** (p + 1) / (p + 1)
+
+
+def launch(d_gamma, p, v0, s0=1e-6):
+    """Taylor start (s0, (v, v')) of a shot, as the module launches it."""
+    curv = (v0**p - v0 ** (2 * p - 1)) / (2 * d_gamma)
+    return s0, (v0 + curv * s0**2, 2 * curv * s0)
+
+
+def reference_class(d_gamma, p, v0, stop_on_decay=False):
+    """Class of a shot by solve_ivp's event detection.
+
+    The events, their order and the E(v0) <= 0 shortcut are the module's;
+    solve_ivp also detects an event only by a sign change between step ends.
+    """
+    if v0 ** (p - 1.0) <= 2.0 * p / (p + 1.0):
+        return Classification.DIVERGES_TO_PLATEAU
+
+    def crossed(s, y):
+        return y[0]
+
+    def negative_energy(s, y):
+        return energy(abs(y[0]), y[1], p)
+
+    def decayed(s, y):
+        return y[0] - shooting._DECAY_FLOOR
+
+    events = [(crossed, Classification.CROSSES_ZERO),
+              (negative_energy, Classification.DIVERGES_TO_PLATEAU)]
+    if stop_on_decay:
+        events.insert(0, (decayed, Classification.GROUND_STATE))
+    for event, _ in events:
+        event.terminal = True
+        event.direction = -1.0
+    s0, y0 = launch(d_gamma, p, v0)
+    sol = solve_ivp(_rhs(d_gamma, p), (s0, 2e3), y0, method="DOP853",
+                    rtol=1e-12, atol=1e-14, events=[e for e, _ in events])
+    assert sol.success, sol.message
+    # solve_ivp records only the first terminal event it meets
+    return next((c for (_, c), t in zip(events, sol.t_events) if t.size),
+                Classification.GROUND_STATE)
 
 
 class TestFlatVariables:
@@ -76,9 +119,8 @@ class TestIntegrateOde:
         d_gamma, _ = to_flat_variables(validate(3, 0.0, 2.0))
         for v0, want in [(8.0, Classification.CROSSES_ZERO),
                          (2.0, Classification.DIVERGES_TO_PLATEAU)]:
-            res = integrate_ode(d_gamma, 2.0, v0, n_sample=0)
+            res = integrate_ode(d_gamma, 2.0, v0)
             assert res.classification is want
-            assert res.profile is None
 
     def test_nonpositive_energy_start_classified_without_integration(self):
         # E(v0) = v0^(2p)/(2p) - v0^(p+1)/(p+1) <= 0 up to v0 = (2p/(p+1))^(1/(p-1))
@@ -90,46 +132,52 @@ class TestIntegrateOde:
         assert res.profile is None
 
     def test_classify_only_and_sampled_shots_agree(self):
-        # classify-only shots run on the compiled integrator, sampled ones on
-        # solve_ivp; the bisection relies on both classing a start alike
+        # shots run on the compiled integrator; the reference is solve_ivp's
+        # event detection, which must class every start near the separatrix
+        # alike
         for d, gamma, p in [(3, 0.5, 2.0), (4, 0.25, 1.5), (3, 1.5, 1.49)]:
             d_gamma, _ = to_flat_variables(validate(d, gamma, p))
             peak = closed_form_peak(d, gamma, p)
             for rel in np.geomspace(1e-3, 1e-10, 8):
                 for v0 in (peak * (1.0 + rel), peak * (1.0 - rel)):
-                    fast = integrate_ode(d_gamma, p, v0, n_sample=0)
-                    sampled = integrate_ode(d_gamma, p, v0, n_sample=2)
-                    assert fast.classification is sampled.classification, \
+                    got = integrate_ode(d_gamma, p, v0).classification
+                    assert got is reference_class(d_gamma, p, v0), \
                         (d, gamma, p, rel, v0)
 
     def test_paths_agree_with_decay_stop(self):
-        # the decay floor outranks the other events on both paths
+        # the decay floor outranks the other events here and in the reference
         d_gamma, _ = to_flat_variables(validate(3, 0.0, 2.0))
         for v0 in (1.01, 4.0 * (1.0 - 1e-6), 4.0, 4.0 * (1.0 + 1e-6), 8.0):
-            fast = integrate_ode(d_gamma, 2.0, v0, n_sample=0,
-                                 stop_on_decay=True)
-            sampled = integrate_ode(d_gamma, 2.0, v0, n_sample=2,
-                                    stop_on_decay=True)
-            assert fast.classification is sampled.classification, v0
+            got = integrate_ode(d_gamma, 2.0, v0, stop_on_decay=True)
+            assert got.classification is reference_class(
+                d_gamma, 2.0, v0, stop_on_decay=True), v0
+
+    def test_profile_is_step_ends_above_floor(self):
+        # the profile starts at the launch radius, and a shot stopped at the
+        # decay floor keeps only the step ends above it
+        d_gamma, _ = to_flat_variables(validate(3, 0.0, 2.0))
+        res = integrate_ode(d_gamma, 2.0, 4.0, stop_on_decay=True)
+        assert res.classification is Classification.GROUND_STATE
+        s, v = res.profile.radii, res.profile.values
+        assert s[0] == 1e-6 and 1e-5 < v[-1] < 1e-4
+        assert 100 < s.size < 1000
 
     def test_integrator_failure_raises(self, monkeypatch):
         monkeypatch.setattr(shooting, "_MAX_STEPS", 5)
         with pytest.raises(ClassificationAmbiguous, match="nsteps"):
-            integrate_ode(3.0, 2.0, 8.0, n_sample=0)
+            integrate_ode(3.0, 2.0, 8.0)
 
     def test_rejects_nonpositive_start(self):
-        with pytest.raises(ValueError):
-            integrate_ode(3.0, 2.0, -1.0)
+        for v0 in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ParameterError, match="initial value"):
+                integrate_ode(3.0, 2.0, v0)
 
     def test_energy_monotone_along_trajectory(self):
         # 0.5 v'^2 - v^(p+1)/(p+1) + v^(2p)/(2p) dissipates through the
         # friction term
         d_gamma, p = 3.0, 2.0
-        v0 = 3.0
-        s0 = 1e-6
-        curv = (v0**p - v0 ** (2 * p - 1)) / (2 * d_gamma)
-        sol = solve_ivp(_rhs(d_gamma, p), (s0, 50.0),
-                        (v0 + curv * s0**2, 2 * curv * s0),
+        s0, y0 = launch(d_gamma, p, 3.0)
+        sol = solve_ivp(_rhs(d_gamma, p), (s0, 50.0), y0,
                         method="DOP853", rtol=1e-10, atol=1e-12,
                         t_eval=np.linspace(s0, 50.0, 400))
         v, dv = sol.y
@@ -158,11 +206,9 @@ class TestIntegrateOde:
             return energy(abs(y[0]), y[1], p) + 1e-3
         well_below_zero_energy.terminal = True
 
-        s0 = 1e-6
         for v0, c in decided:
-            curv = (v0**p - v0 ** (2 * p - 1)) / (2 * d_gamma)
-            sol = solve_ivp(_rhs(d_gamma, p), (s0, 2e3),
-                            (v0 + curv * s0**2, 2 * curv * s0), method="DOP853",
+            s0, y0 = launch(d_gamma, p, v0)
+            sol = solve_ivp(_rhs(d_gamma, p), (s0, 2e3), y0, method="DOP853",
                             rtol=1e-12, atol=1e-14,
                             events=(past_zero, well_below_zero_energy))
             v, dv = sol.y
@@ -224,23 +270,48 @@ class TestFindGroundState:
         wg = w_gamma_star(pp)
         assert np.max(np.abs(prof.values - wg(prof.radii))) < 1e-6
 
+    def test_map_back_near_gamma_two(self):
+        # r = c_map s^(2/(2-gamma)) with exponent 57 leaves the float range
+        # near the launch radius; the map runs in log form and drops those
+        # radii, where v = v0 to roundoff
+        pp = validate(3, 1.965, 1.01)
+        expected = closed_form_peak(3, 1.965, 1.01)
+        res = find_ground_state(pp, tol=1e-8)
+        assert abs(res.v0 - expected) < 1e-8 * expected
+        lo, hi = res.bracket
+        assert lo <= expected <= hi
+        prof = res.profile
+        assert prof.radii[0] > 0 and np.all(np.isfinite(prof.derivs))
+        dev = np.max(np.abs(prof.values - w_gamma_star(pp)(prof.radii)))
+        assert dev < 1e-9 * expected
+
     def test_transform_consistency(self):
         # mapped-back trajectory satisfies the radial optimality equation;
         # second derivatives come from differencing, so the check runs on a
-        # finely resampled trajectory at the converged initial value
+        # trajectory from the converged initial value, sampled at 30000
+        # points up to the decay floor by solve_ivp's dense output
         pp = validate(3, 0.5, 2.0)
         res = find_ground_state(pp, tol=1e-8)
         d_gamma, c_map = to_flat_variables(pp)
-        fine = integrate_ode(d_gamma, pp.p, res.v0, n_sample=30000,
-                             stop_on_decay=True)
+
+        def decayed(s, y):
+            return y[0] - shooting._DECAY_FLOOR
+        decayed.terminal = True
+        decayed.direction = -1.0
+
+        s0, y0 = launch(d_gamma, pp.p, res.v0)
+        sol = solve_ivp(_rhs(d_gamma, pp.p), (s0, 2e3), y0, method="DOP853",
+                        rtol=1e-12, atol=1e-14, events=decayed,
+                        t_eval=np.geomspace(s0, 2e3, 30000))
+        s, v, dv = sol.t, sol.y[0], sol.y[1]
         g = pp.gamma
         expo = 2.0 / (2.0 - g)
-        radii = c_map * fine.profile.radii**expo
-        dr_ds = c_map * expo * fine.profile.radii ** (expo - 1.0)
+        radii = c_map * s**expo
+        dr_ds = c_map * expo * s ** (expo - 1.0)
         from cknlab.profiles import RadialProfile
         mask = radii > 1e-2
-        sub = RadialProfile(radii=radii[mask], values=fine.profile.values[mask],
-                            derivs=(fine.profile.derivs / dr_ds)[mask])
+        sub = RadialProfile(radii=radii[mask], values=v[mask],
+                            derivs=(dv / dr_ds)[mask])
         assert el_residual(sub, pp) < 1e-6
 
     def test_uniqueness_probe(self):
