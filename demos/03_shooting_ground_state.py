@@ -21,8 +21,9 @@ from cknlab.shooting import find_ground_state, integrate_ode, to_flat_variables
 
 pp = validate(3, 0.5, 2.0)
 ex = derive(pp)
-d_gamma, c_map = to_flat_variables(pp)
-print(f"effective dimension d_gamma = {d_gamma:.6f}, radius scale = {c_map:.6f}")
+d_gamma, log_c_map = to_flat_variables(pp)
+print(f"effective dimension d_gamma = {d_gamma:.6f}, "
+      f"radius scale = {np.exp(log_c_map):.6f}")
 
 print("\n== classification scan ==")
 for v0 in (1.01, 2.0, 4.0, 6.0, 6.5, 8.0):

@@ -122,13 +122,13 @@ def _cmd_shoot(args) -> None:
     from .shooting import find_ground_state, to_flat_variables
 
     pp = validate(args.d, args.gamma, args.p)
-    d_gamma, c_map = to_flat_variables(pp)
+    d_gamma, log_c_map = to_flat_variables(pp)
     res = find_ground_state(pp, tol=args.tol, s_max=args.s_max)
     result = {
         "v0": res.v0,
         "classification": res.classification.value,
         "d_gamma": d_gamma,
-        "c_map": c_map,
+        "log_c_map": log_c_map,
         "bisection_steps": len(res.bisection_history),
     }
     if args.format == "json":
@@ -325,7 +325,8 @@ def _add_s_bounds(sp) -> None:
                                ("--r-max", 1e4, "upper")):
         sp.add_argument(flag, type=float, default=default, help=(
             f"{end} end of the grid in the flat variable s; "
-            "r = c_map s^(2/(2-gamma)), the map `ckn shoot` reports"))
+            "log r = log_c_map + (2/(2-gamma)) log s, with the log_c_map "
+            "that `ckn shoot` reports"))
 
 
 def build_parser() -> argparse.ArgumentParser:

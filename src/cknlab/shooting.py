@@ -64,14 +64,17 @@ class ShootingResult:
 
 
 def to_flat_variables(params: ProblemParams) -> tuple[float, float]:
-    """Effective dimension and radius scale of the flattening map.
+    """Effective dimension and log radius scale of the flattening map.
 
-    Returns (d_gamma, c_map) with r = c_map * s^(2/(2-gamma)).
+    Returns (d_gamma, log_c_map) with r = c_map * s^(2/(2-gamma)), that is
+    log r = log_c_map + (2/(2-gamma)) log s.  The scale itself,
+    c_map = ((2-gamma)/2)^(2/(2-gamma)), underflows to 0 for gamma >= 1.99,
+    so its log is returned.
     """
     g = params.gamma
     d_gamma = derive(params).d_gamma
-    c_map = ((2.0 - g) / 2.0) ** (2.0 / (2.0 - g))
-    return d_gamma, c_map
+    log_c_map = 2.0 / (2.0 - g) * math.log((2.0 - g) / 2.0)
+    return d_gamma, log_c_map
 
 
 def _rhs(d_gamma: float, p: float):
@@ -216,7 +219,7 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
                              f"the launch radius, got s_max={s_max}")
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must lie in (0, inf), got tol={tol}")
-    d_gamma, c_map = to_flat_variables(params)
+    d_gamma, log_c_map = to_flat_variables(params)
     p = params.p
 
     history: list[tuple[float, Classification]] = []
@@ -270,13 +273,13 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
     v0 = 0.5 * (lo + hi)
 
     # map the s-profile back to the physical radius in log form, since
-    # r = c s^expo underflows near the launch radius as gamma nears 2:
-    # log r = expo (log((2-gamma)/2) + log s), and
+    # r = c_map s^expo underflows near the launch radius as gamma nears 2:
+    # log r = log_c_map + expo log s, and
     # dw/dr = v'(s) / (dr/ds) = v' s / (expo r)
     sprof = best_ground.profile
     g = params.gamma
     expo = 2.0 / (2.0 - g)
-    radii = np.exp(expo * (math.log((2.0 - g) / 2.0) + np.log(sprof.radii)))
+    radii = np.exp(log_c_map + expo * np.log(sprof.radii))
     # radii below the normal float range, and slopes beyond it, lie where
     # v = v0 to roundoff; those points are dropped
     with np.errstate(divide="ignore", over="ignore"):
@@ -285,8 +288,8 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
     profile = RadialProfile(
         radii=radii[keep], values=sprof.values[keep], derivs=derivs[keep],
         tail_exponent=(2.0 - g) / (params.p - 1.0),
-        meta={"variable": "r", "v0": v0, "d_gamma": d_gamma, "c_map": c_map,
-              "derivatives": "integrator"},
+        meta={"variable": "r", "v0": v0, "d_gamma": d_gamma,
+              "log_c_map": log_c_map, "derivatives": "integrator"},
     )
     return ShootingResult(v0=v0, classification=Classification.GROUND_STATE,
                           profile=profile, bisection_history=history,

@@ -159,8 +159,9 @@ class TestCompute:
         code, out = run_cli(["shoot", "--d", "3", "--gamma", "0", "--p", "2",
                              "--tol", "1e-5"], capsys)
         assert code == 0
-        v0 = json.loads(out)["result"]["v0"]
-        assert v0 == pytest.approx(4.0, rel=1e-5)
+        result = json.loads(out)["result"]
+        assert result["v0"] == pytest.approx(4.0, rel=1e-5)
+        assert result["log_c_map"] == 0.0
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -336,3 +337,17 @@ class TestExitCodes:
         assert payload["config"]["initial"] == str(datum)
         mass = payload["result"]["mass"]
         assert abs(mass[-1] - mass[0]) < 1e-10 * mass[0]
+
+    def test_flow_rejects_truncated_datum(self, tmp_path, capsys):
+        # a datum vanishing beyond r = 5 has empty cells, which the scheme
+        # would never fill: a parameter error, not a frozen run
+        from cknlab.flow import stationary_profile
+        base = stationary_profile(0.75, 0.0, 3, 50.0)
+        r = np.geomspace(1e-3, 25.0, 200)
+        w = np.where(r < 5.0, base(r), 0.0)
+        datum = tmp_path / "trunc.csv"
+        datum.write_text("r,w\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(r, w)))
+        assert main(["flow", "--cells", "200", "--T", "1",
+                     "--initial", str(datum)]) == 2
+        err = capsys.readouterr().err
+        assert "parameter error" in err and "finite and positive" in err

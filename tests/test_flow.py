@@ -12,6 +12,9 @@ from cknlab.params import validate
 from cknlab.profiles import RadialProfile, w_star
 from cknlab.quadrature import power_law_weighted_integral, sphere_area
 
+# a vacuum face leaking 0/0 or 0 * inf out of its errstate fails the suite
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture(scope="module")
 def stat():
@@ -142,6 +145,39 @@ class TestStep:
         m0 = np.sum(vol * state.density)
         assert abs(np.sum(vol * v) - m0) <= 1e-14 * m0
 
+    def test_newton_update_matches_dense_solve(self, stat):
+        # the tridiagonal solve gives the update of the dense Newton system
+        # vol + c d(div)/dv, built here from the face derivatives: face k
+        # carries flux out of cell k and into cell k+1
+        state = make_state(lambda r: stat(r) * (1.0 + 0.3 * np.exp(-((r - 2) ** 2))),
+                           0.75, 0.0, 3, n_cells=200)
+        vol, h, v, faces = state.mesh.vol_w, 0.5 * BIG_DT, state.density, state.faces
+        target = vol * v - h * flow_module._divergence(faces.flux)
+        v_new, _, _ = flow_module._newton_iterate(state, target, h, v, faces)
+        k = np.arange(v.size - 1)
+        jac = np.diag(vol)
+        jac[k, k] += h * faces.d_left
+        jac[k + 1, k + 1] -= h * faces.d_right
+        jac[k, k + 1] += h * faces.d_right
+        jac[k + 1, k] -= h * faces.d_left
+        resid = vol * v + h * flow_module._divergence(faces.flux) - target
+        delta = np.linalg.solve(jac, -resid)
+        assert np.max(np.abs((v_new - v) - delta)) <= 1e-12 * np.max(np.abs(delta))
+
+    def test_singular_newton_system_raises(self, stat, monkeypatch):
+        # LAPACK reports a zero pivot with info > 0; zeroing the matrix it
+        # receives makes the system singular
+        dgtsv = flow_module.dgtsv
+
+        def zero_matrix(dl, d, du, b, *overwrite):
+            return dgtsv(0.0 * dl, 0.0 * d, 0.0 * du, b, *overwrite)
+
+        monkeypatch.setattr(flow_module, "dgtsv", zero_matrix)
+        monkeypatch.setattr(flow_module, "_MAX_SPLITS", 0)
+        state = make_state(_coslog(stat, 0.1), 0.75, 0.0, 3, n_cells=50)
+        with pytest.raises(StepFailure, match="singular Newton system"):
+            step(state, BIG_DT)
+
     def test_newton_failure_raises(self, stat, monkeypatch):
         monkeypatch.setattr(flow_module, "_NEWTON_ITERS", 1)
         state = make_state(_coslog(stat, 0.1), 0.75, 0.0, 3, n_cells=100)
@@ -241,6 +277,18 @@ class TestRunDecay:
         args = dict(T=0.5, n_cells=50, r_out=20.0) | kwargs
         with pytest.raises(ParameterError):
             run_decay(stat, 0.75, 0.0, **args)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf, -1e-3])
+    def test_datum_with_bad_cells_rejected(self, stat, fill):
+        # no mass enters an empty cell, so a datum vanishing beyond r = 5
+        # (the last 75 of 200 cells) would stay frozen there instead of
+        # filling all space
+        def truncated(r):
+            return np.where(r < 5.0, stat(r), fill)
+
+        with pytest.raises(ParameterError, match="75 of 200 cells") as exc:
+            run_decay(truncated, 0.75, 0.0, T=1.0, n_cells=200)
+        assert "finite and positive in every cell" in str(exc.value)
 
     def test_energy_identity_and_bound(self, stat):
         pert = lambda r: stat(r) * (1.0 + 0.1 * np.cos(np.log(np.maximum(r, 1e-10))))
@@ -356,6 +404,11 @@ class TestMesh:
         # more cell and an outer radius beyond the core
         with pytest.raises(ParameterError):
             FlowMesh.graded(3, 0.0, **({"n_cells": 100, "r_out": 20.0} | kwargs))
+
+    def test_mesh_constants(self):
+        mesh = FlowMesh.graded(3, 0.5, n_cells=100, r_out=20.0)
+        assert np.array_equal(mesh.potential, mesh.centers ** 1.5)
+        assert mesh.cap == pytest.approx(50.0 * 1.5 * 20.0 ** 0.5, rel=1e-14)
 
     def test_graded_mesh_smallest(self):
         mesh = FlowMesh.graded(3, 0.0, n_cells=9, r_out=20.0)

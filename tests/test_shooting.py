@@ -64,22 +64,32 @@ def reference_class(d_gamma, p, v0, stop_on_decay=False):
 
 class TestFlatVariables:
     def test_identity_at_gamma_zero(self):
-        d_gamma, c_map = to_flat_variables(validate(3, 0.0, 2.0))
-        assert d_gamma == 3.0 and c_map == 1.0
+        d_gamma, log_c_map = to_flat_variables(validate(3, 0.0, 2.0))
+        assert d_gamma == 3.0 and log_c_map == 0.0
 
     def test_hand_values(self):
-        d_gamma, c_map = to_flat_variables(validate(3, 1.0, 1.5))
+        # c_map = (1/2)^2 = 1/4 at gamma = 1
+        d_gamma, log_c_map = to_flat_variables(validate(3, 1.0, 1.5))
         assert d_gamma == pytest.approx(4.0, rel=1e-15)
-        assert c_map == pytest.approx(0.25, rel=1e-15)
+        assert log_c_map == pytest.approx(np.log(0.25), rel=1e-15)
 
     def test_round_trip(self):
+        # where c_map is representable, the log form is the direct map
         pp = validate(4, 0.7, 1.4)
-        _, c_map = to_flat_variables(pp)
-        g = pp.gamma
+        _, log_c_map = to_flat_variables(pp)
+        expo = 2.0 / (2.0 - pp.gamma)
+        c_map = ((2.0 - pp.gamma) / 2.0) ** expo
         s = np.geomspace(1e-3, 1e3, 50)
-        r = c_map * s ** (2.0 / (2.0 - g))
-        s_back = (r / c_map) ** ((2.0 - g) / 2.0)
+        r = np.exp(log_c_map + expo * np.log(s))
+        assert np.allclose(r, c_map * s**expo, rtol=1e-13, atol=0.0)
+        s_back = (r / c_map) ** (1.0 / expo)
         assert np.allclose(s_back, s, rtol=1e-13)
+
+    def test_finite_near_gamma_two(self):
+        # c_map = 0.005^200 = 1e-460 underflows to 0.0; its log does not
+        _, log_c_map = to_flat_variables(validate(3, 1.99, 1.001))
+        assert np.isfinite(log_c_map)
+        assert log_c_map == pytest.approx(200.0 * np.log(0.005), rel=1e-12)
 
 
 class TestIntegrateOde:
@@ -292,7 +302,7 @@ class TestFindGroundState:
         # points up to the decay floor by solve_ivp's dense output
         pp = validate(3, 0.5, 2.0)
         res = find_ground_state(pp, tol=1e-8)
-        d_gamma, c_map = to_flat_variables(pp)
+        d_gamma, log_c_map = to_flat_variables(pp)
 
         def decayed(s, y):
             return y[0] - shooting._DECAY_FLOOR
@@ -306,6 +316,7 @@ class TestFindGroundState:
         s, v, dv = sol.t, sol.y[0], sol.y[1]
         g = pp.gamma
         expo = 2.0 / (2.0 - g)
+        c_map = np.exp(log_c_map)
         radii = c_map * s**expo
         dr_ds = c_map * expo * s ** (expo - 1.0)
         from cknlab.profiles import RadialProfile
