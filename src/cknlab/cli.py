@@ -46,10 +46,13 @@ def _payload(args: argparse.Namespace, result: dict) -> dict:
     }
 
 
-def _emit_json(args: argparse.Namespace, result: dict) -> None:
-    text = json.dumps(_payload(args, result), sort_keys=True, indent=2,
+def _json_text(args: argparse.Namespace, result: dict) -> str:
+    return json.dumps(_payload(args, result), sort_keys=True, indent=2,
                       default=float) + "\n"
-    _write(args, text)
+
+
+def _emit_json(args: argparse.Namespace, result: dict) -> None:
+    _write(args, _json_text(args, result))
 
 
 def _emit_csv(args: argparse.Namespace, header: list[str],
@@ -294,10 +297,9 @@ def _cmd_sweep(args) -> None:
         outdir = Path(args.per_point_dir)
         outdir.mkdir(parents=True, exist_ok=True)
         for g, lam in points:
-            payload = _payload(args, {"gamma": g, "lambda_min": lam,
-                                      "ell": args.ell, "n": args.n})
-            (outdir / f"gamma_{g:.6f}.json").write_text(
-                json.dumps(payload, sort_keys=True, indent=2, default=float) + "\n")
+            (outdir / f"gamma_{g:.6f}.json").write_text(_json_text(
+                args, {"gamma": g, "lambda_min": lam, "ell": args.ell,
+                       "n": args.n}))
     rows = [[g, args.ell, lam, args.n, args.r_max] for g, lam in points]
     if args.format == "json":
         _emit_json(args, {"points": [{"gamma": g, "lambda_min": lam}

@@ -422,14 +422,6 @@ class DecaySeries:
         res[F_end <= _F_ROUNDOFF * self.mass[0]] = 0.0
         return res
 
-    def to_csv(self) -> str:
-        lines = ["t,F,I,mass,dt"]
-        for k in range(self.t.size):
-            lines.append(",".join(repr(float(x)) for x in
-                                  (self.t[k], self.F[k], self.I[k],
-                                   self.mass[k], self.dt[k])))
-        return "\n".join(lines) + "\n"
-
 
 def _stationary_for_state(state: FlowState) -> AnalyticProfile:
     """Stationary profile mass-matched through the mesh's own mass sum.

@@ -138,29 +138,13 @@ def _quotient(params: ProblemParams, X: float, Y: float, mass: float) -> float:
         / mass ** (1.0 / (2.0 * p))
 
 
-def _objective_factory(disc: _Discretization, target_mass: float):
-    """Mass-normalized energy and its exact gradient.
-
-    The optimizer works on an unnormalized vector w >= 0; the objective
-    evaluates G at the exactly mass-rescaled profile t w with
-    t = (M / mass(w))^(1/(2p)).
-    """
-    p = disc.params.p
-    m = disc.m
-
-    def objective(w: np.ndarray):
-        t, Xh, Yh, mass = disc.rescaled(w, target_mass)
-        if mass <= 0.0:
-            return np.inf, np.zeros_like(w)
-        G = 0.5 * Xh + Yh / (p + 1)
-        grad = 0.5 * t * t * disc.stiffness_apply(w) \
-            + t ** (p + 1) * m * np.abs(w) ** p * np.sign(w)
-        # chain rule through the mass rescaling
-        dmass = 2.0 * p * m * np.abs(w) ** (2 * p - 1) * np.sign(w)
-        grad -= (Xh + Yh) * dmass / (2.0 * p * mass)
-        return G, grad
-
-    return objective
+def _at_mass(disc: _Discretization, w: np.ndarray, target_mass: float):
+    """The mass-rescaled profile t w and its energy 0.5 X + Y/(p+1), with
+    t = (M / mass(w))^(1/(2p)); the energy is inf if w has no mass."""
+    t, Xh, Yh, mass = disc.rescaled(w, target_mass)
+    if mass <= 0.0:
+        return w, math.inf
+    return t * w, 0.5 * Xh + Yh / (disc.params.p + 1.0)
 
 
 def _kkt(disc: _Discretization, w: np.ndarray, target_mass: float):
@@ -192,15 +176,7 @@ def _newton(disc: _Discretization, w0: np.ndarray, target_mass: float):
     tenfold on acceptance and grows tenfold on rejection.  Returns the
     mass-rescaled minimizer and the number of steps taken.
     """
-    p = disc.params.p
-
-    def at_mass(v):
-        t, Xh, Yh, mass = disc.rescaled(v, target_mass)
-        if mass <= 0.0:
-            return v, math.inf
-        return t * v, 0.5 * Xh + Yh / (p + 1.0)
-
-    w, G = at_mass(np.maximum(w0, 0.0))
+    w, G = _at_mass(disc, np.maximum(w0, 0.0), target_mass)
     if G == math.inf:
         raise NoDescent(f"the start profile has no mass on the {w.size}-node "
                         f"level")
@@ -213,7 +189,8 @@ def _newton(disc: _Discretization, w0: np.ndarray, target_mass: float):
     for step in range(1, NEWTON_MAX_STEPS + 1):
         ab[1] = diag + lam * shift
         a, b = solve_banded((1, 1), ab, np.column_stack([resid, g])).T
-        trial, G_trial = at_mass(np.maximum(w - a + (g @ a) / (g @ b) * b, 0.0))
+        clipped = np.maximum(w - a + (g @ a) / (g @ b) * b, 0.0)
+        trial, G_trial = _at_mass(disc, clipped, target_mass)
         settled = abs(G_trial - G) <= NEWTON_ENERGY_RTOL * G and \
             np.max(np.abs(trial - w)) <= NEWTON_STEP_RTOL * np.max(w)
         accepted = G_trial <= G
@@ -259,10 +236,13 @@ def _solve(disc: _Discretization, start_fn, target_mass: float):
             w0 = np.interp(np.log(level.r), np.log(coarse.r), w)
         w, nit = _newton(level, w0, target_mass)
         total_it += nit
-    G_coarse, _ = _objective_factory(coarse, target_mass)(w_coarse)
+    _, G_coarse = _at_mass(coarse, w_coarse, target_mass)
+    _, G = _at_mass(disc, w, target_mass)
 
-    # projected gradient: free components as is, active bound only if pushing in
-    G, grad = _objective_factory(disc, target_mass)(w)
+    # projected gradient of the mass-normalized energy, which at a
+    # mass-rescaled w is the KKT residual: free components as is, active
+    # bound only if pushing in
+    grad = _kkt(disc, w, target_mass)[0]
     pg = np.where(w > 0, grad, np.minimum(grad, 0.0))
     return w, G, float(np.max(np.abs(pg))), total_it, G_coarse
 
@@ -313,8 +293,8 @@ def minimize_radial(params: ProblemParams, grid: GridConfig | None = None,
     # reference candidate: the explicit optimizer dilated to the same mass,
     # evaluated with the same discrete functionals
     cand = dilate_to_mass(params, target_mass)(disc.r)
-    G_ref, _ = _objective_factory(disc, target_mass)(cand)
     _, Xc, Yc, _ = disc.rescaled(cand, target_mass)
+    G_ref = 0.5 * Xc + Yc / (p + 1)
     ref_quot = _quotient(params, Xc, Yc, target_mass)
 
     if G > G_ref * (1.0 + 10.0 * solver_tol):

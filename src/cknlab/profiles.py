@@ -1,12 +1,12 @@
 """Barenblatt-type profiles, weighted norms, energies and optimality residuals.
 
-Profiles come in two flavors.  ``AnalyticProfile`` wraps a closed-form radial
-function together with exact derivatives and exact Beta-integral moments;
-``RadialProfile`` stores sampled values on a graded grid with optional
-derivative data and an asserted tail decay power.  Norms of analytic profiles
-go through the tanh-sinh quadrature (no truncation); norms of grid profiles
-use the trapezoid rule plus power-law head and tail corrections controlled by
-the tail exponent.
+``AnalyticProfile`` wraps a closed-form radial function a (b + r^c)^(-k)
+together with its exact derivatives and exact Beta-integral moments.  The
+norms, quotients, energies and optimality residuals take such a profile (the
+weighted norm also takes a bare callable) and integrate it by tanh-sinh
+quadrature, with no truncation radius.  ``RadialProfile`` is the sampled
+export of any profile, a graded grid with values and optional derivatives,
+read and written as JSON or CSV; the norm functions reject it.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def default_grid(r_min: float = 1e-4, r_max: float = 1e4,
 class RadialProfile:
     """A radial function sampled on a strictly increasing positive grid.
 
-    tail_exponent, when set, asserts that values decay like r^(-tail_exponent)
-    and enables the analytic tail corrections in norm computations.
+    tail_exponent, when set, records the decay power r^(-tail_exponent) of
+    the values.
     """
 
     radii: np.ndarray
@@ -77,20 +77,6 @@ class RadialProfile:
             raise ValueError("values must match radii in shape")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values must be finite")
-
-    # -- tail fit -------------------------------------------------------------
-
-    def tail_slope_ok(self) -> bool:
-        """Check the asserted decay power, to 5 percent, against a log-log fit
-        of the last two decades of the grid."""
-        if self.tail_exponent is None:
-            return True
-        r, v = self.radii, self.values
-        mask = (r >= r[-1] / 100.0) & (v > 0)
-        if mask.sum() < 4:
-            return False
-        slope = np.polyfit(np.log(r[mask]), np.log(v[mask]), 1)[0]
-        return abs(-slope - self.tail_exponent) <= 0.05 * abs(self.tail_exponent)
 
     # -- serialization ----------------------------------------------------------
 
@@ -133,9 +119,11 @@ class RadialProfile:
     @classmethod
     def from_csv(cls, text: str) -> "RadialProfile":
         rows = list(csv.reader(io.StringIO(text)))
-        header, data = rows[0], rows[1:]
-        cols = np.array([[float(x) for x in row] for row in data])
-        derivs = cols[:, 2] if len(header) > 2 else None
+        cols = np.array([[float(x) for x in row] for row in rows[1:]])
+        if cols.ndim != 2 or cols.shape[1] not in (2, 3):
+            raise ValueError("a profile CSV needs a header row, then data rows "
+                             "r,w or r,w,dw")
+        derivs = cols[:, 2] if cols.shape[1] == 3 else None
         return cls(radii=cols[:, 0], values=cols[:, 1], derivs=derivs)
 
 
@@ -288,92 +276,34 @@ def dilate_to_mass(params: ProblemParams, mass: float) -> AnalyticProfile:
     return base.scaled(alpha, lam)
 
 
-def _grid_weighted_integral(prof: RadialProfile, integrand: np.ndarray,
-                            weight_exp: float, decay_exp: float | None) -> float:
-    """Simpson rule in log radius with power-law head/tail closure.
-
-    integrand must already be sampled on prof.radii; decay_exp is the decay
-    power of the integrand itself (used for the tail correction), or None to
-    skip the tail model.  Integration in the log variable suits the graded
-    grids these profiles live on.
-    """
-    from scipy.integrate import simpson
-
-    r = prof.radii
-    y = integrand * r**weight_exp
-    total = float(simpson(y * r, x=np.log(r)))
-    # head: integrand roughly constant below r_min
-    total += integrand[0] * r[0] ** (weight_exp + 1.0) / (weight_exp + 1.0)
-    # tail: integrand ~ C r^(-decay_exp) beyond r_max
-    if decay_exp is not None:
-        expo = weight_exp - decay_exp
-        if expo >= -1.0:
-            raise DivergentNorm(
-                f"tail decay r^-{decay_exp} too slow against weight r^{weight_exp}"
-            )
-        C = integrand[-1] * r[-1] ** decay_exp
-        total += C * r[-1] ** (expo + 1.0) / (-(expo + 1.0))
-    return total
-
-
 def weighted_norm(w, q: float, gamma: float, params: ProblemParams) -> float:
-    """Weighted Lebesgue norm (|S^(d-1)| int |w|^q r^(d-1-gamma) dr)^(1/q)."""
+    """Weighted Lebesgue norm (|S^(d-1)| int |w|^q r^(d-1-gamma) dr)^(1/q).
+
+    w is an AnalyticProfile or a bare callable of r, whose integrability is
+    left to the quadrature.
+    """
     if q < 1:
         raise ValueError(f"norm exponent must satisfy q >= 1, got {q}")
+    if isinstance(w, RadialProfile):
+        raise TypeError("weighted_norm expects an AnalyticProfile or a callable "
+                        "of r, not a sampled RadialProfile")
     d = params.d
-    area = quad.sphere_area(d)
-    if isinstance(w, AnalyticProfile):
-        if w.tail_exponent * q <= d - gamma:
-            raise DivergentNorm(
-                f"q * tail_exponent = {q * w.tail_exponent} must exceed "
-                f"d - gamma = {d - gamma}"
-            )
-        integral = quad.integrate(lambda r: np.abs(w(r)) ** q, d, gamma)
-    elif isinstance(w, RadialProfile):
-        decay = None if w.tail_exponent is None else q * w.tail_exponent
-        if decay is not None and decay <= d - gamma:
-            raise DivergentNorm(
-                f"q * tail_exponent = {decay} must exceed d - gamma = {d - gamma}"
-            )
-        integral = _grid_weighted_integral(
-            w, np.abs(w.values) ** q, d - 1.0 - gamma, decay)
-    else:  # bare callable: trust integrability, let the quadrature complain
-        integral = quad.integrate(lambda r: np.abs(w(r)) ** q, d, gamma)
-    return (area * integral) ** (1.0 / q)
-
-
-def _grid_derivative(prof: RadialProfile) -> np.ndarray:
-    """Centered differences on the (non-uniform) grid, one-sided at the ends."""
-    r, v = prof.radii, prof.values
-    dv = np.empty_like(v)
-    dv[1:-1] = (v[2:] - v[:-2]) / (r[2:] - r[:-2])
-    dv[0] = (v[1] - v[0]) / (r[1] - r[0])
-    dv[-1] = (v[-1] - v[-2]) / (r[-1] - r[-2])
-    return dv
+    if isinstance(w, AnalyticProfile) and w.tail_exponent * q <= d - gamma:
+        raise DivergentNorm(
+            f"q * tail_exponent = {q * w.tail_exponent} must exceed "
+            f"d - gamma = {d - gamma}"
+        )
+    integral = quad.integrate(lambda r: np.abs(w(r)) ** q, d, gamma)
+    return (quad.sphere_area(d) * integral) ** (1.0 / q)
 
 
 def gradient_norm(w, params: ProblemParams) -> float:
     """Unweighted gradient norm (|S^(d-1)| int w'(r)^2 r^(d-1) dr)^(1/2)."""
+    if not isinstance(w, AnalyticProfile):
+        raise TypeError("gradient_norm expects an AnalyticProfile")
     d = params.d
-    area = quad.sphere_area(d)
-    if isinstance(w, AnalyticProfile):
-        integral = quad.integrate(lambda r: w.deriv(r) ** 2, d, 0.0)
-        return math.sqrt(area * integral)
-    if not isinstance(w, RadialProfile):
-        raise TypeError("gradient_norm expects an AnalyticProfile or RadialProfile")
-    if w.derivs is not None:
-        dv = w.derivs
-        flagged = w.meta.get("derivatives", "provided")
-    else:
-        dv = _grid_derivative(w)
-        flagged = "finite_difference"
-    decay = None if w.tail_exponent is None else 2.0 * (w.tail_exponent + 1.0)
-    if decay is not None and decay <= d:
-        raise DivergentNorm("derivative tail decays too slowly for the gradient norm")
-    prof = RadialProfile(radii=w.radii, values=np.abs(dv),
-                         meta={"derivatives": flagged})
-    integral = _grid_weighted_integral(prof, dv**2, d - 1.0, decay)
-    return math.sqrt(area * integral)
+    integral = quad.integrate(lambda r: w.deriv(r) ** 2, d, 0.0)
+    return math.sqrt(quad.sphere_area(d) * integral)
 
 
 def quotient(w, params: ProblemParams) -> float:
@@ -409,25 +339,15 @@ def el_residual(w, params: ProblemParams,
                 radii: np.ndarray | None = None) -> float:
     """Sup-norm optimality residual of the unit-multiplier equation.
 
-    Evaluates -w'' - (d-1)/r w' + r^(-gamma) (w^p - w^(2p-1)) on interior grid
-    points and normalizes pointwise by the largest of the three term
+    Evaluates -w'' - (d-1)/r w' + r^(-gamma) (w^p - w^(2p-1)) at the radii
+    (default_grid() unless given) from w's exact derivatives and normalizes pointwise by the largest of the three term
     magnitudes, so that the residual is meaningful across many decades.
     """
+    if not isinstance(w, AnalyticProfile):
+        raise TypeError("el_residual expects an AnalyticProfile")
     d, g, p = params.d, params.gamma, params.p
-    if isinstance(w, AnalyticProfile):
-        r = default_grid() if radii is None else np.asarray(radii, dtype=float)
-        v, dv, ddv = w(r), w.deriv(r), w.second_deriv(r)
-    elif isinstance(w, RadialProfile):
-        r = w.radii
-        v = w.values
-        dv = w.derivs if w.derivs is not None else _grid_derivative(w)
-        dprof = RadialProfile(radii=r, values=dv)
-        ddv = _grid_derivative(dprof)
-        # one-sided stencils at the ends feed the neighboring centered ones,
-        # so a two-point margin is dropped on each side
-        r, v, dv, ddv = r[2:-2], v[2:-2], dv[2:-2], ddv[2:-2]
-    else:
-        raise TypeError("el_residual expects an AnalyticProfile or RadialProfile")
+    r = default_grid() if radii is None else np.asarray(radii, dtype=float)
+    v, dv, ddv = w(r), w.deriv(r), w.second_deriv(r)
     t_lap = -ddv
     t_drift = -(d - 1.0) / r * dv
     t_nonlin = r ** (-g) * (v**p - v ** (2 * p - 1))

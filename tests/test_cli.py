@@ -338,6 +338,14 @@ class TestExitCodes:
         mass = payload["result"]["mass"]
         assert abs(mass[-1] - mass[0]) < 1e-10 * mass[0]
 
+    @pytest.mark.parametrize("text", ["", "r,w\n"], ids=["empty", "header_only"])
+    def test_flow_rejects_datum_without_rows(self, text, tmp_path, capsys):
+        datum = tmp_path / "datum.csv"
+        datum.write_text(text)
+        assert main(["flow", "--initial", str(datum)]) == 2
+        err = capsys.readouterr().err
+        assert "parameter error" in err and "data rows" in err
+
     def test_flow_rejects_truncated_datum(self, tmp_path, capsys):
         # a datum vanishing beyond r = 5 has empty cells, which the scheme
         # would never fill: a parameter error, not a frozen run

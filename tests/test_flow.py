@@ -326,12 +326,6 @@ class TestRunDecay:
         radial_gap = info["by_sector"][0]
         assert rate == pytest.approx(radial_gap, rel=0.05)
 
-    def test_csv_export(self, stat):
-        series = run_decay(stat, 0.75, 0.0, T=0.1, n_cells=60, r_out=15.0)
-        text = series.to_csv()
-        assert text.splitlines()[0] == "t,F,I,mass,dt"
-        assert len(text.splitlines()) == series.t.size + 1
-
 
 class TestSelfSimilarMap:
     def test_identity_at_time_zero(self):

@@ -6,7 +6,7 @@ from scipy.special import betaln
 
 import cknlab.minimizer as minimizer_module
 from cknlab.errors import GridTooCoarse, ParameterError
-from cknlab.minimizer import (GridConfig, _newton, _objective_factory,
+from cknlab.minimizer import (GridConfig, _at_mass, _kkt, _newton,
                               best_constant_radial, critical_constant, discretize,
                               hs_upper_bound, minimize_radial)
 from cknlab.params import kappa, validate
@@ -131,21 +131,19 @@ class TestMinimizeRadial:
         pp = validate(3, 0.0, 2.0)
         disc = discretize(pp, GridConfig(n=200))
         M = barenblatt_mass(pp)
-        objective = _objective_factory(disc, M)
         w0 = w_gamma_star(pp)(disc.r) * (1.0 + 0.3 * np.sin(np.log(disc.r)))
         iterates = []
-        kkt = minimizer_module._kkt
 
         def recording(level, w, target_mass):
             iterates.append(w.copy())
-            return kkt(level, w, target_mass)
+            return _kkt(level, w, target_mass)
 
         monkeypatch.setattr(minimizer_module, "_kkt", recording)
         w, _ = _newton(disc, w0, M)
-        values = [objective(v)[0] for v in iterates + [w]]
+        values = [_at_mass(disc, v, M)[1] for v in iterates + [w]]
         assert len(values) >= 3
         assert all(b <= a for a, b in zip(values, values[1:]))
-        grad = objective(w)[1]
+        grad = _kkt(disc, w, M)[0]
         assert np.max(np.abs(np.where(w > 0, grad, np.minimum(grad, 0.0)))) <= 1e-8
 
     def test_richardson_estimate_reported(self):
@@ -208,27 +206,46 @@ class TestMinimizeRadial:
             minimize_radial(pp, GridConfig(n=48), solver_tol=1e-9)
 
     def test_gradient_matches_finite_differences(self):
-        # analytic gradient of the mass-normalized energy vs central
-        # differences at 10 random coordinates
+        # the KKT residual is the gradient of the Lagrangian
+        # 0.5 X + Y/(p+1) - mu mass at its fixed multiplier mu, and its
+        # Hessian diagonal the derivative of that gradient; both are checked
+        # by central differences at 10 random coordinates
         pp = validate(3, 0.5, 2.0)
+        p = pp.p
         disc = discretize(pp, GridConfig(n=256))
-        objective = _objective_factory(disc, barenblatt_mass(pp))
+        M = barenblatt_mass(pp)
         rng = np.random.default_rng(11)
         w = w_gamma_star(pp)(disc.r) * (1.0 + 0.1 * rng.standard_normal(disc.r.size))
-        w = np.abs(w) + 1e-8
-        _, grad = objective(w)
+        w, _ = _at_mass(disc, np.abs(w) + 1e-8, M)
+        resid, _, diag = _kkt(disc, w, M)
+        X, Y, _ = disc.functionals(w, p)
+        mu = (X + Y) / (2.0 * p * M)
+
+        def lagrangian(v):
+            X, Y, mass = disc.functionals(v, p)
+            return 0.5 * X + Y / (p + 1.0) - mu * mass
+
+        def gradient(v):
+            # the residual at v, taken back to the fixed multiplier mu
+            X, Y, _ = disc.functionals(v, p)
+            r, g, _ = _kkt(disc, v, M)
+            return r + ((X + Y) / (2.0 * p * M) - mu) * g
+
         for i in rng.choice(disc.r.size, size=10, replace=False):
-            rels = []
+            rel_grad, rel_diag = [], []
             for h0 in (1e-6, 3e-7, 1e-7):
                 h = h0 * (1.0 + abs(w[i]))
                 wp, wm = w.copy(), w.copy()
                 wp[i] += h
                 wm[i] -= h
-                fd = (objective(wp)[0] - objective(wm)[0]) / (2.0 * h)
-                rels.append(abs(grad[i] - fd) / max(abs(fd), 1e-300))
+                fd = (lagrangian(wp) - lagrangian(wm)) / (2.0 * h)
+                rel_grad.append(abs(resid[i] - fd) / max(abs(fd), 1e-300))
+                fd = (gradient(wp)[i] - gradient(wm)[i]) / (2.0 * h)
+                rel_diag.append(abs(diag[i] - fd) / max(abs(fd), 1e-300))
             # the optimal difference step varies with the cell weight, so the
-            # check passes if any sane step confirms the analytic gradient
-            assert min(rels) < 1e-6
+            # check passes if any sane step confirms the analytic derivative
+            assert min(rel_grad) < 1e-6
+            assert min(rel_diag) < 1e-6
 
 
 class TestUpperBound:

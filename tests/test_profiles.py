@@ -115,14 +115,21 @@ class TestNorms:
         with pytest.raises(DivergentNorm):
             weighted_norm(slow, 2.0, 0.0, pp)
 
-    def test_grid_profile_norm_with_tail_model(self):
+    @pytest.mark.parametrize("call", [
+        lambda w, pp: weighted_norm(w, 2.0 * pp.p, pp.gamma, pp),
+        lambda w, pp: gradient_norm(w, pp),
+        lambda w, pp: el_residual(w, pp),
+        lambda w, pp: quotient(w, pp),
+        lambda w, pp: energy(w, pp, 1.0),
+    ], ids=["weighted_norm", "gradient_norm", "el_residual", "quotient",
+            "energy"])
+    def test_sampled_profile_rejected(self, call):
+        # norms integrate closed forms without truncation; a sampled profile
+        # is an export, not an input
         pp = validate(3, 0.0, 2.0)
-        w = w_star(pp)
-        prof = w.sample()
-        q = 2.0 * pp.p
-        exact = (sphere_area(3) * beta_oracle(3.0, 1.0, 2.0, q)) ** (1.0 / q)
-        val = weighted_norm(prof, q, pp.gamma, pp)
-        assert val == pytest.approx(exact, rel=1e-5)
+        prof = w_star(pp).sample(default_grid(1e-2, 1e2, 16))
+        with pytest.raises(TypeError, match="AnalyticProfile"):
+            call(prof, pp)
 
 
 class TestGradientNorm:
@@ -137,26 +144,6 @@ class TestGradientNorm:
             exact = math.sqrt(sphere_area(pp.d) * (A * k * c) ** 2
                               * beta_oracle(2 * c - 2 + pp.d, b, c, 2 * k + 2))
             assert gradient_norm(w, pp) == pytest.approx(exact, rel=1e-8)
-
-    def test_constant_profile_zero(self):
-        pp = validate(3, 0.0, 2.0)
-        r = default_grid(1e-2, 1e2, 16)
-        prof = RadialProfile(radii=r, values=np.ones_like(r))
-        assert gradient_norm(prof, pp) == pytest.approx(0.0, abs=1e-14)
-
-    def test_finite_difference_refinement(self):
-        # centered differences on the graded grid: halving spacing halves
-        # the error against the analytic-derivative oracle
-        pp = validate(3, 0.0, 2.0)
-        w = w_star(pp)
-        exact = gradient_norm(w, pp)
-        errs = []
-        for ppd in (16, 32):
-            r = default_grid(1e-4, 1e4, ppd)
-            prof = RadialProfile(radii=r, values=w(r),
-                                 tail_exponent=w.tail_exponent)
-            errs.append(abs(gradient_norm(prof, pp) - exact))
-        assert errs[1] <= errs[0] / 1.8
 
 
 class TestQuotient:
@@ -224,15 +211,6 @@ class TestELResidual:
     def test_wrong_normalization_detected(self):
         pp = validate(3, 0.5, 2.0)
         assert el_residual(w_star(pp), pp) > 0.1
-
-    def test_perturbation_detected(self):
-        pp = validate(3, 0.0, 2.0)
-        w = w_gamma_star(pp)
-        r = default_grid()
-        prof = RadialProfile(radii=r,
-                             values=w(r) * (1.0 + 0.01 * np.sin(np.log(r))),
-                             derivs=None)
-        assert el_residual(prof, pp) > 1e-3
 
 
 class TestBarrier:
@@ -351,12 +329,3 @@ class TestSerialization:
         with pytest.raises(ValueError):
             RadialProfile(radii=np.array([1.0, 2.0]),
                           values=np.array([1.0, np.inf]))
-
-    def test_tail_slope_check(self):
-        pp = validate(3, 0.0, 2.0)
-        w = w_star(pp)
-        good = w.sample()
-        assert good.tail_slope_ok()
-        bad = RadialProfile(radii=good.radii, values=good.values,
-                            tail_exponent=2.0 * w.tail_exponent)
-        assert not bad.tail_slope_ok()

@@ -5,7 +5,7 @@ from scipy.integrate import solve_ivp
 from cknlab import shooting
 from cknlab.errors import ClassificationAmbiguous, CknError, ParameterError
 from cknlab.params import derive, validate
-from cknlab.profiles import el_residual, w_gamma_star
+from cknlab.profiles import w_gamma_star
 from cknlab.shooting import (Classification, _rhs, find_ground_state,
                              integrate_ode, to_flat_variables)
 
@@ -296,34 +296,19 @@ class TestFindGroundState:
         assert dev < 1e-9 * expected
 
     def test_transform_consistency(self):
-        # mapped-back trajectory satisfies the radial optimality equation;
-        # second derivatives come from differencing, so the check runs on a
-        # trajectory from the converged initial value, sampled at 30000
-        # points up to the decay floor by solve_ivp's dense output
-        pp = validate(3, 0.5, 2.0)
-        res = find_ground_state(pp, tol=1e-8)
-        d_gamma, log_c_map = to_flat_variables(pp)
-
-        def decayed(s, y):
-            return y[0] - shooting._DECAY_FLOOR
-        decayed.terminal = True
-        decayed.direction = -1.0
-
-        s0, y0 = launch(d_gamma, pp.p, res.v0)
-        sol = solve_ivp(_rhs(d_gamma, pp.p), (s0, 2e3), y0, method="DOP853",
-                        rtol=1e-12, atol=1e-14, events=decayed,
-                        t_eval=np.geomspace(s0, 2e3, 30000))
-        s, v, dv = sol.t, sol.y[0], sol.y[1]
-        g = pp.gamma
-        expo = 2.0 / (2.0 - g)
-        c_map = np.exp(log_c_map)
-        radii = c_map * s**expo
-        dr_ds = c_map * expo * s ** (expo - 1.0)
-        from cknlab.profiles import RadialProfile
-        mask = radii > 1e-2
-        sub = RadialProfile(radii=radii[mask], values=v[mask],
-                            derivs=(dv / dr_ds)[mask])
-        assert el_residual(sub, pp) < 1e-6
+        # the s-profile mapped back to r through log_c_map, with slopes
+        # dw/dr = v' s/(expo r) in log form, lands on the closed-form
+        # optimizer: values relative to the peak value, slopes relative to
+        # the peak slope
+        for d, gamma, p in [(3, 0.5, 2.0), (3, 0.0, 2.0), (4, 0.25, 1.5),
+                            (3, 1.5, 1.49)]:
+            pp = validate(d, gamma, p)
+            prof = find_ground_state(pp, tol=1e-8).profile
+            w = w_gamma_star(pp)
+            value, slope = w(prof.radii), w.deriv(prof.radii)
+            assert np.max(np.abs(prof.values - value)) <= 1e-8 * np.max(value)
+            assert np.max(np.abs(prof.derivs - slope)) \
+                <= 1e-8 * np.max(np.abs(slope))
 
     def test_uniqueness_probe(self):
         # one classification change along a logarithmic scan of v0
