@@ -119,6 +119,14 @@ class RadialProfile:
     @classmethod
     def from_csv(cls, text: str) -> "RadialProfile":
         rows = list(csv.reader(io.StringIO(text)))
+        try:
+            first = [float(x) for x in rows[0]]
+        except (IndexError, ValueError):
+            pass  # a header row, or no rows at all
+        else:
+            raise ValueError("a profile CSV needs a header row (r,w or r,w,dw) "
+                             f"before its data rows; its first row {first} "
+                             "is numbers")
         cols = np.array([[float(x) for x in row] for row in rows[1:]])
         if cols.ndim != 2 or cols.shape[1] not in (2, 3):
             raise ValueError("a profile CSV needs a header row, then data rows "

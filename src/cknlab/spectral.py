@@ -23,10 +23,12 @@ w^(p-1) = a/(b + s^2): none needs the amplitude a^(1/(p-1)), which leaves
 the float range near p = 1, and w^q stays representable in the far tail.
 
 Discretization is piecewise-linear finite elements on a graded grid with
-per-cell Gauss quadrature: the forms stay symmetric, tridiagonal and sparse,
-and the discrete eigenvalues are variational upper bounds.  Constraints are
-imposed exactly, through the bordered (KKT) system of the shift-invert
-solve, never by penalties.
+per-cell Gauss quadrature: the forms stay symmetric and tridiagonal, and the
+discrete eigenvalues are variational upper bounds.  The shift-invert solve
+works on their bands alone: LAPACK's dpttrf factors the positive definite
+tridiagonal A - SHIFT B, dpttrs solves with it, and B is applied by its two
+bands.  Constraints are imposed exactly, through the bordered (KKT) system
+of the shift-invert solve, never by penalties.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .errors import EigenSolverFailure, ParameterError, SingularMass
 from .params import ProblemParams, check_radial_bounds, derive, validate
@@ -201,39 +204,62 @@ def lowest_eigenvalue(op: SectorOperator):
     Returns (lambda_min, eigenprofile) with the eigenprofile normalized in
     the mass-matrix norm and stored on the operator grid (outer Dirichlet
     node reattached as zero).  One path serves every operator: shift-invert
-    Lanczos with K = A - SHIFT B factored once.  Constraints C enter through
-    the bordered system [[K, C], [C^T, 0]], solved by its Schur complement,
-    x = K^-1 z - K^-1 C (C^T K^-1 C)^-1 C^T K^-1 z, so every Lanczos vector
-    satisfies C^T x = 0 exactly.  Shift-invert keeps full accuracy in the
-    small eigenvalues even when the graded grid gives the pencil a dynamic
-    range of many orders of magnitude.
+    Lanczos with K = A - SHIFT B factored once, as L D L^T by LAPACK's
+    tridiagonal dpttrf; dpttrs applies K^-1 and B is applied by its bands.
+    A pivot of D that is not positive means SHIFT is not below the pencil
+    spectrum: EigenSolverFailure, not a wrong eigenvalue.  Constraints C
+    enter through the bordered system [[K, C], [C^T, 0]], solved by its Schur
+    complement, x = K^-1 z - K^-1 C (C^T K^-1 C)^-1 C^T K^-1 z, so every
+    Lanczos vector satisfies C^T x = 0 exactly.  Shift-invert keeps full
+    accuracy in the small eigenvalues even when the graded grid gives the
+    pencil a dynamic range of many orders of magnitude.
     """
     A, B = op.stiffness, op.mass_matrix
     n = A.shape[0]
+    b_diag, b_off = B.diagonal(), B.diagonal(1)
+
+    def apply_b(x):
+        y = b_diag * x
+        y[:-1] += b_off * x[1:]
+        y[1:] += b_off * x[:-1]
+        return y
+
+    # both bands are fresh arrays, so dpttrf may overwrite them
+    k_diag, k_off, info = dpttrf(A.diagonal() - SHIFT * b_diag,
+                                 A.diagonal(1) - SHIFT * b_off, True, True)
+    if info > 0:
+        raise EigenSolverFailure(
+            f"A - SHIFT B is not positive definite at SHIFT = {SHIFT}: "
+            f"dpttrf pivot {info} of {n} is not positive")
+
+    def solve_k(z):
+        return dpttrs(k_diag, k_off, z)[0]
+
+    solve = solve_k
     try:
-        lu = spla.splu(sp.csc_matrix(A - SHIFT * B))
-        solve = lu.solve
         if op.constraints:
             C = np.column_stack(op.constraints)
             if np.linalg.matrix_rank(C) < C.shape[1]:
                 raise EigenSolverFailure("constraint vectors are linearly dependent")
-            KC = lu.solve(C)
-            schur = sla.cho_factor(C.T @ KC)
+            # K^-1 C (C^T K^-1 C)^-1, from the Schur complement once
+            KC = solve_k(C)
+            KCS = sla.cho_solve(sla.cho_factor(C.T @ KC), KC.T).T
 
             def solve(z):
-                x = lu.solve(z)
-                return x - KC @ sla.cho_solve(schur, C.T @ x)
+                x = solve_k(z)
+                return x - KCS @ (C.T @ x)
 
         # a fixed start vector: ARPACK's random default makes repeated runs
         # differ in the last digits
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
         vals, vecs = spla.eigsh(
-            A, k=1, M=B, sigma=SHIFT, which="LM", tol=0.0, v0=v0,
+            A, k=1, M=spla.LinearOperator((n, n), matvec=apply_b, dtype=float),
+            sigma=SHIFT, which="LM", tol=0.0, v0=v0,
             OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float))
     except (sla.LinAlgError, RuntimeError) as exc:
         raise EigenSolverFailure(str(exc)) from exc
     lam, vec = float(vals[0]), vecs[:, 0]
-    vec = np.append(vec / math.sqrt(float(vec @ B @ vec)), 0.0)
+    vec = np.append(vec / math.sqrt(float(vec @ apply_b(vec))), 0.0)
     return lam, RadialProfile(radii=op.grid, values=vec,
                               meta={"ell": op.ell, "eigenvalue": lam})
 

@@ -346,6 +346,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "parameter error" in err and "data rows" in err
 
+    def test_flow_rejects_datum_without_header(self, tmp_path, capsys):
+        datum = tmp_path / "datum.csv"
+        datum.write_text("0.1,1.0\n0.2,0.9\n0.3,0.8\n")
+        assert main(["flow", "--initial", str(datum)]) == 2
+        err = capsys.readouterr().err
+        assert "parameter error" in err and "header row" in err
+
     def test_flow_rejects_truncated_datum(self, tmp_path, capsys):
         # a datum vanishing beyond r = 5 has empty cells, which the scheme
         # would never fill: a parameter error, not a frozen run

@@ -321,6 +321,11 @@ class TestSerialization:
         assert np.array_equal(back.radii, prof.radii)
         assert np.array_equal(back.values, prof.values)
 
+    def test_csv_without_header_rejected(self):
+        # a headerless file would otherwise lose its first point as a header
+        with pytest.raises(ValueError, match="header row"):
+            RadialProfile.from_csv("0.1,1.0\n0.2,0.9\n0.3,0.8\n")
+
     def test_validation_rejects_bad_grids(self):
         with pytest.raises(ValueError):
             RadialProfile(radii=np.array([0.0, 1.0]), values=np.array([1.0, 1.0]))

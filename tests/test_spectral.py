@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cknlab.errors import EigenSolverFailure, ParameterError
 from cknlab.params import validate
 from cknlab.profiles import w_gamma_star
-from cknlab.spectral import (MIN_NODES, _sector_pencils, assemble,
+from cknlab.spectral import (MIN_NODES, SHIFT, _optimizer_power,
+                             _sector_pencils, assemble,
                              gamma_sweep, hardy_poincare_gap,
                              lowest_eigenvalue, sector_min, spectral_grid)
 from sector_oracle import ABS_TOL, REL_TOL, sector_closed_form
@@ -13,6 +16,39 @@ from sector_oracle import ABS_TOL, REL_TOL, sector_closed_form
 
 def _tri(diag, off):
     return sp.diags([off, diag, off], [-1, 0, 1])
+
+
+def _reference_solve(op):
+    """The same shift-invert solve on general sparse machinery: SuperLU for
+    K = A - SHIFT B, sparse products with B, and the bordered constraint
+    solve through a Cholesky-factored Schur complement.  Returns (lambda,
+    eigenvector on the interior nodes, B-normalized)."""
+    A, B = op.stiffness, op.mass_matrix
+    n = A.shape[0]
+    lu = spla.splu(sp.csc_matrix(A - SHIFT * B))
+    solve = lu.solve
+    if op.constraints:
+        C = np.column_stack(op.constraints)
+        KC = lu.solve(C)
+        schur = sla.cho_factor(C.T @ KC)
+
+        def solve(z):
+            x = lu.solve(z)
+            return x - KC @ sla.cho_solve(schur, C.T @ x)
+
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    vals, vecs = spla.eigsh(
+        A, k=1, M=B, sigma=SHIFT, which="LM", tol=0.0, v0=v0,
+        OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float))
+    vec = vecs[:, 0]
+    return float(vals[0]), vec / np.sqrt(vec @ B @ vec)
+
+
+def _hardy_poincare_ops(d, p, n):
+    """The two sector pencils that hardy_poincare_gap(d, p, n) solves."""
+    power = _optimizer_power(validate(d, 0.0, p))
+    return _sector_pencils(spectral_grid(n=n), d, (0, 1), omega=power(2.0 * p),
+                           rho=power(3.0 * p - 1.0))
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +211,64 @@ class TestLowestEigenvalue:
             lam, _ = lowest_eigenvalue(op)
             lams.append(lam)
         assert abs(lams[1] - lams[0]) < 1e-4
+
+
+class TestBandedSolve:
+    """The LAPACK tridiagonal solve against the general sparse reference."""
+
+    @staticmethod
+    def _check(op):
+        lam, prof = lowest_eigenvalue(op)
+        want, ref = _reference_solve(op)
+        assert abs(lam - want) <= 1e-12
+        B = op.mass_matrix
+        v = prof.values[:-1]
+        dev = v - np.sign(v @ B @ ref) * ref
+        assert np.sqrt(dev @ B @ dev) <= 1e-8
+
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    @pytest.mark.parametrize("d, gamma, p", [(3, 0.0, 2.0), (4, 0.25, 1.5),
+                                             (3, 1.5, 1.49)])
+    def test_matches_sparse_reference(self, d, gamma, p, ell):
+        self._check(assemble(validate(d, gamma, p), ell, spectral_grid(n=2000)))
+
+    @pytest.mark.parametrize("sector", [0, 1])
+    def test_hardy_poincare_matches_sparse_reference(self, sector):
+        self._check(_hardy_poincare_ops(3, 2.0, 2000)[sector])
+
+    def test_shift_above_spectrum_raises(self, pp0):
+        # lowering A by 5 B puts the pencil's lowest eigenvalue near -5,
+        # below SHIFT = -1: K is indefinite and its factorization must fail
+        # instead of Lanczos converging to a wrong eigenvalue (-0.989 here)
+        op = assemble(pp0, ell=1, grid=spectral_grid(n=400))
+        op.stiffness = op.stiffness - 5 * op.mass_matrix
+        lowest = sla.eigh(op.stiffness.toarray(), op.mass_matrix.toarray(),
+                          eigvals_only=True)[0]
+        assert lowest == pytest.approx(-5.0, abs=1e-3)
+        with pytest.raises(EigenSolverFailure, match="dpttrf pivot"):
+            lowest_eigenvalue(op)
+
+    @staticmethod
+    def _check_factors(ops):
+        # SHIFT is a strict lower bound of every pencil spectrum the library
+        # builds, so K = A - SHIFT B is positive definite for each of them
+        for op in ops:
+            K = (op.stiffness - SHIFT * op.mass_matrix).toarray()
+            assert np.linalg.eigvalsh(K)[0] > 0
+            assert np.isfinite(lowest_eigenvalue(op)[0])
+
+    @pytest.mark.parametrize("d, gamma, p", [(3, 0.0, 2.0), (4, 0.25, 1.5),
+                                             (3, 1.5, 1.49), (3, 1.9, 1.05),
+                                             (5, 1.0, 1.3), (3, 0.0, 1.02)])
+    def test_every_assembled_operator_factors(self, d, gamma, p):
+        grid = spectral_grid(n=400)
+        self._check_factors([assemble(validate(d, gamma, p), ell, grid)
+                             for ell in (0, 1, 2)])
+
+    @pytest.mark.parametrize("d, p", [(3, 2.0), (3, 1.5), (5, 1.2), (4, 1.3),
+                                      (5, 1.4)])
+    def test_every_hardy_poincare_operator_factors(self, d, p):
+        self._check_factors(_hardy_poincare_ops(d, p, 400))
 
 
 class TestSectorClosedForm:
