@@ -28,7 +28,7 @@ print(f"  (equals mass/12 here: {ctx.mass / 12.0:.10f})")
 print("\n== the angular kernel ell ==")
 for s in (0.0, 0.25, 1.0, 4.0, 100.0):
     print(f"  ell({s:6.2f}) = {ell(s, 3):.8f}")
-print("  antisymmetric part at s = 1/4 (closed form vs quadrature):")
+print("  antisymmetric part at s = 1/4 (arctanh form vs hypergeometric form):")
 print(f"    {m3_closed(0.25):.12f} vs {m_d(0.25, 3):.12f}")
 
 print("\n== derivative of the log-convolution ==")

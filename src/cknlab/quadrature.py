@@ -108,15 +108,18 @@ def _piece_sum(f: Callable, level: int, sigma: float, tail: bool) -> float:
     return total
 
 
-def integrate(f: Callable, d: int, gamma: float, rel_tol: float = 1e-11,
-              max_level: int = 7, return_error: bool = False):
+REL_TOL = 1e-11
+MAX_LEVEL = 7
+
+
+def integrate(f: Callable, d: int, gamma: float) -> float:
     """Evaluate int_0^inf f(r) r^(d-1-gamma) dr.
 
     f must accept a numpy array of radii and evaluate without raising on the
     full node range (underflow to 0 at huge arguments is fine).  The caller
     multiplies by ``sphere_area(d)`` for full-space integrals.  Refinement
-    halves the step until two successive levels agree to ``rel_tol``;
-    NonConvergent is raised past ``max_level``.
+    halves the step until two successive levels agree to ``REL_TOL``;
+    NonConvergent is raised past ``MAX_LEVEL``.
     """
     if gamma >= d:
         raise ValueError(f"weight exponent requires gamma < d, got gamma={gamma}, d={d}")
@@ -126,7 +129,7 @@ def integrate(f: Callable, d: int, gamma: float, rel_tol: float = 1e-11,
     vals = []
     s_core = s_tail = 0.0
     err = math.inf
-    for level in range(max_level + 1):
+    for level in range(MAX_LEVEL + 1):
         new_core = _piece_sum(f, level, sigma_core, tail=False)
         new_tail = _piece_sum(f, level, sigma_tail, tail=True)
         if level == 0:
@@ -139,14 +142,14 @@ def integrate(f: Callable, d: int, gamma: float, rel_tol: float = 1e-11,
         if level >= 2:
             err = abs(vals[-1] - vals[-2])
             scale = max(abs(vals[-1]), 1e-300)
-            if err <= rel_tol * scale:
-                return (total, err) if return_error else total
+            if err <= REL_TOL * scale:
+                return total
             # stagnation at roundoff level counts as converged
             if err <= 4.0 * np.finfo(float).eps * scale and \
                     abs(vals[-2] - vals[-3]) <= 4.0 * np.finfo(float).eps * scale:
-                return (total, err) if return_error else total
+                return total
     raise NonConvergent(
-        f"tanh-sinh refinement exhausted at level {max_level}; "
+        f"tanh-sinh refinement exhausted at level {MAX_LEVEL}; "
         f"last error estimate {err:.3e} relative to {vals[-1]:.6e}"
     )
 

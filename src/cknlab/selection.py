@@ -6,7 +6,8 @@ to a unique crossing radius and negative beyond, yet integrates to a positive
 multiple of the mass.  Convolving K against log |x + y| produces a radial
 function of |y| whose strict minimum at y = 0 is what selects the centered
 profile; its derivative reduces to a one-dimensional integral against the
-angular kernel ell(s).
+angular kernel ell(s).  Both theta integrals of the kernel are Gauss
+hypergeometric functions and are evaluated in closed form, vectorized.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad as _quad
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
+from scipy.special import betaln, hyp2f1
 
 from .params import ProblemParams, validate
 from .profiles import AnalyticProfile, w_gamma_star
@@ -48,7 +49,6 @@ class SelectionContext:
     w0: AnalyticProfile = field(init=False)
     mass: float = field(init=False)
     _R: float | None = field(default=None, init=False, repr=False)
-    _ell_spline: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.params = validate(self.d, 0.0, self.p)
@@ -102,117 +102,107 @@ def total_K_integral(ctx: SelectionContext):
     return val, closed
 
 
-def _angular_integrand(theta, s, d):
-    sin_t = np.sin(theta)
-    sin_sq = sin_t * sin_t
-    num = (1.0 - s) + 2.0 * s * sin_sq
-    den = (1.0 - s) ** 2 + 4.0 * s * sin_sq
-    return num / den * sin_t ** (d - 2)
+def half_sphere_constant(d: int) -> float:
+    """int_0^(pi/2) (sin theta)^(d-2) dtheta = B((d-1)/2, 1/2)/2."""
+    return 0.5 * math.exp(betaln((d - 1) / 2.0, 0.5))
 
 
-def ell(s: float, d: int) -> float:
-    """Angular kernel of the log-convolution derivative.
+# Below this |1 - s| the d = 3 kernel takes the log form of m_3: there G
+# grows like log(1 - v) = 2 log|u|, so the rounding of v costs about eps/|u|
+# in m_3 (3e-12 at |1 - s| = 1e-4, 2e-14 at 1e-2).
+_M3_LOG_WINDOW = 1e-2
+
+
+def _m3_log(s: np.ndarray) -> np.ndarray:
+    """m_3 at s > 0, with arctanh(2 sqrt(s)/(1+s)) written as
+    log1p(2 min(sqrt s, 1) (1 + sqrt s)/|1 - s|), finite however close s is to 1."""
+    out = np.zeros_like(s)
+    off = s != 1.0
+    x = s[off]
+    rx = np.sqrt(x)
+    out[off] = (1.0 - x) / (2.0 * rx) * np.log1p(
+        2.0 * np.minimum(rx, 1.0) * (1.0 + rx) / np.abs(1.0 - x))
+    return out
+
+
+def _angular(s: np.ndarray, d: int):
+    """(ell, m_d) at an array of s >= 0, infinity included.
+
+    With u = (1-s)/(1+s) and v = 4s/(1+s)^2 the denominator of both theta
+    integrals is (1+s)^2 (1 - v cos^2 theta); expanding in v gives
+    m_d = H u 2F1(1, 1/2; d/2; v) = H u (1 + v G/d) with H the half-sphere
+    constant and G = 2F1(1, 3/2; d/2 + 1; v) (DLMF 15.4-15.5), and
+    ell = (H + m_d)/2 = (H/2)(2/(1+s) + u v G/d), which does not cancel as
+    s -> inf.
+    """
+    H = half_sphere_constant(d)
+    ell_s = np.zeros_like(s)
+    m = np.full_like(s, -H)
+    near = np.abs(1.0 - s) < _M3_LOG_WINDOW if d == 3 else np.zeros(s.shape, bool)
+    m[near] = _m3_log(s[near])
+    ell_s[near] = 0.5 * (1.0 + m[near])
+    main = np.isfinite(s) & ~near
+    x = s[main]
+    u = (1.0 - x) / (1.0 + x)
+    # 4 x/(1+x)^2 without forming 4x, which overflows near the largest float
+    v = np.minimum(4.0 * (x / (1.0 + x)) / (1.0 + x), 1.0)
+    vG = v * hyp2f1(1.0, 1.5, d / 2.0 + 1.0, v) / d
+    ell_s[main] = 0.5 * H * (2.0 / (1.0 + x) + u * vG)
+    m[main] = H * u * (1.0 + vG)
+    return ell_s, m
+
+
+def ell(s, d: int):
+    """Angular kernel of the log-convolution derivative,
+    ell(s) = int_0^(pi/2) ((1-s) + 2s sin^2)/((1-s)^2 + 4s sin^2) sin^(d-2) dtheta.
 
     Continuous, positive and strictly decreasing in s, with ell(0) equal to
-    the half-sphere constant and ell -> 0 at infinity.  The integrand has a
-    near-singular point at (theta, s) = (0, 1); the numerator and denominator
-    are evaluated in cancellation-free form and the quadrature is split at
-    theta = |1 - s| where that matters.
+    the half-sphere constant and ell -> 0 at infinity.  Evaluated in closed
+    form (see ``_angular``) at a scalar or an array of s >= 0; a scalar gives
+    a float.
     """
-    s = float(s)
-    if s < 0:
+    arr = np.asarray(s, dtype=float)
+    if np.any(arr < 0):
         raise ValueError(f"s must be nonnegative, got {s}")
-    pts = None
-    gap = abs(1.0 - s)
-    if 0.0 < gap < 1e-3:
-        pts = [gap]
-    val, _ = _quad(_angular_integrand, 0.0, math.pi / 2.0, args=(s, d),
-                   points=pts, epsabs=1e-14, epsrel=1e-12, limit=200)
-    return val
+    val = _angular(np.atleast_1d(arr), d)[0]
+    return float(val[0]) if arr.ndim == 0 else val
 
 
-def m_d(s: float, d: int) -> float:
-    """Antisymmetric part of the angular kernel, m_d(s) = -m_d(1/s)."""
-    s = float(s)
-    if s <= 0:
+def m_d(s, d: int):
+    """Antisymmetric part of the angular kernel, m_d(s) = -m_d(1/s) = 2 ell(s) - H,
+    at a scalar or an array of s > 0."""
+    arr = np.asarray(s, dtype=float)
+    if np.any(arr <= 0):
         raise ValueError(f"s must be positive, got {s}")
-
-    def integrand(theta):
-        sin_sq = math.sin(theta) ** 2
-        den = (1.0 - s) ** 2 + 4.0 * s * sin_sq
-        return (1.0 - s * s) / den * math.sin(theta) ** (d - 2)
-
-    pts = None
-    gap = abs(1.0 - s)
-    if 0.0 < gap < 1e-3:
-        pts = [gap]
-    val, _ = _quad(integrand, 0.0, math.pi / 2.0, points=pts,
-                   epsabs=1e-14, epsrel=1e-12, limit=200)
-    return val
+    val = _angular(np.atleast_1d(arr), d)[1]
+    return float(val[0]) if arr.ndim == 0 else val
 
 
 def m3_closed(s: float) -> float:
-    """Closed form of m_3: (1-s)/(2 sqrt(s)) arctanh(2 sqrt(s)/(1+s))."""
+    """Closed form of m_3: (1-s)/(2 sqrt(s)) arctanh(2 sqrt(s)/(1+s)), in the
+    log form of ``_m3_log``."""
     s = float(s)
     if s <= 0:
         raise ValueError(f"s must be positive, got {s}")
-    if s == 1.0:
-        return 0.0
-    rs = math.sqrt(s)
-    return (1.0 - s) / (2.0 * rs) * math.atanh(2.0 * rs / (1.0 + s))
-
-
-def half_sphere_constant(d: int) -> float:
-    """int_0^(pi/2) (sin theta)^(d-2) dtheta."""
-    val, _ = _quad(lambda t: math.sin(t) ** (d - 2), 0.0, math.pi / 2.0,
-                   epsabs=1e-14, epsrel=1e-13)
-    return val
-
-
-def _ell_fast(ctx: SelectionContext):
-    """Vectorized spline of ell over log s with asymptotic tails."""
-    if ctx._ell_spline is None:
-        d = ctx.d
-        s_lo, s_hi = 1e-8, 1e8
-        xs = np.linspace(math.log(s_lo), math.log(s_hi), 1400)
-        ys = np.array([ell(math.exp(x), d) for x in xs])
-        spline = CubicSpline(xs, ys)
-        ell0 = ell(0.0, d)
-        c_tail = ys[-1] * s_hi  # ell ~ c/s at infinity
-
-        def fast(s):
-            s = np.asarray(s, dtype=float)
-            out = np.empty_like(s)
-            lo = s <= s_lo
-            hi = s >= s_hi
-            mid = ~(lo | hi)
-            out[lo] = ell0
-            out[hi] = c_tail / s[hi]
-            if mid.any():
-                out[mid] = spline(np.log(s[mid]))
-            return out
-
-        ctx._ell_spline = fast
-    return ctx._ell_spline
+    return float(_m3_log(np.array([s]))[0])
 
 
 def G_prime(t: float, ctx: SelectionContext) -> float:
     """Derivative of the log-convolution profile G at t > 0.
 
     G'(t) = |S^(d-2)|/t * int_0^inf K(r) ell(r^2/t) r^(d-1) dr, positive for
-    every t because ell decreases and K has its single sign change.
+    every t because ell decreases and K has its single sign change.  It is
+    integrated in x = r/sqrt(t),
+    G'(t) = |S^(d-2)| t^((d-2)/2) int_0^inf K(sqrt(t) x) ell(x^2) x^(d-1) dx,
+    so the kink of ell at s = 1 falls on the quadrature's split point x = 1.
     """
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
     d = ctx.d
     K = K_profile(ctx)
-    ell_f = _ell_fast(ctx)
-    area_sub = sphere_area(d - 1)
-    # the spline kernel is only piecewise smooth, so the tolerance matches
-    # its interpolation error
-    val = integrate(lambda r: K(r) * ell_f(r * r / t), d, 0.0,
-                    rel_tol=1e-6, max_level=8)
-    return area_sub / t * val
+    rt = math.sqrt(t)
+    val = integrate(lambda x: K(rt * x) * ell(x * x, d), d, 0.0)
+    return sphere_area(d - 1) * t ** ((d - 2) / 2.0) * val
 
 
 def G_prime_lower_bound(t: float, ctx: SelectionContext) -> float:
@@ -220,9 +210,8 @@ def G_prime_lower_bound(t: float, ctx: SelectionContext) -> float:
     d = ctx.d
     R = ctx.crossing_radius
     K = K_profile(ctx)
-    ell_f = _ell_fast(ctx)
     total = integrate(K, d, 0.0)
-    return sphere_area(d - 1) / t * float(ell_f(np.array([R * R / t]))[0]) * total
+    return sphere_area(d - 1) / t * ell(R * R / t, d) * total
 
 
 def F_selection(y_mag: float, ctx: SelectionContext) -> float:

@@ -183,6 +183,18 @@ class TestCompute:
         assert abs(res["total_K_quadrature"] - res["total_K_closed_form"]) \
             < 1e-8 * abs(res["total_K_closed_form"])
 
+    def test_selection_angular_next_to_one(self, capsys):
+        # 2 sqrt(s)/(1+s) rounds to 1 at s = 1 + 1e-9, where arctanh has no
+        # finite value; m3_closed must still match m_d there
+        code, out = run_cli(["selection", "--d", "3", "--p", "2", "--curve",
+                             "angular", "--s-min", "1.000000001", "--s-max", "2",
+                             "--s-points", "3", "--format", "json"], capsys)
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["columns"] == ["s", "ell", "m_d", "m3_closed"]
+        for _, _, m, m3 in res["rows"]:
+            assert m3 == pytest.approx(m, rel=1e-12, abs=1e-15)
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("n", ["2", "3"])

@@ -1,13 +1,39 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from cknlab.quadrature import sphere_area
 from cknlab.selection import (G_prime, G_prime_lower_bound, F_selection, K_profile,
                               SelectionContext, crossing_radius, ell,
                               half_sphere_constant, inverse_square_integral,
                               isotropy_matrix, m3_closed, m_d, total_K_integral)
+
+
+def theta_reference(s, d):
+    """(ell, m_d) by adaptive quadrature of their theta integrals, split at
+    theta = |1 - s| where the integrands peak next to s = 1."""
+    def den(th):
+        return (1.0 - s) ** 2 + 4.0 * s * math.sin(th) ** 2
+
+    def ell_f(th):
+        return ((1.0 - s) + 2.0 * s * math.sin(th) ** 2) / den(th) * math.sin(th) ** (d - 2)
+
+    def m_f(th):
+        return (1.0 - s * s) / den(th) * math.sin(th) ** (d - 2)
+
+    gap = abs(1.0 - s)
+    opts = dict(points=[gap] if 0.0 < gap < 1e-3 else None,
+                epsabs=1e-14, epsrel=1e-12, limit=200)
+    return (quad(ell_f, 0.0, math.pi / 2.0, **opts)[0],
+            quad(m_f, 0.0, math.pi / 2.0, **opts)[0])
+
+
+# s = 0, eight decades each side of 1, and both sides of the kink at s = 1
+S_GRID = np.array([0.0, *np.geomspace(1e-8, 1e8, 17),
+                   *(1.0 + e for e in (-1e-3, -1e-6, -1e-9, 1e-9, 1e-6, 1e-3))])
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +108,41 @@ class TestAngularKernel:
                 rhs = 0.5 * half + 0.5 * m_d(s, d) if s > 0 else None
                 assert abs(lhs - rhs) < 1e-9
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 8])
+    def test_closed_form_matches_theta_quadrature(self, d):
+        ells = ell(S_GRID, d)
+        ms = m_d(S_GRID[1:], d)
+        for k, s in enumerate(S_GRID):
+            ref_ell, ref_m = theta_reference(float(s), d)
+            assert ell(float(s), d) == ells[k]
+            assert abs(ells[k] - ref_ell) <= 1e-12 * ref_ell
+            if s > 0:
+                assert abs(ms[k - 1] - ref_m) <= 1e-12
+
+    @pytest.mark.parametrize("d", [3, 4, 7])
+    def test_limits_at_zero_and_infinity(self, d):
+        H = half_sphere_constant(d)
+        ref_H, _ = quad(lambda t: math.sin(t) ** (d - 2), 0.0, math.pi / 2.0,
+                        epsabs=1e-14, epsrel=1e-13)
+        assert H == pytest.approx(ref_H, rel=1e-13)
+        assert ell(0.0, d) == H
+        assert ell(math.inf, d) == 0.0
+        assert m_d(math.inf, d) == -H
+        # ell ~ H (1 - 2/d)/s and m_d -> -H as s -> inf
+        assert ell(1e12, d) * 1e12 == pytest.approx(H * (1.0 - 2.0 / d), rel=1e-10)
+        assert m_d(1e12, d) == pytest.approx(-H, rel=1e-10)
+
+    def test_no_warning_at_huge_arguments(self):
+        # G_prime's outermost quadrature nodes reach r^2/t of 1e300 and beyond
+        s = np.array([1e300, 1e307, np.finfo(float).max, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (3, 4, 5):
+                vals = ell(s, d)
+                assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+                assert vals[-1] == 0.0
+                assert np.all(np.isfinite(m_d(s, d)))
+
     def test_near_singular_region_is_smooth(self):
         # values across s = 1 stay monotone even where the integrand nearly
         # blows up at theta = 0
@@ -98,7 +159,14 @@ class TestAntisymmetricPart:
     def test_m3_closed_vs_quadrature(self):
         for s in np.geomspace(0.02, 50.0, 50):
             assert m3_closed(float(s)) == pytest.approx(
-                m_d(float(s), 3), rel=1e-10, abs=1e-10)
+                theta_reference(float(s), 3)[1], rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-9])
+    def test_m3_closed_next_to_one(self, gap):
+        # 2 sqrt(s)/(1+s) rounds to 1 here, where arctanh has no finite value
+        for s in (1.0 - gap, 1.0 + gap):
+            expected = theta_reference(s, 3)[1]
+            assert m3_closed(s) == pytest.approx(expected, rel=1e-7)
 
     def test_antisymmetry(self):
         for s in (0.2, 0.5, 0.8):
@@ -132,6 +200,21 @@ class TestLogConvolution:
         for t in (0.1, 1.0, 10.0):
             assert G_prime(t, ctx) > 0
 
+    @pytest.mark.parametrize("d,p", [(3, 2.0), (5, 1.3)])
+    @pytest.mark.parametrize("t", [0.01, 1.0, 100.0])
+    def test_G_prime_matches_adaptive_quadrature(self, d, p, t):
+        c = SelectionContext(d, p)
+        K = K_profile(c)
+
+        def f(r):
+            return float(K(r)) * ell(r * r / t, d) * r ** (d - 1)
+
+        cuts = [0.0, *sorted({math.sqrt(t), c.crossing_radius}), math.inf]
+        val = sum(quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=400)[0]
+                  for a, b in zip(cuts, cuts[1:]))
+        expected = sphere_area(d - 1) / t * val
+        assert G_prime(t, c) == pytest.approx(expected, rel=1e-10)
+
     def test_G_prime_dominates_lower_bound(self, ctx):
         for t in (0.1, 1.0, 10.0):
             assert G_prime(t, ctx) >= G_prime_lower_bound(t, ctx) > 0
@@ -143,7 +226,6 @@ class TestLogConvolution:
         d = ctx.d
         c_d, _ = quad(lambda th: -math.cos(2 * th) * math.sin(th) ** (d - 2),
                       0.0, math.pi / 2.0)
-        from cknlab.quadrature import sphere_area
         expected = sphere_area(d - 1) * c_d * inverse_square_integral(ctx) \
             / sphere_area(d)
         got = G_prime(1e-5, ctx)
