@@ -1,18 +1,19 @@
 """Conservative finite-volume solver for the weighted fast-diffusion flow.
 
 The rescaled equation is a continuity law for the weighted density,
-
-    d/dt (v r^(d-1-gamma)) + d/dr (r^(d-1) v d/dr psi) = 0,
-    psi = v^(m-1) - r^(2-gamma),
-
-so the scheme stores cell averages against exact cell integrals of the
-weight, moves mass through faces with harmonic-mean mobility against the
-full potential drop, and conserves the weighted mass to roundoff by
-construction.  The
-stationary profile has constant discrete potential, hence exactly zero flux:
-it is a fixed point of the scheme, not merely an approximate one.  The same
-face terms define the discrete Fisher information, which makes the
-semi-discrete energy identity dF/dt = -I exact as well.
+d/dt (v r^(d-1-gamma)) + d/dr (r^(d-1) v d/dr psi) = 0, psi = v^(m-1) -
+r^(2-gamma).  In s = r^alpha, alpha = (2-gamma)/2, it is the gamma = 0 law in
+the real dimension d_gamma = 2(d-gamma)/(2-gamma) (Bonforte-Dolbeault-
+Muratori-Nazaret, KRM 10, 2017): r^(d-1-gamma) dr = s^(d_gamma-1) ds / alpha,
+r^(d-1) |d/dr psi|^2 dr = alpha s^(d_gamma-1) |d/ds psi|^2 ds and r^(2-gamma)
+= s^2.  So one mesh in s serves every gamma; times, densities and masses keep
+their meaning in r.  The scheme stores cell averages against exact cell
+integrals of s^(d_gamma-1), moves mass through faces with harmonic-mean
+mobility against the full potential drop, and conserves the weighted mass to
+roundoff by construction.  The stationary profile has constant discrete
+potential, hence exactly zero flux: it is a fixed point of the scheme, not
+merely an approximate one.  The same face terms define the discrete Fisher
+information, which makes the semi-discrete energy identity dF/dt = -I exact.
 
 Time steps are TR-BDF2, a Crank-Nicolson stage followed by a BDF2 stage, each
 solved by Newton's method on the analytic tridiagonal Jacobian of the face
@@ -59,44 +60,42 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FlowMesh:
-    """Cell mesh on [0, r_out] with exact weighted cell volumes."""
+    """Cell mesh on s = r^alpha in [0, s_out] with exact weighted cell volumes."""
 
-    d: int
-    gamma: float
+    d_gamma: float
+    alpha: float
+    area: float                                # measure prefactor |S^(d-1)|/alpha
     edges: np.ndarray
     centers: np.ndarray = field(init=False)
-    vol_w: np.ndarray = field(init=False)      # int_cell r^(d-1-gamma) dr
-    face_area: np.ndarray = field(init=False)  # r^(d-1) at interior faces
+    radii: np.ndarray = field(init=False)      # r = s^(1/alpha) at the centers
+    vol_w: np.ndarray = field(init=False)      # int_cell s^(d_gamma-1) ds
+    face_area: np.ndarray = field(init=False)  # alpha^2 s^(d_gamma-1) at faces
     dx_face: np.ndarray = field(init=False)    # center-to-center spacing
-    potential: np.ndarray = field(init=False)  # r^(2-gamma) at the centers
+    potential: np.ndarray = field(init=False)  # s^2 at the centers
     cap: float = field(init=False)             # face velocity cap
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=float)
+        e, dg = np.asarray(self.edges, dtype=float), self.d_gamma
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "centers", 0.5 * (e[1:] + e[:-1]))
-        wexp = self.d - self.gamma
-        object.__setattr__(self, "vol_w",
-                           (e[1:] ** wexp - e[:-1] ** wexp) / wexp)
-        object.__setattr__(self, "face_area", e[1:-1] ** (self.d - 1.0))
+        object.__setattr__(self, "radii", self.centers ** (1.0 / self.alpha))
+        object.__setattr__(self, "vol_w", (e[1:] ** dg - e[:-1] ** dg) / dg)
+        object.__setattr__(self, "face_area", self.alpha**2 * e[1:-1] ** (dg - 1.0))
         object.__setattr__(self, "dx_face", np.diff(self.centers))
-        object.__setattr__(self, "potential",
-                           self.centers ** (2.0 - self.gamma))
-        # 50x the largest drift speed on the mesh; only near-vacuum cells with
-        # exploding v^(m-1) ever reach it
-        object.__setattr__(self, "cap", 50.0 * (2.0 - self.gamma)
-                           * float(e[-1]) ** (1.0 - self.gamma))
+        object.__setattr__(self, "potential", self.centers ** 2.0)
+        # 50x the largest drift speed 2 s_out, reached only next to vacuum
+        object.__setattr__(self, "cap", 50.0 * 2.0 * float(e[-1]))
 
     @classmethod
     def graded(cls, d: int, gamma: float, n_cells: int = 400,
                r_out: float = 25.0) -> "FlowMesh":
         """Uniform core patch continued by a geometric tail.
 
-        A quarter of the cells, at least 8, resolve the core [0, 1] uniformly;
-        beyond it the cell width grows geometrically.  The mobility of the
-        thin outer tail grows like r^(2-gamma), so cells must widen at least
-        linearly with r or the stiffness of the tail outgrows that of the
-        core.
+        A quarter of the cells, at least 8, resolve the core s in [0, 1]
+        uniformly; beyond it the cell width grows geometrically up to
+        s_out = r_out^alpha.  The mobility of the thin outer tail grows like
+        s^2, so cells must widen at least linearly with s or the stiffness of
+        the tail outgrows that of the core.
         """
         n_core = max(8, int(round(0.25 * n_cells)))
         n_tail = n_cells - n_core
@@ -106,10 +105,12 @@ class FlowMesh:
         if not 1.0 < r_out < math.inf:
             raise ParameterError(f"r_out must lie in (1.0, inf), beyond the "
                                  f"core radius, got r_out={r_out}")
+        alpha = 1.0 - gamma / 2.0
         core = np.linspace(0.0, 1.0, n_core + 1)
-        ratio = r_out ** (1.0 / n_tail)
+        ratio = (r_out ** alpha) ** (1.0 / n_tail)
         tail = ratio ** np.arange(1, n_tail + 1)
-        return cls(d=d, gamma=gamma, edges=np.concatenate([core, tail]))
+        return cls((d - gamma) / alpha, alpha, sphere_area(d) / alpha,
+                   np.concatenate([core, tail]))
 
 
 @dataclass(frozen=True)
@@ -132,8 +133,7 @@ class FlowState:
 
     @property
     def mass(self) -> float:
-        area = sphere_area(self.mesh.d)
-        return area * float(np.sum(self.mesh.vol_w * self.density))
+        return self.mesh.area * float(np.sum(self.mesh.vol_w * self.density))
 
     @cached_property
     def faces(self) -> _Faces:
@@ -141,9 +141,9 @@ class FlowState:
         return _face_terms(self.mesh, self.density, self.m)
 
 
-def _stationary(C: float, m: float, gamma: float) -> AnalyticProfile:
-    """Stationary state (C + r^(2-gamma))^(1/(m-1)), a Barenblatt profile."""
-    return AnalyticProfile(amplitude=1.0, b=C, c=2.0 - gamma, k=1.0 / (1.0 - m))
+def _stationary(C: float, m: float, alpha: float) -> AnalyticProfile:
+    """Stationary state (C + r^(2 alpha))^(1/(m-1)), a Barenblatt profile."""
+    return AnalyticProfile(amplitude=1.0, b=C, c=2.0 * alpha, k=1.0 / (1.0 - m))
 
 
 def stationary_profile(m: float, gamma: float, d: int, M: float) -> AnalyticProfile:
@@ -155,8 +155,9 @@ def stationary_profile(m: float, gamma: float, d: int, M: float) -> AnalyticProf
     validate_m(d, gamma, m)
     if M <= 0:
         raise ParameterError(f"target mass must be positive, got {M}")
-    C = _solve_log_C(lambda C: _stationary(C, m, gamma).moment(1.0, d, gamma), M)
-    return _stationary(C, m, gamma)
+    alpha = 1.0 - gamma / 2.0
+    C = _solve_log_C(lambda C: _stationary(C, m, alpha).moment(1.0, d, gamma), M)
+    return _stationary(C, m, alpha)
 
 
 def _solve_log_C(mass_of_C, M: float) -> float:
@@ -185,15 +186,21 @@ def make_state(u0, m: float, gamma: float, d: int, n_cells: int = 400,
                r_out: float = 25.0) -> FlowState:
     """Sample an initial datum onto a graded flow mesh.
 
-    u0 may be a callable of r or a RadialProfile (interpolated linearly).
-    Raises ParameterError unless every sampled cell is finite and positive.
+    u0, a callable of r or a RadialProfile (interpolated linearly), is
+    sampled at the radii of the cell centers.  Raises ParameterError unless
+    a RadialProfile spans them and every cell is finite and positive.
     """
     validate_m(d, gamma, m)
     mesh = FlowMesh.graded(d, gamma, n_cells=n_cells, r_out=r_out)
+    r = mesh.radii
     if isinstance(u0, RadialProfile):
-        v = np.interp(mesh.centers, u0.radii, u0.values)
+        if not u0.radii[0] <= r[0] <= r[-1] <= u0.radii[-1]:
+            raise ParameterError(f"the initial datum spans r in [{u0.radii[0]:.6g}, "
+                                 f"{u0.radii[-1]:.6g}], which must cover the cell "
+                                 f"centers at r in [{r[0]:.6g}, {r[-1]:.6g}]")
+        v = np.interp(r, u0.radii, u0.values)
     else:
-        v = np.asarray(u0(mesh.centers), dtype=float)
+        v = np.asarray(u0(r), dtype=float)
     bad = ~(np.isfinite(v) & (v > 0.0))
     if np.any(bad):
         first = int(np.argmax(bad))
@@ -201,7 +208,7 @@ def make_state(u0, m: float, gamma: float, d: int, n_cells: int = 400,
             f"the initial datum must be finite and positive in every cell, "
             f"since the scheme moves no mass into an empty cell while the "
             f"flow fills all space at once: {int(bad.sum())} of {v.size} "
-            f"cells are not, the first at r={mesh.centers[first]:.6g} "
+            f"cells are not, the first at r={r[first]:.6g} "
             f"holding {float(v[first])!r}")
     return FlowState(time=0.0, mesh=mesh, density=v, m=m)
 
@@ -372,12 +379,11 @@ def step(state: FlowState, dt: float) -> FlowState:
 def free_energy(state: FlowState, stationary: AnalyticProfile) -> float:
     """Relative entropy of the density against the stationary profile."""
     mesh, v, m = state.mesh, state.density, state.m
-    B = stationary(mesh.centers)
+    B = stationary(mesh.radii)
     with np.errstate(divide="ignore"):
         vm = np.where(v > 0, v**m, 0.0)
     integrand = vm - B**m - m * B ** (m - 1.0) * (v - B)
-    area = sphere_area(mesh.d)
-    return area / (m - 1.0) * float(np.sum(integrand * mesh.vol_w))
+    return mesh.area / (m - 1.0) * float(np.sum(integrand * mesh.vol_w))
 
 
 def fisher_information(state: FlowState) -> float:
@@ -389,9 +395,8 @@ def fisher_information(state: FlowState) -> float:
     """
     mesh, m = state.mesh, state.m
     faces = state.faces
-    area = sphere_area(mesh.d)
     contrib = faces.flux * faces.u * mesh.dx_face
-    return m / (1.0 - m) * area * float(np.sum(contrib))
+    return m / (1.0 - m) * mesh.area * float(np.sum(contrib))
 
 
 # a free energy below this fraction of the mass is roundoff: in a run at
@@ -432,13 +437,12 @@ def _stationary_for_state(state: FlowState) -> AnalyticProfile:
     leave a spurious quadrature-sized energy floor at the end of every run.
     """
     mesh, m = state.mesh, state.m
-    area = sphere_area(mesh.d)
 
     def mesh_mass(C):
-        B = _stationary(C, m, mesh.gamma)(mesh.centers)
-        return area * float(np.sum(B * mesh.vol_w))
+        B = _stationary(C, m, mesh.alpha)(mesh.radii)
+        return mesh.area * float(np.sum(B * mesh.vol_w))
 
-    return _stationary(_solve_log_C(mesh_mass, state.mass), m, mesh.gamma)
+    return _stationary(_solve_log_C(mesh_mass, state.mass), m, mesh.alpha)
 
 
 # step budget of run_decay; a run that needs more has stalled
@@ -468,17 +472,8 @@ def run_decay(u0, m: float, gamma: float, T: float, d: int = 3,
         raise ParameterError(f"record_every must be >= 1, got {record_every}")
     state = make_state(u0, m, gamma, d, n_cells=n_cells, r_out=r_out)
     stat = _stationary_for_state(state)
-    ts, Fs, Is, masses, dts = [], [], [], [], []
-
-    def record(used_dt: float):
-        ts.append(state.time)
-        Fs.append(F)
-        Is.append(I)
-        masses.append(state.mass)
-        dts.append(used_dt)
-
     F, I = free_energy(state, stat), fisher_information(state)
-    record(0.0)
+    rows = [(state.time, F, I, state.mass, 0.0)]  # t, F, I, mass, dt
     steps, h_grow = 0, _DT0
     while state.time < T:
         decay_time = F / I if F > 0.0 and I > 0.0 else math.inf
@@ -487,13 +482,11 @@ def run_decay(u0, m: float, gamma: float, T: float, d: int = 3,
         F, I = free_energy(state, stat), fisher_information(state)
         steps += 1
         if steps % record_every == 0 or state.time >= T:
-            record(h)
+            rows.append((state.time, F, I, state.mass, h))
         if steps >= _MAX_STEPS:
             raise StepFailure(f"exceeded {_MAX_STEPS} steps before reaching T={T}")
         h_grow = _GROWTH * h
-    return DecaySeries(t=np.array(ts), F=np.array(Fs), I=np.array(Is),
-                       mass=np.array(masses), dt=np.array(dts),
-                       stationary=stat, final=state)
+    return DecaySeries(*map(np.array, zip(*rows)), stationary=stat, final=state)
 
 
 def fit_decay_rate(series: DecaySeries) -> float:

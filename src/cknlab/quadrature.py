@@ -30,8 +30,8 @@ from .errors import NaNEncountered, NonConvergent
 __all__ = ["integrate", "sphere_area", "power_law_weighted_integral"]
 
 
-def sphere_area(d: int) -> float:
-    """Surface area of the unit sphere in R^d, 2 pi^(d/2) / Gamma(d/2)."""
+def sphere_area(d: float) -> float:
+    """Surface area of the unit sphere in R^d, 2 pi^(d/2) / Gamma(d/2), real d."""
     if d < 2:
         raise ValueError(f"sphere_area requires d >= 2, got {d}")
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criterion 8 is split in four: its mass/identity/decay-bound parts and
-its fitted-rate window, each at gamma = 0 and at gamma = 0.5.
+lines.  Criterion 8 is split in five: its mass/identity/decay-bound parts and
+its fitted-rate window, each at gamma = 0 and at gamma = 0.5, and the
+fitted-rate window at gamma = 1.8.
 
 The fitted-rate window is centered on the radial spectral gap of the
 linearized gamma = 0 flow, taken from the closed-form Hardy-Poincare spectrum
@@ -20,7 +21,8 @@ units is 4 lambda_{01}/lambda_{10} = 4 (2 + d(m-1)), that is 5 at d = 3,
 m = 3/4.  At gamma > 0 the substitution s = r^((2-gamma)/2) turns the radial
 flow into the gamma = 0 flow in the real dimension
 d_gamma = 2 (d - gamma)/(2 - gamma), with time scaled by (2-gamma)^2/4, so
-the radial rate is (2-gamma)^2 (2 + d_gamma(m-1)), 2.625 at gamma = 0.5.
+the radial rate is (2-gamma)^2 (2 + d_gamma(m-1)), 2.625 at gamma = 0.5 and
+0.056 at gamma = 1.8, m = 0.95.
 """
 
 import math
@@ -270,6 +272,27 @@ def test_criterion_8_fitted_rate_window_gamma05(flow_run_gamma05):
     _report("8 (rate window, gamma=0.5)", lo <= rate <= hi,
             f"fitted asymptotic rate {rate:.3f} in [{lo:.3f}, {hi:.3f}] "
             f"around the radial gap {pred:.3f}")
+
+
+def test_criterion_8_fitted_rate_window_gamma18():
+    # the same window at gamma = 1.8, m = 0.95, where d_gamma = 12 and the
+    # radial gap is 0.056.  The datum 1 + 0.1 cos(alpha log r) is cos(log s),
+    # smooth in the flat variable; cos(log r) = cos(10 log s) would excite
+    # fast modes that still fill the fit window
+    from cknlab.flow import fit_decay_rate, run_decay, stationary_profile
+    gamma, m = 1.8, 0.95
+    alpha = 1.0 - gamma / 2.0
+    base = stationary_profile(m, gamma, 3, 50.0)
+    datum = lambda r: base(r) * (1.0 + 0.1 * np.cos(alpha * np.log(r)))
+    series = run_decay(datum, m, gamma, T=200.0, n_cells=400, r_out=25.0,
+                       record_every=10)
+    rate = fit_decay_rate(series)
+    d_gamma = 2.0 * (3 - gamma) / (2.0 - gamma)
+    pred = (2.0 - gamma) ** 2 * _radial_to_translation_ratio(d_gamma, m)
+    lo, hi = 0.95 * pred, 1.10 * pred
+    _report("8 (rate window, gamma=1.8)", lo <= rate <= hi,
+            f"fitted asymptotic rate {rate:.4f} in [{lo:.4f}, {hi:.4f}] "
+            f"around the radial gap {pred:.4f}")
 
 
 def test_criterion_9_selection_suite():

@@ -137,6 +137,16 @@ class TestCompute:
         res = json.loads(out.read_text())["result"]["max_identity_residual"]
         assert low <= res <= high
 
+    def test_flow_rough_datum_at_large_gamma(self, tmp_path):
+        # amplitude 1 takes the datum down to vacuum where cos(log r) = -1;
+        # no face reaches the velocity cap, so dF/dt = -I holds
+        out = tmp_path / "f.json"
+        assert main(["flow", "--d", "3", "--gamma", "1.8", "--m", "0.95",
+                     "--T", "50", "--amplitude", "1.0", "--format", "json",
+                     "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["result"]["max_identity_residual"]
+        assert res < 0.05
+
     def test_flow_csv_decay(self, tmp_path):
         out = tmp_path / "f.csv"
         code = main(["flow", "--d", "3", "--gamma", "0", "--m", "0.75",
@@ -349,6 +359,18 @@ class TestExitCodes:
         assert payload["config"]["initial"] == str(datum)
         mass = payload["result"]["mass"]
         assert abs(mass[-1] - mass[0]) < 1e-10 * mass[0]
+
+    def test_flow_rejects_datum_short_of_cell_centers(self, tmp_path, capsys):
+        # the first of 50 cell centers lies at r = 0.042, inside the datum's
+        # gap below r = 0.1: no silent constant extension there
+        datum = tmp_path / "datum.json"
+        assert main(["profile", "--r-min", "0.1", "--r-max", "100",
+                     "--points-per-decade", "8", "--out", str(datum)]) == 0
+        capsys.readouterr()
+        assert main(["flow", "--T", "0.01", "--cells", "50",
+                     "--initial", str(datum)]) == 2
+        err = capsys.readouterr().err
+        assert "parameter error" in err and "must cover the cell centers" in err
 
     @pytest.mark.parametrize("text", ["", "r,w\n"], ids=["empty", "header_only"])
     def test_flow_rejects_datum_without_rows(self, text, tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import cknlab.flow as flow_module
 from cknlab.errors import NegativeDensity, ParameterError, StepFailure
@@ -35,7 +36,7 @@ class TestStationaryProfile:
     def test_mass_decreasing_in_C(self):
         # the profile is pointwise decreasing in C (negative exponent), so
         # the weighted mass decreases as well; uniqueness follows
-        masses = [flow_module._stationary(C, 0.75, 0.0).moment(1.0, 3, 0.0)
+        masses = [flow_module._stationary(C, 0.75, 1.0).moment(1.0, 3, 0.0)
                   for C in (0.1, 0.3, 1.0)]
         assert masses[0] > masses[1] > masses[2]
 
@@ -70,11 +71,22 @@ def _coslog(stat, a):
     return lambda r: stat(r) * (1.0 + a * np.cos(np.log(np.maximum(r, 1e-10))))
 
 
+# (gamma, m) from the flat mesh's gamma = 0 case to large gamma; m = 0.95 at
+# gamma = 1.8, where m must exceed 11/12
+OVER_GAMMA = pytest.mark.parametrize("gamma, m", [
+    pytest.param(0.0, 0.75, id="gamma0"), pytest.param(0.5, 0.75, id="gamma0.5"),
+    pytest.param(1.8, 0.95, id="gamma1.8")])
+
+
 class TestStep:
-    def test_stationary_is_fixed_point(self, stat):
-        state = make_state(stat, 0.75, 0.0, 3, n_cells=200)
+    @OVER_GAMMA
+    def test_stationary_is_fixed_point(self, gamma, m):
+        # relative to the peak, which is 373 at gamma = 0 and 2e7 at 1.8
+        stat = stationary_profile(m, gamma, 3, 50.0)
+        state = make_state(stat, m, gamma, 3, n_cells=200)
         nxt = step(state, BIG_DT)
-        assert np.max(np.abs(nxt.density - state.density)) < 1e-10
+        assert np.max(np.abs(nxt.density - state.density)) \
+            < 1e-13 * np.max(state.density)
 
     def test_mass_conserved_from_gaussian(self):
         state = make_state(lambda r: np.exp(-(r**2)), 0.75, 0.0, 3,
@@ -231,8 +243,10 @@ class TestFaceCache:
 
 
 class TestEnergyFunctionals:
-    def test_free_energy_zero_at_stationary(self, stat):
-        state = make_state(stat, 0.75, 0.0, 3, n_cells=200)
+    @OVER_GAMMA
+    def test_free_energy_zero_at_stationary(self, gamma, m):
+        stat = stationary_profile(m, gamma, 3, 50.0)
+        state = make_state(stat, m, gamma, 3, n_cells=200)
         from cknlab.flow import _stationary_for_state
         ref = _stationary_for_state(state)
         assert abs(free_energy(state, ref)) < 1e-12
@@ -250,8 +264,10 @@ class TestEnergyFunctionals:
             ref = _stationary_for_state(state)
             assert free_energy(state, ref) >= -1e-13
 
-    def test_fisher_information_zero_at_stationary(self, stat):
-        state = make_state(stat, 0.75, 0.0, 3, n_cells=200)
+    @OVER_GAMMA
+    def test_fisher_information_zero_at_stationary(self, gamma, m):
+        state = make_state(stationary_profile(m, gamma, 3, 50.0), m, gamma, 3,
+                           n_cells=200)
         assert fisher_information(state) < 1e-20
 
     def test_fisher_information_positive_when_perturbed(self, stat):
@@ -313,6 +329,20 @@ class TestRunDecay:
             settled = 0.5 * (series.t[1:] + series.t[:-1]) > 0.1
             worst.append(np.max(res[settled]))
         assert worst[1] <= worst[0] / 3.0
+
+    def test_velocity_cap_far_out(self):
+        # in s the drift 2 s is largest at s_out, so the cap 100 s_out stays
+        # far above every face velocity, even on a mesh out to r = 1e8; a
+        # capped face would break the identity dF/dt = -I
+        gamma, m = 1.8, 0.95
+        alpha = 1.0 - gamma / 2.0
+        stat = stationary_profile(m, gamma, 3, 50.0)
+        datum = lambda r: stat(r) * (1.0 + 0.1 * np.cos(alpha * np.log(r)))
+        state = make_state(datum, m, gamma, 3, n_cells=800, r_out=1e8)
+        assert np.all(np.abs(state.faces.u) < state.mesh.cap)
+        series = run_decay(datum, m, gamma, T=100.0, n_cells=800, r_out=1e8,
+                           record_every=10)
+        assert np.max(series.identity_residuals()) < 0.02
 
     def test_rate_matches_radial_spectral_gap(self, stat):
         # cross-module consistency: the asymptotic decay exponent of the flow
@@ -380,15 +410,25 @@ class TestSelfSimilarMap:
 
 
 class TestMesh:
+    # at (d, gamma) = (3, 0.5) the flat variable is s = r^0.75 and the real
+    # dimension d_gamma = 2 (3 - 0.5)/(2 - 0.5) = 10/3
+    ALPHA, D_GAMMA = 0.75, 10.0 / 3.0
+
     def test_graded_mesh_structure(self):
         mesh = FlowMesh.graded(3, 0.5, n_cells=100, r_out=20.0)
         assert mesh.edges[0] == 0.0
-        assert mesh.edges[-1] == pytest.approx(20.0)
+        assert mesh.edges[-1] == pytest.approx(20.0 ** self.ALPHA, rel=1e-14)
         assert np.all(np.diff(mesh.edges) > 0)
-        # exact weighted volumes: power rule per cell
-        wexp = 3 - 0.5
-        vol = (mesh.edges[1:] ** wexp - mesh.edges[:-1] ** wexp) / wexp
-        assert np.allclose(mesh.vol_w, vol)
+        # a uniform core of 25 cells on s in [0, 1]
+        assert np.allclose(mesh.edges[:26], np.linspace(0.0, 1.0, 26),
+                           rtol=0.0, atol=1e-15)
+        assert np.allclose(mesh.radii, mesh.centers ** (1.0 / self.ALPHA),
+                           rtol=1e-14)
+        # exact weighted volumes: the cell integrals of s^(d_gamma-1)
+        vol = [quad(lambda s: s ** (self.D_GAMMA - 1.0), a, b,
+                    epsabs=0.0, epsrel=1e-13)[0]
+               for a, b in zip(mesh.edges[:-1], mesh.edges[1:])]
+        assert np.allclose(mesh.vol_w, vol, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("kwargs", [{"n_cells": 0}, {"n_cells": 7},
                                         {"n_cells": 8}, {"r_out": 0.0},
@@ -400,9 +440,15 @@ class TestMesh:
             FlowMesh.graded(3, 0.0, **({"n_cells": 100, "r_out": 20.0} | kwargs))
 
     def test_mesh_constants(self):
+        # the potential r^(2-gamma) is s^2, whose drift 2 s is largest at
+        # s_out: the cap is 50 times 2 s_out; the measure carries
+        # |S^2| / alpha and the face areas alpha^2
         mesh = FlowMesh.graded(3, 0.5, n_cells=100, r_out=20.0)
-        assert np.array_equal(mesh.potential, mesh.centers ** 1.5)
-        assert mesh.cap == pytest.approx(50.0 * 1.5 * 20.0 ** 0.5, rel=1e-14)
+        assert np.array_equal(mesh.potential, mesh.centers ** 2)
+        assert mesh.cap == pytest.approx(100.0 * 20.0 ** self.ALPHA, rel=1e-14)
+        assert mesh.area == pytest.approx(sphere_area(3) / self.ALPHA, rel=1e-15)
+        assert np.allclose(mesh.face_area, self.ALPHA ** 2 * mesh.edges[1:-1]
+                           ** (self.D_GAMMA - 1.0), rtol=1e-14, atol=0.0)
 
     def test_graded_mesh_smallest(self):
         mesh = FlowMesh.graded(3, 0.0, n_cells=9, r_out=20.0)
