@@ -17,7 +17,8 @@ the ground state.
 import numpy as np
 
 from cknlab import derive, validate, w_gamma_star
-from cknlab.shooting import find_ground_state, integrate_ode, to_flat_variables
+from cknlab.params import to_flat_variables
+from cknlab.shooting import find_ground_state, integrate_ode
 
 pp = validate(3, 0.5, 2.0)
 ex = derive(pp)

@@ -12,7 +12,7 @@ the energy constant obeys the dilation relation J = kappa C*^(-2 p theta).
 import time
 
 from cknlab import validate
-from cknlab.minimizer import GridConfig, best_constant_radial, minimize_radial
+from cknlab.minimizer import best_constant_radial, minimize_radial
 from cknlab.profiles import barenblatt_mass
 
 for d, g, p in [(3, 0.0, 2.0), (3, 0.5, 2.0)]:
@@ -23,7 +23,7 @@ for d, g, p in [(3, 0.0, 2.0), (3, 0.5, 2.0)]:
     print(f"  closed-form energy constant J = {J_closed:.10f}")
     for start in ("warm", "cold"):
         t0 = time.time()
-        rep = minimize_radial(pp, GridConfig(n=1024), start=start)
+        rep = minimize_radial(pp, 1024, start=start)
         dt = time.time() - t0
         rel_q = abs(rep.best_quotient - 1.0 / c_star) * c_star
         rel_j = abs(rep.J - J_closed) / J_closed
@@ -37,5 +37,5 @@ print("== mass independence of J ==")
 pp = validate(3, 0.5, 2.0)
 M = barenblatt_mass(pp)
 for mass in (M, 2.0 * M):
-    rep = minimize_radial(pp, GridConfig(n=512), mass=mass)
+    rep = minimize_radial(pp, 512, mass=mass)
     print(f"  mass {mass:10.4f}: J = {rep.J:.10f}")

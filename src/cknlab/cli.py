@@ -21,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .errors import CknError, ParameterError
-from .params import check_radial_bounds, derive, kappa, validate
+from .params import (check_radial_bounds, derive, kappa, to_flat_variables,
+                     validate)
 
 SCHEMA = "ckn/1"
 
@@ -122,7 +123,7 @@ def _cmd_profile(args) -> None:
 
 
 def _cmd_shoot(args) -> None:
-    from .shooting import find_ground_state, to_flat_variables
+    from .shooting import find_ground_state
 
     pp = validate(args.d, args.gamma, args.p)
     d_gamma, log_c_map = to_flat_variables(pp)
@@ -143,11 +144,11 @@ def _cmd_shoot(args) -> None:
 
 
 def _cmd_minimize(args) -> None:
-    from .minimizer import GridConfig, best_constant_radial, minimize_radial
+    from .minimizer import best_constant_radial, minimize_radial
 
     pp = validate(args.d, args.gamma, args.p)
-    grid = GridConfig(n=args.grid, r_min=args.r_min, r_max=args.r_max)
-    rep = minimize_radial(pp, grid, solver_tol=args.solver_tol, start=args.start)
+    rep = minimize_radial(pp, args.grid, solver_tol=args.solver_tol,
+                          start=args.start)
     c_star, J_closed = best_constant_radial(pp)
     result = {
         "best_quotient": rep.best_quotient,
@@ -161,13 +162,16 @@ def _cmd_minimize(args) -> None:
         "gradient_norm": rep.gradient_norm,
         "dilation_balance": rep.dilation_balance,
         "err_estimate": rep.err_estimate,
-        "grid_n": grid.n,
+        "grid_n": args.grid,
+        "s_min": rep.s_min,
+        "s_max": rep.s_max,
+        "d_gamma": derive(pp).d_gamma,
     }
     if args.format == "json":
         _emit_json(args, result)
     else:
         header = ["d", "gamma", "p", "CStar", "J", "gridN", "errEst"]
-        row = [pp.d, pp.gamma, pp.p, c_star, rep.J, grid.n, rep.err_estimate]
+        row = [pp.d, pp.gamma, pp.p, c_star, rep.J, args.grid, rep.err_estimate]
         _emit_csv(args, header, [row], result_meta=result)
 
 
@@ -205,10 +209,12 @@ def _cmd_flow(args) -> None:
             raise ParameterError(f"cannot read initial datum: {exc}") from exc
     else:
         base = stationary_profile(args.m, args.gamma, args.d, args.mass)
+        alpha = 1.0 - args.gamma / 2.0
 
+        # cos(alpha log r) = cos(log s): smooth in the flow's variable s = r^alpha
         def datum(r):
             return base(r) * (1.0 + args.amplitude *
-                              np.cos(np.log(np.maximum(r, 1e-12))))
+                              np.cos(alpha * np.log(np.maximum(r, 1e-12))))
 
     series = run_decay(datum, args.m, args.gamma, T=args.T, d=args.d,
                        n_cells=args.cells, r_out=args.r_out,
@@ -359,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("minimize", help="radial best constant by descent")
     _add_common(sp)
     sp.add_argument("--grid", type=int, default=1024)
-    sp.add_argument("--r-min", type=float, default=1e-3)
-    sp.add_argument("--r-max", type=float, default=1e3)
     sp.add_argument("--solver-tol", type=float, default=1e-4)
     sp.add_argument("--start", choices=("warm", "cold"), default="warm")
     sp.set_defaults(func=_cmd_minimize)

@@ -1,15 +1,26 @@
-"""Radial best constants by direct constrained minimization on a graded grid.
+"""Radial best constants by direct constrained minimization in the flat variable.
 
 The energy G[w] = 0.5 |grad w|^2 + (p+1)^(-1) |w|_(p+1,gamma)^(p+1) is
-minimized over nonnegative grid profiles with the weighted L^(2p) mass held
-fixed.  The mass constraint is a pure power of a norm, so every iterate is
-rescaled to the exact mass.  The Hessian of the Lagrangian is tridiagonal, so
-each level of a coarse-to-fine ladder is solved by damped Newton on its
-bordered (KKT) system, one banded solve per step.
+minimized over nonnegative radial profiles with the weighted L^(2p) mass held
+fixed.  The solver works in s = (r/c_map)^alpha, alpha = (2-gamma)/2,
+c_map = alpha^(1/alpha), the map of shooting and the sector spectra.  There
+every weight gamma is the gamma = 0 problem in the real dimension
+d_gamma = 2(d-gamma)/(2-gamma) (Bonforte-Dolbeault-Muratori-Nazaret, KRM 10,
+2017): X = |w'|_2^2, Y = |w|_(p+1,gamma)^(p+1) and the mass are
+K = |S^(d-1)| alpha^(d_gamma-1) times their integrals against
+s^(d_gamma-1) ds, and the exponents of the quotient and of J are the same for
+both triples, so every result maps back by K.
 
-Discrete functionals use piecewise-linear gradients with exact cell moments of
-the power weights, which keeps the discretization bias of the quotient at the
-minimizer far below the solver tolerances.
+The flat problem is normalized at the unit-peak optimizer
+u(s) = (1 + s^2/a)^(-1/(p-1)), a the flat a_gamma, dilated to a given mass,
+so no amplitude a^(1/(p-1)) is formed.  Its geometric grid ends where the
+integrands of X, Y and the mass of that candidate shed TAIL_SHARE each.  The
+mass constraint is a pure power of a norm, so every iterate is rescaled to
+the exact mass.  The Hessian of the Lagrangian is tridiagonal, so each level
+of a coarse-to-fine ladder is solved by damped Newton on its bordered (KKT)
+system, one banded solve per step.  Piecewise-linear gradients with exact
+cell moments of the measure keep the discretization bias of the quotient far
+below the solver tolerances.
 """
 
 from __future__ import annotations
@@ -19,18 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.special import betaincinv, betaln
 
-from .errors import GridTooCoarse, NoDescent, ParameterError
-from .params import (ProblemParams, check_radial_bounds, derive, kappa,
-                     scaling_exponents)
-from .profiles import (AnalyticProfile, RadialProfile, barenblatt_mass,
-                       dilate_to_mass, w_gamma_star, w_star)
+from .errors import AmplitudeOverflow, GridTooCoarse, NoDescent, ParameterError
+from .params import (ProblemParams, derive, kappa, scaling_exponents,
+                     to_flat_variables)
+from .profiles import AnalyticProfile, RadialProfile, w_star
 from .quadrature import sphere_area
 
 __all__ = [
-    "GridConfig",
     "MinimizationReport",
-    "discretize",
     "minimize_radial",
     "best_constant_radial",
     "hs_upper_bound",
@@ -42,6 +51,9 @@ __all__ = [
 #: discretization error; it stays below 1e-4 wherever the grid holds the
 #: profile's transition and reaches 1e-2 where the domain truncates it.
 DILATION_BALANCE_MAX = 1e-3
+
+#: Share of each of X, Y and the mass of the candidate beyond either grid end.
+TAIL_SHARE = 1e-10
 
 #: Damped Newton on each ladder level.  The Levenberg weight starts at
 #: NEWTON_LAM_START: with 1e-6 the first cold-start steps at (4, 1.5, 1.1)
@@ -57,18 +69,6 @@ NEWTON_ENERGY_RTOL = 1e-15
 NEWTON_STEP_RTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    n: int = 1024
-    r_min: float = 1e-3
-    r_max: float = 1e3
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ParameterError(f"a grid needs at least 2 nodes, got n={self.n}")
-        check_radial_bounds(self.r_min, self.r_max)
-
-
 @dataclass
 class MinimizationReport:
     best_quotient: float
@@ -79,30 +79,76 @@ class MinimizationReport:
     J: float
     mass: float
     dilation_balance: float
-    grid: GridConfig
     err_estimate: float
+    s_min: float
+    s_max: float
+
+
+class _Flat:
+    """The flat problem at a mass in r (None: unit peak), computed in logs.
+
+    Its candidate amp (1 + (s/scale)^2)^(-k), k = 1/(p-1), is the optimizer of
+    that mass.  Its measure is (s/scale)^(d_gamma-1) ds, whose powers stay in
+    the float range, so K = |S^(d-1)| (alpha scale)^(d_gamma-1).
+    """
+
+    def __init__(self, params: ProblemParams, mass: float | None):
+        d_g, p = derive(params).d_gamma, params.p
+        self.d_gamma, self.p, k = d_g, p, 1.0 / (p - 1.0)
+        log_a = math.log(2.0 * (d_g - p * (d_g - 2.0)) * k * k)
+        # K at scale 1, and the integral of u^(2p) s^(d_g-1), u the unit-peak
+        # optimizer (1 + s^2/a)^(-k): a^(d_g/2) int t^(d_g-1) (1 + t^2)^(-2pk)
+        log_k1 = math.log(sphere_area(params.d)) \
+            + (d_g - 1.0) * math.log(1.0 - params.gamma / 2.0)
+        log_u = betaln(0.5 * d_g, 2.0 * p * k - 0.5 * d_g) - math.log(2.0) \
+            + 0.5 * d_g * log_a
+        # the optimizer amp u(s/lam), lam = amp^(-(p-1)/2), has the mass in r
+        # amp^(2p) lam^(d_g) exp(log_k1 + log_u)
+        log_M, log_amp = log_k1 + log_u, 0.0
+        if mass is not None:
+            log_M = math.log(mass)
+            log_amp = (log_M - log_k1 - log_u) / (2.0 * p - 0.5 * d_g * (p - 1.0))
+        log_scale = 0.5 * log_a - 0.5 * (p - 1.0) * log_amp
+        log_K = log_k1 + (d_g - 1.0) * log_scale
+        if max(map(abs, (log_K, log_M, log_M - log_K, log_amp, log_scale))) > 700:
+            raise AmplitudeOverflow(f"the map back to r needs K = exp({log_K:.1f})"
+                                    f" and the mass exp({log_M:.1f})")
+        self.amp, self.scale = math.exp(log_amp), math.exp(log_scale)
+        self.mass, self.K = math.exp(log_M - log_K), math.exp(log_K)
+        # in t = s/scale the integrands of X, Y and the mass are t^(mu-1)
+        # (1 + t^2)^(-q), (mu, q) = (d_g + 2, 2k + 2), (d_g, (p+1) k), (d_g, 2pk):
+        # with x = t^2/(1 + t^2), the share below t is I_x(mu/2, q - mu/2)
+        half = 0.5 * d_g + np.array([1.0, 0.0, 0.0])
+        rest = np.array([2.0 * k + 2.0, (p + 1.0) * k, 2.0 * p * k]) - half
+        lo = betaincinv(half, rest, TAIL_SHARE).min()  # x at the inner end
+        hi = betaincinv(rest, half, TAIL_SHARE).min()  # 1 - x at the outer end
+        self.s_min = self.scale * math.sqrt(lo / (1.0 - lo))
+        self.s_max = self.scale * math.sqrt((1.0 - hi) / hi)
+
+    def candidate(self, s: np.ndarray) -> np.ndarray:
+        return self.amp * np.exp(-np.log1p((s / self.scale) ** 2)
+                                 / (self.p - 1.0))
 
 
 class _Discretization:
-    """Grid, lumped weighted masses and gradient weights for one parameter set."""
+    """n geometric nodes on [s_min, s_max], lumped masses, gradient weights.
 
-    def __init__(self, params: ProblemParams, grid: GridConfig):
-        d, g = params.d, params.gamma
-        self.params = params
-        self.grid = grid
-        self.r = np.geomspace(grid.r_min, grid.r_max, grid.n)
-        area = sphere_area(d)
-        edges = np.concatenate([[grid.r_min],
-                               0.5 * (self.r[1:] + self.r[:-1]),
-                               [grid.r_max]])
-        wexp = d - g
-        m = (edges[1:] ** wexp - edges[:-1] ** wexp) / wexp
-        m[0] += grid.r_min**wexp / wexp  # constant-value closure down to r = 0
-        self.m = area * m
-        cell = (self.r[1:] ** d - self.r[:-1] ** d) / d
-        self.c = area * cell / (self.r[1:] - self.r[:-1]) ** 2
-        self.c_full = np.zeros(grid.n)  # diagonal of the stiffness matrix
-        self.c_full[:-1] += self.c
+    A profile is constant below s_min and falls linearly from its last node
+    to 0 at the next geometric node, so the discrete problem restricts the
+    one on the whole line; the constant profile is no competitor.
+    """
+
+    def __init__(self, flat: _Flat, n: int):
+        self.flat, self.p = flat, flat.p
+        self.s = np.geomspace(flat.s_min, flat.s_max, n)
+        d_g, t = flat.d_gamma, self.s / flat.scale
+        # the first cell reaches down to s = 0: a constant-value closure
+        edges = np.concatenate([[0.0], 0.5 * (t[1:] + t[:-1]), [t[-1]]])
+        self.m = flat.scale * np.diff(edges**d_g) / d_g
+        nodes = np.append(t, t[-1] ** 2 / t[-2])
+        c = np.diff(nodes**d_g) / d_g / (flat.scale * np.diff(nodes) ** 2)
+        self.c, self.c_end = c[:-1], c[-1]  # cells, and the fall to 0
+        self.c_full = c.copy()  # diagonal of the stiffness matrix
         self.c_full[1:] += self.c
 
     def stiffness_apply(self, w: np.ndarray) -> np.ndarray:
@@ -110,24 +156,16 @@ class _Discretization:
         out = np.zeros_like(w)
         out[:-1] -= self.c * dw
         out[1:] += self.c * dw
+        out[-1] += self.c_end * w[-1]
         return 2.0 * out
 
-    def functionals(self, w: np.ndarray, p: float):
-        X = float(np.sum(self.c * (w[1:] - w[:-1]) ** 2))
+    def functionals(self, w: np.ndarray):
+        p = self.p
+        X = float(np.sum(self.c * (w[1:] - w[:-1]) ** 2)
+                  + self.c_end * w[-1] ** 2)
         Y = float(np.sum(self.m * np.abs(w) ** (p + 1)))
         mass = float(np.sum(self.m * np.abs(w) ** (2 * p)))
         return X, Y, mass
-
-    def rescaled(self, w: np.ndarray, target_mass: float):
-        """(t, t^2 X, t^(p+1) Y, mass(w)) with t = (M / mass(w))^(1/(2p))."""
-        p = self.params.p
-        X, Y, mass = self.functionals(w, p)
-        t = (target_mass / mass) ** (1.0 / (2.0 * p)) if mass > 0.0 else math.inf
-        return t, t * t * X, t ** (p + 1) * Y, mass
-
-
-def discretize(params: ProblemParams, grid: GridConfig) -> _Discretization:
-    return _Discretization(params, grid)
 
 
 def _quotient(params: ProblemParams, X: float, Y: float, mass: float) -> float:
@@ -141,10 +179,12 @@ def _quotient(params: ProblemParams, X: float, Y: float, mass: float) -> float:
 def _at_mass(disc: _Discretization, w: np.ndarray, target_mass: float):
     """The mass-rescaled profile t w and its energy 0.5 X + Y/(p+1), with
     t = (M / mass(w))^(1/(2p)); the energy is inf if w has no mass."""
-    t, Xh, Yh, mass = disc.rescaled(w, target_mass)
+    p = disc.p
+    X, Y, mass = disc.functionals(w)
     if mass <= 0.0:
         return w, math.inf
-    return t * w, 0.5 * Xh + Yh / (disc.params.p + 1.0)
+    t = (target_mass / mass) ** (1.0 / (2.0 * p))
+    return t * w, 0.5 * t * t * X + t ** (p + 1) * Y / (p + 1.0)
 
 
 def _kkt(disc: _Discretization, w: np.ndarray, target_mass: float):
@@ -154,8 +194,8 @@ def _kkt(disc: _Discretization, w: np.ndarray, target_mass: float):
     mu = (X + Y)/(2p M) is the multiplier that makes the residual orthogonal
     to w.  The Hessian is tridiagonal: its off-diagonal bands are -disc.c.
     """
-    p, m = disc.params.p, disc.m
-    X, Y, _ = disc.functionals(w, p)
+    p, m = disc.p, disc.m
+    X, Y, _ = disc.functionals(w)
     mu = (X + Y) / (2.0 * p * target_mass)
     wp = w ** (p - 1.0)
     wq = w ** (2.0 * p - 2.0)
@@ -218,8 +258,8 @@ def _solve(disc: _Discretization, start_fn, target_mass: float):
     Each level is one damped Newton solve started from the interpolated
     coarser minimizer, so only the coarsest level sees the start profile.
     """
-    grid = disc.grid
-    sizes = [grid.n, grid.n // 2 + 1]
+    n_fine = disc.s.size
+    sizes = [n_fine, n_fine // 2 + 1]
     while sizes[-1] > 128:
         sizes.append(sizes[-1] // 2 + 1)
     sizes.reverse()
@@ -228,12 +268,11 @@ def _solve(disc: _Discretization, start_fn, target_mass: float):
     level = w = None
     for n in sizes:
         coarse, w_coarse = level, w
-        level = disc if n == grid.n else _Discretization(
-            disc.params, GridConfig(n=n, r_min=grid.r_min, r_max=grid.r_max))
+        level = disc if n == n_fine else _Discretization(disc.flat, n)
         if w is None:
-            w0 = np.asarray(start_fn(level.r), dtype=float)
+            w0 = np.asarray(start_fn(level.s), dtype=float)
         else:
-            w0 = np.interp(np.log(level.r), np.log(coarse.r), w)
+            w0 = np.interp(np.log(level.s), np.log(coarse.s), w)
         w, nit = _newton(level, w0, target_mass)
         total_it += nit
     _, G_coarse = _at_mass(coarse, w_coarse, target_mass)
@@ -247,26 +286,27 @@ def _solve(disc: _Discretization, start_fn, target_mass: float):
     return w, G, float(np.max(np.abs(pg))), total_it, G_coarse
 
 
-def minimize_radial(params: ProblemParams, grid: GridConfig | None = None,
+def minimize_radial(params: ProblemParams, n: int = 1024,
                     solver_tol: float = 1e-4, mass: float | None = None,
                     start: str = "warm") -> MinimizationReport:
     """Minimize the constrained energy over nonnegative radial grid profiles.
 
-    start: 'warm' begins at 1.2 x the explicit optimizer, 'cold' at a Gaussian
-    bump; both must reach the same minimum.  The report carries the quotient
-    at the discrete minimizer, the quotient at the grid-sampled explicit
-    optimizer as reference, and a two-grid Richardson error estimate; its
-    coarse grid is the ladder's second-finest level (n//2 + 1 nodes).
+    The flat problem is solved on n nodes at the mass in r ``mass``, by
+    default the unit-peak optimizer's.  start: 'warm' begins at 1.2 x the
+    candidate, 'cold' at a Gaussian bump; both must reach the same minimum.
+    The report carries, in r, the quotient at the discrete minimizer, the
+    quotient at the grid-sampled candidate as reference and a two-grid
+    Richardson error estimate, whose coarse grid is the ladder's
+    second-finest level (n//2 + 1 nodes); s_min and s_max are the grid ends.
 
     Two guards turn a wrong minimum into GridTooCoarse: the Richardson
     estimate must stay within solver_tol * J, and |dilation_balance| within
     DILATION_BALANCE_MAX.  The second catches a domain that truncates the
     profile's transition, which both Richardson grids share.
     """
-    grid = grid or GridConfig()
-    if grid.n < 3:
+    if n < 3:
         raise ParameterError(f"grid n must be >= 3 so that the coarse level "
-                             f"n//2 + 1 is coarser, got n={grid.n}")
+                             f"n//2 + 1 is coarser, got n={n}")
     if not 0.0 < solver_tol < math.inf:
         raise ParameterError(f"solver_tol must be finite and > 0, "
                              f"got {solver_tol}")
@@ -274,39 +314,35 @@ def minimize_radial(params: ProblemParams, grid: GridConfig | None = None,
         raise ParameterError(f"mass must be finite and > 0, got {mass}")
     if start not in ("warm", "cold"):
         raise ParameterError(f"start must be 'warm' or 'cold', got {start!r}")
-    ex = derive(params)
-    p = params.p
-    disc = discretize(params, grid)
-    target_mass = barenblatt_mass(params) if mass is None else mass
+    p, theta = params.p, derive(params).theta_gamma
+    flat = _Flat(params, mass)
+    disc, K, M = _Discretization(flat, n), flat.K, flat.mass
 
-    wg = w_gamma_star(params)
     if start == "warm":
-        start_fn = lambda r: 1.2 * wg(r)  # noqa: E731
+        start_fn = lambda s: 1.2 * flat.candidate(s)  # noqa: E731
     else:
-        start_fn = lambda r: np.exp(-(r**2))  # noqa: E731
+        start_fn = lambda s: np.exp(-((s / flat.scale) ** 2))  # noqa: E731
 
-    w_hat, G, pgnorm, nit, G_c = _solve(disc, start_fn, target_mass)
+    w_hat, G, pgnorm, nit, G_c = _solve(disc, start_fn, M)
 
-    X, Y, mass_h = disc.functionals(w_hat, p)
-    quot = _quotient(params, X, Y, mass_h)
+    X, Y, mass_h = disc.functionals(w_hat)
+    quot = _quotient(params, K * X, K * Y, K * mass_h)
 
-    # reference candidate: the explicit optimizer dilated to the same mass,
-    # evaluated with the same discrete functionals
-    cand = dilate_to_mass(params, target_mass)(disc.r)
-    _, Xc, Yc, _ = disc.rescaled(cand, target_mass)
-    G_ref = 0.5 * Xc + Yc / (p + 1)
-    ref_quot = _quotient(params, Xc, Yc, target_mass)
+    # reference: the candidate, evaluated with the same discrete functionals
+    cand, G_ref = _at_mass(disc, flat.candidate(disc.s), M)
+    Xc, Yc, _ = disc.functionals(cand)
+    ref_quot = _quotient(params, K * Xc, K * Yc, K * M)
 
     if G > G_ref * (1.0 + 10.0 * solver_tol):
         raise NoDescent(
             f"minimum {G} stalled above the explicit candidate {G_ref}"
         )
 
-    J = G / target_mass**ex.theta_gamma
+    J = K * G / (K * M) ** theta
     A, B = scaling_exponents(params)
     balance = (0.5 * A * X - B * Y / (p + 1)) / G
 
-    J_c = G_c / target_mass**ex.theta_gamma
+    J_c = K * G_c / (K * M) ** theta
     err_est = abs(J - J_c) / 3.0
     if err_est > solver_tol * abs(J):
         raise GridTooCoarse(
@@ -316,19 +352,28 @@ def minimize_radial(params: ProblemParams, grid: GridConfig | None = None,
     if abs(balance) > DILATION_BALANCE_MAX:
         raise GridTooCoarse(
             f"dilation balance {balance:.3e} exceeds {DILATION_BALANCE_MAX:.0e}: "
-            f"the grid [{grid.r_min:g}, {grid.r_max:g}] does not hold the "
-            f"minimizer's profile"
+            f"the grid [{flat.s_min:g}, {flat.s_max:g}] in s does not hold "
+            f"the minimizer's profile"
         )
 
+    # log r = log c_map + log(s)/alpha, as shooting maps back; radii past
+    # the float range are dropped
+    with np.errstate(over="ignore", under="ignore"):
+        radii = np.exp(to_flat_variables(params)[1]
+                       + np.log(disc.s) / (1.0 - params.gamma / 2.0))
+    keep = (radii >= np.finfo(float).tiny) & np.isfinite(radii)
+    if np.count_nonzero(keep) < 2:
+        raise AmplitudeOverflow("the radii of the grid leave the float range")
     profile = RadialProfile(
-        radii=disc.r, values=w_hat,
+        radii=radii[keep], values=w_hat[keep],
         tail_exponent=(2.0 - params.gamma) / (p - 1.0),
-        meta={"start": start, "mass": target_mass},
+        meta={"start": start, "mass": K * M},
     )
     return MinimizationReport(
         best_quotient=quot, best_profile=profile, iterations=nit,
-        gradient_norm=pgnorm, reference=ref_quot, J=J, mass=target_mass,
-        dilation_balance=balance, grid=grid, err_estimate=err_est,
+        gradient_norm=K * pgnorm, reference=ref_quot, J=J, mass=K * M,
+        dilation_balance=balance, err_estimate=err_est, s_min=flat.s_min,
+        s_max=flat.s_max,
     )
 
 

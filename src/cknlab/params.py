@@ -28,6 +28,7 @@ __all__ = [
     "validate_m",
     "check_radial_bounds",
     "derive",
+    "to_flat_variables",
     "mass_from_multiplier",
     "kappa",
     "kappa_numeric",
@@ -155,6 +156,20 @@ def derive(params: ProblemParams) -> DerivedExponents:
         m_c=m_c,
         sphere_area=sphere_area(d),
     )
+
+
+def to_flat_variables(params: ProblemParams) -> tuple[float, float]:
+    """Effective dimension and log radius scale of the flattening map.
+
+    Returns (d_gamma, log_c_map) with r = c_map * s^(2/(2-gamma)), that is
+    log r = log_c_map + (2/(2-gamma)) log s.  The scale itself,
+    c_map = ((2-gamma)/2)^(2/(2-gamma)), underflows to 0 for gamma >= 1.99,
+    so its log is returned.
+    """
+    g = params.gamma
+    d_gamma = derive(params).d_gamma
+    log_c_map = 2.0 / (2.0 - g) * math.log((2.0 - g) / 2.0)
+    return d_gamma, log_c_map
 
 
 def mass_from_multiplier(J: float, p: float, theta_gamma: float) -> float:

@@ -29,13 +29,12 @@ import numpy as np
 from scipy.integrate import ode
 
 from .errors import BracketNotFound, ClassificationAmbiguous, ParameterError
-from .params import ProblemParams, derive
+from .params import ProblemParams, to_flat_variables
 from .profiles import RadialProfile
 
 __all__ = [
     "Classification",
     "ShootingResult",
-    "to_flat_variables",
     "integrate_ode",
     "find_ground_state",
 ]
@@ -61,20 +60,6 @@ class ShootingResult:
     profile: RadialProfile | None
     bisection_history: list = field(default_factory=list)
     bracket: tuple[float, float] | None = None
-
-
-def to_flat_variables(params: ProblemParams) -> tuple[float, float]:
-    """Effective dimension and log radius scale of the flattening map.
-
-    Returns (d_gamma, log_c_map) with r = c_map * s^(2/(2-gamma)), that is
-    log r = log_c_map + (2/(2-gamma)) log s.  The scale itself,
-    c_map = ((2-gamma)/2)^(2/(2-gamma)), underflows to 0 for gamma >= 1.99,
-    so its log is returned.
-    """
-    g = params.gamma
-    d_gamma = derive(params).d_gamma
-    log_c_map = 2.0 / (2.0 - g) * math.log((2.0 - g) / 2.0)
-    return d_gamma, log_c_map
 
 
 def _rhs(d_gamma: float, p: float):

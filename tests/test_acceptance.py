@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 from scipy.special import betaln
 
-from cknlab.minimizer import GridConfig, best_constant_radial, minimize_radial
+from cknlab.minimizer import best_constant_radial, minimize_radial
 from cknlab.params import derive, validate
 from cknlab.profiles import el_residual, w_gamma_star, weighted_norm
 from cknlab.quadrature import sphere_area
@@ -148,9 +148,9 @@ def test_criterion_5_and_6_minimizer_and_kappa_relation():
         pp = validate(d, gamma, p)
         c_star, J_closed = best_constant_radial(pp)
         target = 1.0 / c_star
-        warm = minimize_radial(pp, GridConfig(n=1024), start="warm")
-        cold = minimize_radial(pp, GridConfig(n=1024), start="cold")
-        half = minimize_radial(pp, GridConfig(n=512), start="warm")
+        warm = minimize_radial(pp, 1024, start="warm")
+        cold = minimize_radial(pp, 1024, start="cold")
+        half = minimize_radial(pp, 512, start="warm")
         elapsed = time.time() - t0
         checks.append(("warm lands", abs(warm.best_quotient - target) / target < 1e-4))
         checks.append(("cold lands", abs(cold.best_quotient - target) / target < 1e-4))

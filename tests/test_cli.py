@@ -138,14 +138,28 @@ class TestCompute:
         assert low <= res <= high
 
     def test_flow_rough_datum_at_large_gamma(self, tmp_path):
-        # amplitude 1 takes the datum down to vacuum where cos(log r) = -1;
-        # no face reaches the velocity cap, so dF/dt = -I holds
+        # amplitude 1 takes the datum down to vacuum where cos(alpha log r)
+        # = -1; no face reaches the velocity cap, so dF/dt = -I holds
         out = tmp_path / "f.json"
         assert main(["flow", "--d", "3", "--gamma", "1.8", "--m", "0.95",
                      "--T", "50", "--amplitude", "1.0", "--format", "json",
                      "--out", str(out)]) == 0
         res = json.loads(out.read_text())["result"]["max_identity_residual"]
         assert res < 0.05
+
+    def test_flow_fitted_rate_at_large_gamma(self, tmp_path):
+        # the default datum 1 + 0.1 cos(alpha log r) is smooth in s = r^alpha,
+        # so the fit reads the closed-form radial rate
+        # (2-gamma)^2 (2 + d_gamma (m-1)) = 0.056 at (3, 1.8, 0.95), with
+        # d_gamma = 12, inside criterion 8's window [0.95, 1.10] x pred
+        out = tmp_path / "f.json"
+        assert main(["flow", "--d", "3", "--gamma", "1.8", "--m", "0.95",
+                     "--T", "200", "--cells", "400", "--format", "json",
+                     "--out", str(out)]) == 0
+        rate = json.loads(out.read_text())["result"]["fitted_rate"]
+        d_gamma = 2.0 * (3.0 - 1.8) / (2.0 - 1.8)
+        pred = (2.0 - 1.8) ** 2 * (2.0 + d_gamma * (0.95 - 1.0))
+        assert 0.95 * pred <= rate <= 1.10 * pred
 
     def test_flow_csv_decay(self, tmp_path):
         out = tmp_path / "f.csv"
@@ -250,12 +264,21 @@ class TestExitCodes:
         assert "m must lie in the open interval (0.6666666666666666, 1)" in err
         assert "got 0.55" in err
 
-    @pytest.mark.parametrize("sub", ["spectrum", "sweep", "profile", "minimize"])
+    @pytest.mark.parametrize("sub", ["spectrum", "sweep", "profile"])
     @pytest.mark.parametrize("bounds", [["--r-min", "0"], ["--r-min", "-1"],
                                         ["--r-min", "10", "--r-max", "1"]])
     def test_radial_bounds_rejected(self, sub, bounds, capsys):
         assert main([sub, *bounds]) == 2
         assert "0 < r_min < r_max < inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bounds", [["--r-min", "0"], ["--r-min", "-1"],
+                                        ["--r-min", "10", "--r-max", "1"]])
+    def test_minimize_bound_flags_removed(self, bounds):
+        # the minimizer sizes its own grid; argparse rejects the old flags
+        # with SystemExit(2)
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", *bounds])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("args", [["--grid", "0"], ["--grid", "1"],
                                       ["--grid", "2"], ["--solver-tol", "-1"],
@@ -272,11 +295,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("gamma, p", [("1.5", "1.49"), ("1.9", "1.05"),
                                           ("1.2", "1.7")])
-    def test_minimize_truncated_profile_fails(self, gamma, p, capsys):
-        # [1e-3, 1e3] truncates these minimizers; the dilation-balance guard
-        # turns the wrong quotient into a numerical failure
-        assert main(["minimize", "--d", "3", "--gamma", gamma, "--p", p]) == 3
-        assert "GridTooCoarse: dilation balance" in capsys.readouterr().err
+    def test_minimize_formerly_truncated_profile_solves(self, gamma, p, capsys):
+        # the fixed r-grid [1e-3, 1e3] truncated these minimizers; the grid
+        # in s holds them
+        assert main(["minimize", "--d", "3", "--gamma", gamma, "--p", p]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["best_quotient"] == pytest.approx(
+            result["closed_form_quotient"], rel=1e-4)
+        assert result["s_min"] < result["s_max"]
+        assert result["d_gamma"] == pytest.approx(
+            2.0 * (3.0 - float(gamma)) / (2.0 - float(gamma)), rel=1e-15)
 
     @pytest.mark.parametrize("args", [["--record-every", "0"], ["--T", "0"],
                                       ["--T", "-1"], ["--r-out", "0"],

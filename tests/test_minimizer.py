@@ -5,18 +5,24 @@ import pytest
 from scipy.special import betaln
 
 import cknlab.minimizer as minimizer_module
-from cknlab.errors import GridTooCoarse, ParameterError
-from cknlab.minimizer import (GridConfig, _at_mass, _kkt, _newton,
-                              best_constant_radial, critical_constant, discretize,
+from cknlab.errors import CknError, GridTooCoarse, ParameterError
+from cknlab.minimizer import (_at_mass, _Discretization, _Flat, _kkt, _newton,
+                              best_constant_radial, critical_constant,
                               hs_upper_bound, minimize_radial)
 from cknlab.params import kappa, validate
-from cknlab.profiles import barenblatt_mass, dilate_to_mass, w_gamma_star
+from cknlab.profiles import barenblatt_mass, dilate_to_mass
 from cknlab.quadrature import sphere_area
 
 # an overflowing Newton iterate, or 0 ** negative, fails the suite
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
-GRID = GridConfig(n=512)
+N = 512
+
+
+def flat_discretization(pp, n):
+    """The flat problem of pp at its default mass, on its own n-node grid."""
+    flat = _Flat(pp, None)
+    return flat, _Discretization(flat, n)
 
 
 class TestBestConstant:
@@ -84,44 +90,61 @@ class TestMinimizeRadial:
     def test_lands_on_explicit_optimizer(self, d, gamma, p):
         pp = validate(d, gamma, p)
         c_star, _ = best_constant_radial(pp)
-        rep = minimize_radial(pp, GRID)
+        rep = minimize_radial(pp, N)
         assert rep.best_quotient == pytest.approx(1.0 / c_star, rel=1e-4)
 
     def test_two_seed_agreement(self):
         pp = validate(3, 0.0, 2.0)
-        warm = minimize_radial(pp, GRID, start="warm")
-        cold = minimize_radial(pp, GRID, start="cold")
+        warm = minimize_radial(pp, N, start="warm")
+        cold = minimize_radial(pp, N, start="cold")
         assert cold.best_quotient == pytest.approx(warm.best_quotient, rel=1e-4)
 
     def test_profile_matches_mass_matched_dilate(self):
         pp = validate(3, 0.5, 2.0)
-        rep = minimize_radial(pp, GRID)
+        rep = minimize_radial(pp, N)
         cand = dilate_to_mass(pp, rep.mass)(rep.best_profile.radii)
         dev = np.max(np.abs(rep.best_profile.values - cand)) / np.max(cand)
         assert dev < 1e-3
 
     def test_never_beats_reference_beyond_tolerance(self):
         pp = validate(3, 0.0, 2.0)
-        rep = minimize_radial(pp, GRID)
+        rep = minimize_radial(pp, N)
         assert rep.best_quotient <= rep.reference + 1e-4
 
     def test_J_independent_of_mass(self):
         pp = validate(3, 0.0, 2.0)
         M = barenblatt_mass(pp)
-        rep1 = minimize_radial(pp, GRID, mass=M)
-        rep2 = minimize_radial(pp, GRID, mass=2.0 * M)
+        rep1 = minimize_radial(pp, N, mass=M)
+        rep2 = minimize_radial(pp, N, mass=2.0 * M)
         assert rep2.J == pytest.approx(rep1.J, rel=1e-5)
 
     def test_mass_constraint_exact(self):
         pp = validate(3, 0.5, 2.0)
-        rep = minimize_radial(pp, GRID)
-        disc = discretize(pp, GRID)
-        _, _, mass = disc.functionals(rep.best_profile.values, pp.p)
-        assert abs(mass - rep.mass) / rep.mass < 1e-12
+        rep = minimize_radial(pp, N)
+        flat, disc = flat_discretization(pp, N)
+        assert (rep.s_min, rep.s_max) == (disc.s[0], disc.s[-1])
+        _, _, mass = disc.functionals(rep.best_profile.values)
+        assert abs(flat.K * mass - rep.mass) / rep.mass < 1e-12
+
+    @pytest.mark.parametrize("d,gamma,p", [(3, 0.0, 2.0), (3, 0.5, 2.0),
+                                           (4, 1.5, 1.1), (5, 1.0, 1.3)])
+    def test_default_mass_is_the_unit_peak_members(self, d, gamma, p):
+        # the unit-peak optimizer in r is (1 + r^(2-gamma)/B)^(-1/(p-1)),
+        # B = a alpha^2 with a the flat a_gamma: its mass in r is a Beta
+        # integral, independent of the flat map K
+        pp = validate(d, gamma, p)
+        alpha, k = 1.0 - gamma / 2.0, 1.0 / (p - 1.0)
+        d_g = (d - gamma) / alpha
+        big_b = 2.0 * (d_g - p * (d_g - 2.0)) / (p - 1.0) ** 2 * alpha**2
+        mass = sphere_area(d) * big_b ** (2.0 * p * k) * beta_oracle(
+            d - gamma, big_b, 2.0 - gamma, 2.0 * p * k)
+        flat = _Flat(pp, None)
+        assert flat.K * flat.mass == pytest.approx(mass, rel=1e-12)
+        assert flat.amp == 1.0
 
     def test_dilation_balance_vanishes(self):
         pp = validate(3, 0.0, 2.0)
-        rep = minimize_radial(pp, GRID)
+        rep = minimize_radial(pp, N)
         assert abs(rep.dilation_balance) < 1e-6
 
     def test_descent_monotone_across_iterations(self, monkeypatch):
@@ -129,9 +152,9 @@ class TestMinimizeRadial:
         # energy, and the last one is stationary.  Every accepted iterate but
         # the last goes through _kkt, which builds the next step
         pp = validate(3, 0.0, 2.0)
-        disc = discretize(pp, GridConfig(n=200))
-        M = barenblatt_mass(pp)
-        w0 = w_gamma_star(pp)(disc.r) * (1.0 + 0.3 * np.sin(np.log(disc.r)))
+        flat, disc = flat_discretization(pp, 200)
+        M = flat.mass
+        w0 = flat.candidate(disc.s) * (1.0 + 0.3 * np.sin(np.log(disc.s)))
         iterates = []
 
         def recording(level, w, target_mass):
@@ -148,7 +171,7 @@ class TestMinimizeRadial:
 
     def test_richardson_estimate_reported(self):
         pp = validate(3, 0.0, 2.0)
-        rep = minimize_radial(pp, GRID)
+        rep = minimize_radial(pp, N)
         assert isinstance(rep.err_estimate, float)
         assert rep.err_estimate < 1e-4 * rep.J
 
@@ -167,7 +190,7 @@ class TestMinimizeRadial:
 
         monkeypatch.setattr(minimizer_module, "_newton", counting)
         # tolerance loose enough for the 100-node grid's Richardson guard
-        minimize_radial(validate(3, 0.15, 2.0), GridConfig(n=n), solver_tol=1e-3)
+        minimize_radial(validate(3, 0.15, 2.0), n, solver_tol=1e-3)
         assert calls == sizes
 
     @pytest.mark.parametrize("d, gamma, p", [(3, 0.0, 2.0), (5, 1.0, 1.3),
@@ -177,8 +200,8 @@ class TestMinimizeRadial:
         # little damping, the cold start at (4, 1.5, 1.1) settles on the
         # constant profile, a local minimum of the discrete problem
         pp = validate(d, gamma, p)
-        warm = minimize_radial(pp, GridConfig(n=1024), start="warm")
-        cold = minimize_radial(pp, GridConfig(n=1024), start="cold")
+        warm = minimize_radial(pp, 1024, start="warm")
+        cold = minimize_radial(pp, 1024, start="cold")
         assert cold.best_quotient == pytest.approx(warm.best_quotient, rel=1e-9)
         assert warm.gradient_norm <= 1e-8
         assert cold.gradient_norm <= 1e-8
@@ -189,56 +212,96 @@ class TestMinimizeRadial:
                                         {"start": "hot"}])
     def test_bad_input_raises_parameter_error(self, kwargs):
         with pytest.raises(ParameterError):
-            minimize_radial(validate(3, 0.0, 2.0), GRID, **kwargs)
+            minimize_radial(validate(3, 0.0, 2.0), N, **kwargs)
 
     @pytest.mark.parametrize("d, gamma, p", [(3, 1.5, 1.49), (3, 1.9, 1.05),
                                              (3, 1.2, 1.7)])
-    def test_dilation_balance_guard(self, d, gamma, p):
-        # on [1e-3, 1e3] these profiles' transitions are truncated: the
-        # quotient is off the closed form by +3.3%, -99.7% and +0.28%, which
-        # the Richardson pair cannot see; the dilation balance does
+    def test_dilation_balance_guard(self, d, gamma, p, monkeypatch):
+        # a window that sheds 3% of X, Y and the mass at either end truncates
+        # the profile's transition, which both Richardson grids share; the
+        # dilation balance sees it
+        monkeypatch.setattr(minimizer_module, "TAIL_SHARE", 0.03)
         with pytest.raises(GridTooCoarse, match="dilation balance"):
-            minimize_radial(validate(d, gamma, p), GRID)
+            minimize_radial(validate(d, gamma, p), N)
 
     def test_grid_too_coarse_raises(self):
         pp = validate(3, 0.0, 2.0)
         with pytest.raises(GridTooCoarse):
-            minimize_radial(pp, GridConfig(n=48), solver_tol=1e-9)
+            minimize_radial(pp, 48, solver_tol=1e-9)
+
+    @pytest.mark.parametrize("d, gamma, p", [(3, 1.5, 1.49), (3, 1.8, 1.1),
+                                             (6, 1.5, 1.05), (3, 0.0, 1.02),
+                                             (3, 1.9, 1.05), (3, 1.2, 1.7)])
+    def test_former_defects_solve(self, d, gamma, p):
+        # the fixed r-grid [1e-3, 1e3] truncated the first three and the last
+        # two, and the amplitude a^(1/(p-1)) overflowed at (3, 0, 1.02)
+        rep = minimize_radial(validate(d, gamma, p))
+        assert rep.best_quotient == pytest.approx(
+            oracle_quotient(d, gamma, p), rel=1e-4)
+
+    def test_sweep_lands_or_raises(self):
+        # 140 points over d = 3..6, seven gammas and five p per interval:
+        # each lands on the closed form within solver_tol or raises a named
+        # error, never a silently wrong quotient.  Five points at d_gamma
+        # >= 42 and p near 1 raise GridTooCoarse at n = 1024
+        solved = 0
+        for d in (3, 4, 5, 6):
+            for gamma in (0.0, 0.25, 0.5, 1.0, 1.5, 1.8, 1.9):
+                p_max = (d - gamma) / (d - 2.0)
+                for f in (0.1, 0.3, 0.5, 0.7, 0.9):
+                    p = 1.0 + f * (p_max - 1.0)
+                    try:
+                        rep = minimize_radial(validate(d, gamma, p))
+                    except CknError:
+                        continue
+                    assert rep.best_quotient == pytest.approx(
+                        oracle_quotient(d, gamma, p), rel=1e-4), (d, gamma, p)
+                    solved += 1
+        assert solved >= 135
 
     def test_gradient_matches_finite_differences(self):
         # the KKT residual is the gradient of the Lagrangian
         # 0.5 X + Y/(p+1) - mu mass at its fixed multiplier mu, and its
         # Hessian diagonal the derivative of that gradient; both are checked
-        # by central differences at 10 random coordinates
+        # by central differences at 10 random coordinates.  The profile spans
+        # eight decades, so the Lagrangian is differenced term by term: the
+        # terms a step leaves alone cancel exactly, and a tail node's change
+        # is not lost to the roundoff of the whole sum
         pp = validate(3, 0.5, 2.0)
         p = pp.p
-        disc = discretize(pp, GridConfig(n=256))
-        M = barenblatt_mass(pp)
+        flat, disc = flat_discretization(pp, 256)
+        M = flat.mass
         rng = np.random.default_rng(11)
-        w = w_gamma_star(pp)(disc.r) * (1.0 + 0.1 * rng.standard_normal(disc.r.size))
+        w = flat.candidate(disc.s) * (1.0 + 0.1 * rng.standard_normal(disc.s.size))
         w, _ = _at_mass(disc, np.abs(w) + 1e-8, M)
         resid, _, diag = _kkt(disc, w, M)
-        X, Y, _ = disc.functionals(w, p)
+        X, Y, _ = disc.functionals(w)
         mu = (X + Y) / (2.0 * p * M)
 
-        def lagrangian(v):
-            X, Y, mass = disc.functionals(v, p)
-            return 0.5 * X + Y / (p + 1.0) - mu * mass
+        def lagrangian_terms(v):
+            dv = np.append(np.diff(v), -v[-1])
+            c = np.append(disc.c, disc.c_end)
+            return np.concatenate([0.5 * c * dv**2, disc.m * v ** (p + 1.0)
+                                   / (p + 1.0), -mu * disc.m * v ** (2.0 * p)])
+
+        X, Y, mass = disc.functionals(w)
+        assert np.sum(lagrangian_terms(w)) == pytest.approx(
+            0.5 * X + Y / (p + 1.0) - mu * mass, rel=1e-12)
 
         def gradient(v):
             # the residual at v, taken back to the fixed multiplier mu
-            X, Y, _ = disc.functionals(v, p)
+            X, Y, _ = disc.functionals(v)
             r, g, _ = _kkt(disc, v, M)
             return r + ((X + Y) / (2.0 * p * M) - mu) * g
 
-        for i in rng.choice(disc.r.size, size=10, replace=False):
+        for i in rng.choice(disc.s.size, size=10, replace=False):
             rel_grad, rel_diag = [], []
             for h0 in (1e-6, 3e-7, 1e-7):
-                h = h0 * (1.0 + abs(w[i]))
+                h = h0 * w[i]
                 wp, wm = w.copy(), w.copy()
                 wp[i] += h
                 wm[i] -= h
-                fd = (lagrangian(wp) - lagrangian(wm)) / (2.0 * h)
+                fd = np.sum(lagrangian_terms(wp) - lagrangian_terms(wm)) / (2.0 * h)
                 rel_grad.append(abs(resid[i] - fd) / max(abs(fd), 1e-300))
                 fd = (gradient(wp)[i] - gradient(wm)[i]) / (2.0 * h)
                 rel_diag.append(abs(diag[i] - fd) / max(abs(fd), 1e-300))

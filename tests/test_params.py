@@ -171,8 +171,8 @@ class TestKappa:
 
     def test_kappa_relation_against_minimization(self):
         # kappa C*^(-2p theta) must reproduce the constrained minimum
-        from cknlab.minimizer import GridConfig, best_constant_radial, minimize_radial
+        from cknlab.minimizer import best_constant_radial, minimize_radial
         pp = validate(3, 0.0, 2.0)
         _, J_closed = best_constant_radial(pp)
-        rep = minimize_radial(pp, GridConfig(n=512))
+        rep = minimize_radial(pp, 512)
         assert rep.J == pytest.approx(J_closed, rel=1e-6)

@@ -4,10 +4,10 @@ from scipy.integrate import solve_ivp
 
 from cknlab import shooting
 from cknlab.errors import ClassificationAmbiguous, CknError, ParameterError
-from cknlab.params import derive, validate
+from cknlab.params import derive, to_flat_variables, validate
 from cknlab.profiles import w_gamma_star
 from cknlab.shooting import (Classification, _rhs, find_ground_state,
-                             integrate_ode, to_flat_variables)
+                             integrate_ode)
 
 # an underflowing radius map, or 0 ** negative, fails the suite
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
