@@ -12,19 +12,19 @@ import numpy as np
 
 from cknlab import validate
 from cknlab.spectral import (assemble, gamma_sweep, hardy_poincare_gap,
-                             lowest_eigenvalue, spectral_grid)
+                             lowest_eigenvalue)
 
+# every solve sizes its own grid of n nodes in the flat variable s
 pp = validate(3, 0.0, 2.0)
-grid = spectral_grid(n=2000)
 
 print("== translation zero mode (sector 1, gamma = 0) ==")
-op = assemble(pp, ell=1, grid=grid)
+op = assemble(pp, ell=1, n=2000)
 lam, prof = lowest_eigenvalue(op)
 print(f"  lowest eigenvalue: {lam:+.2e} (exact: 0)")
 
 print("\n== radial sector with the mass direction projected out ==")
 # a radial operator carries its zero-mean constraint in op0.constraints
-op0 = assemble(pp, ell=0, grid=grid)
+op0 = assemble(pp, ell=0, n=2000)
 lam0, _ = lowest_eigenvalue(op0)
 print(f"  lowest constrained eigenvalue: {lam0:.6f} (positive: stable)")
 
@@ -39,7 +39,7 @@ print(f"  correlation of the minimizer with the coordinate function: "
 
 print("\n== sector-one eigenvalue along gamma ==")
 gammas = np.linspace(0.0, 0.1, 11)
-curve = gamma_sweep(3, 2.0, gammas, ell=1, n=1200)
+curve = gamma_sweep(3, 2.0, gammas, ell=1, n=2000)
 for g, lam in curve:
     bar = "#" * int(round(lam / 0.002))
     print(f"  gamma = {g:.2f}: lambda_min = {lam:+.3e} {bar}")

@@ -176,12 +176,14 @@ def _cmd_minimize(args) -> None:
 
 
 def _cmd_spectrum(args) -> None:
-    from .spectral import sector_min, spectral_grid
+    from .spectral import assemble, lowest_eigenvalue
 
     pp = validate(args.d, args.gamma, args.p)
-    lam = sector_min(pp, args.ell, spectral_grid(args.n, args.r_min, args.r_max))
+    op = assemble(pp, args.ell, args.n)
+    lam = lowest_eigenvalue(op)[0]
     result = {"ell": args.ell, "lambda_min": lam, "n": args.n,
-              "r_max": args.r_max, "constrained": args.ell == 0}
+              "s_min": float(op.grid[0]), "s_max": float(op.grid[-1]),
+              "d_gamma": derive(pp).d_gamma, "constrained": args.ell == 0}
     if args.format == "json":
         _emit_json(args, result)
     else:
@@ -290,8 +292,7 @@ def _cmd_sweep(args) -> None:
     if args.gamma_points < 1:
         raise ParameterError(f"--gamma-points must be >= 1, got {args.gamma_points}")
     gammas = np.linspace(args.gamma_start, args.gamma_stop, args.gamma_points)
-    sweep = partial(gamma_sweep, args.d, args.p, ell=args.ell, n=args.n,
-                    r_min=args.r_min, r_max=args.r_max)
+    sweep = partial(gamma_sweep, args.d, args.p, ell=args.ell, n=args.n)
     if args.workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -306,13 +307,13 @@ def _cmd_sweep(args) -> None:
             (outdir / f"gamma_{g:.6f}.json").write_text(_json_text(
                 args, {"gamma": g, "lambda_min": lam, "ell": args.ell,
                        "n": args.n}))
-    rows = [[g, args.ell, lam, args.n, args.r_max] for g, lam in points]
+    rows = [[g, args.ell, lam, args.n] for g, lam in points]
     if args.format == "json":
         _emit_json(args, {"points": [{"gamma": g, "lambda_min": lam}
                                      for g, lam in points],
-                          "ell": args.ell, "n": args.n, "r_max": args.r_max})
+                          "ell": args.ell, "n": args.n})
     else:
-        _emit_csv(args, ["gamma", "ell", "lambdaMin", "gridN", "rMax"], rows)
+        _emit_csv(args, ["gamma", "ell", "lambdaMin", "gridN"], rows)
 
 
 # -- argument plumbing -------------------------------------------------------------
@@ -326,15 +327,6 @@ def _add_common(sp, *, need_p=True):
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--config", type=Path, default=None,
                     help="key=value file; command-line flags take precedence")
-
-
-def _add_s_bounds(sp) -> None:
-    for flag, default, end in (("--r-min", 1e-4, "lower"),
-                               ("--r-max", 1e4, "upper")):
-        sp.add_argument(flag, type=float, default=default, help=(
-            f"{end} end of the grid in the flat variable s; "
-            "log r = log_c_map + (2/(2-gamma)) log s, with the log_c_map "
-            "that `ckn shoot` reports"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--ell", type=int, default=1)
     sp.add_argument("--n", type=int, default=2000)
-    _add_s_bounds(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
     sp = sub.add_parser("flow", help="weighted fast-diffusion decay run")
@@ -405,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gamma-points", type=int, default=20)
     sp.add_argument("--ell", type=int, default=1)
     sp.add_argument("--n", type=int, default=2000)
-    _add_s_bounds(sp)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--per-point-dir", type=Path, default=None,
                     help="also write one JSON file per sweep point here")

@@ -30,12 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import betaincinv, betaln
+from scipy.special import betaln
 
 from .errors import AmplitudeOverflow, GridTooCoarse, NoDescent, ParameterError
 from .params import (ProblemParams, derive, kappa, scaling_exponents,
                      to_flat_variables)
-from .profiles import AnalyticProfile, RadialProfile, w_star
+from .profiles import AnalyticProfile, RadialProfile, tail_bounds, w_star
 from .quadrature import sphere_area
 
 __all__ = [
@@ -51,9 +51,6 @@ __all__ = [
 #: discretization error; it stays below 1e-4 wherever the grid holds the
 #: profile's transition and reaches 1e-2 where the domain truncates it.
 DILATION_BALANCE_MAX = 1e-3
-
-#: Share of each of X, Y and the mass of the candidate beyond either grid end.
-TAIL_SHARE = 1e-10
 
 #: Damped Newton on each ladder level.  The Levenberg weight starts at
 #: NEWTON_LAM_START: with 1e-6 the first cold-start steps at (4, 1.5, 1.1)
@@ -115,15 +112,9 @@ class _Flat:
                                     f" and the mass exp({log_M:.1f})")
         self.amp, self.scale = math.exp(log_amp), math.exp(log_scale)
         self.mass, self.K = math.exp(log_M - log_K), math.exp(log_K)
-        # in t = s/scale the integrands of X, Y and the mass are t^(mu-1)
-        # (1 + t^2)^(-q), (mu, q) = (d_g + 2, 2k + 2), (d_g, (p+1) k), (d_g, 2pk):
-        # with x = t^2/(1 + t^2), the share below t is I_x(mu/2, q - mu/2)
-        half = 0.5 * d_g + np.array([1.0, 0.0, 0.0])
-        rest = np.array([2.0 * k + 2.0, (p + 1.0) * k, 2.0 * p * k]) - half
-        lo = betaincinv(half, rest, TAIL_SHARE).min()  # x at the inner end
-        hi = betaincinv(rest, half, TAIL_SHARE).min()  # 1 - x at the outer end
-        self.s_min = self.scale * math.sqrt(lo / (1.0 - lo))
-        self.s_max = self.scale * math.sqrt((1.0 - hi) / hi)
+        # the integrands of X, Y and the mass of the candidate, in s/scale
+        self.s_min, self.s_max = tail_bounds(self.scale, [
+            (d_g + 2.0, 2.0 * k + 2.0), (d_g, (p + 1.0) * k), (d_g, 2.0 * p * k)])
 
     def candidate(self, s: np.ndarray) -> np.ndarray:
         return self.amp * np.exp(-np.log1p((s / self.scale) ** 2)

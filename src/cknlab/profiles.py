@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 import numpy as np
+from scipy.special import betaincinv
 
 from . import quadrature as quad
 from .errors import (AmplitudeOverflow, DivergentNorm, ParameterError,
@@ -26,6 +27,7 @@ from .params import ProblemParams, check_radial_bounds, derive
 __all__ = [
     "RadialProfile",
     "AnalyticProfile",
+    "tail_bounds",
     "default_grid",
     "w_star",
     "w_gamma_star",
@@ -228,6 +230,26 @@ class AnalyticProfile:
             c=self.c,
             k=self.k,
         )
+
+
+#: Share of each integrand's integral that a radial grid leaves beyond
+#: either of its ends.
+TAIL_SHARE = 1e-10
+
+
+def tail_bounds(scale: float, pairs) -> tuple[float, float]:
+    """Ends (s_min, s_max) of a radial grid for integrands of the Beta family.
+
+    Each pair (mu, q) names the integrand t^(mu-1) (1 + t^2)^(-q), t = s/scale,
+    with q > mu/2; each one has at most TAIL_SHARE of its integral below s_min
+    and at most TAIL_SHARE above s_max.  With x = t^2/(1 + t^2) the share
+    below t is I_x(mu/2, q - mu/2), the regularized incomplete Beta function.
+    """
+    mu, q = np.asarray(pairs, dtype=float).T
+    half = 0.5 * mu
+    lo = betaincinv(half, q - half, TAIL_SHARE).min()  # x at the inner end
+    hi = betaincinv(q - half, half, TAIL_SHARE).min()  # 1 - x at the outer end
+    return scale * math.sqrt(lo / (1.0 - lo)), scale * math.sqrt((1.0 - hi) / hi)
 
 
 def w_star(params: ProblemParams) -> AnalyticProfile:

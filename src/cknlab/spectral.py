@@ -22,8 +22,13 @@ w^q = exp(q log(a/(b + s^2))/(p-1)), through ``AnalyticProfile.log`` of
 w^(p-1) = a/(b + s^2): none needs the amplitude a^(1/(p-1)), which leaves
 the float range near p = 1, and w^q stays representable in the far tail.
 
-Discretization is piecewise-linear finite elements on a graded grid with
-per-cell Gauss quadrature: the forms stay symmetric and tridiagonal, and the
+Every solve sizes its own geometric grid of n nodes in s: its ends are the
+TAIL_SHARE quantiles (``profiles.tail_bounds``) of the integrands of the
+optimizer and of the sought eigenfunction, at the optimizer's scale sqrt(b).
+The measure is (s/s_c)^(d-1), s_c = sqrt(s_min s_max), which stays in the
+float range in any real dimension d; it scales both forms alike.
+Discretization is piecewise-linear finite elements with per-cell Gauss
+quadrature: the forms stay symmetric and tridiagonal, and the
 discrete eigenvalues are variational upper bounds.  The shift-invert solve
 works on their bands alone: LAPACK's dpttrf factors the positive definite
 tridiagonal A - SHIFT B, dpttrs solves with it, and B is applied by its two
@@ -42,12 +47,13 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .errors import EigenSolverFailure, ParameterError, SingularMass
-from .params import ProblemParams, check_radial_bounds, derive, validate
-from .profiles import AnalyticProfile, RadialProfile
+from .errors import (DimensionTooSmall, EigenSolverFailure, ParameterError,
+                     POutOfRange, SingularMass)
+from .params import ProblemParams, derive, validate
+from .profiles import AnalyticProfile, RadialProfile, tail_bounds
 
-__all__ = ["SectorOperator", "spectral_grid", "assemble", "lowest_eigenvalue",
-           "sector_min", "hardy_poincare_gap", "gamma_sweep"]
+__all__ = ["SectorOperator", "assemble", "lowest_eigenvalue", "sector_min",
+           "hardy_poincare_gap", "gamma_sweep"]
 
 # 4-point Gauss-Legendre on [0, 1]
 _GL_X = 0.5 * (1.0 + np.array([-0.8611363115940526, -0.3399810435848563,
@@ -65,17 +71,19 @@ _GL_HATS = _GL_W[:, None] * np.column_stack(
 # quotient
 SHIFT = -1.0
 
-# smallest grid a sector solve accepts: two nodes per decade of the default
-# eight-decade grid.  Coarser grids leave the profile's transition near s = 1
-# unresolved; at 3 nodes the radial sector at (3, 0, 2) reads 1.4e4 for 0.24
+# smallest grid a sector solve accepts: about two nodes per decade of the
+# seven-decade grid at (3, 0, 2).  Coarser grids leave the profile's
+# transition unresolved: the radial sector there reads 3.8e3 at 3 nodes and
+# 0.69 at 16, for 0.238
 MIN_NODES = 16
 
 
-def spectral_grid(n: int = 1200, r_min: float = 1e-4, r_max: float = 1e4) -> np.ndarray:
-    """Geometric grid of n nodes in the flat variable s, on [r_min, r_max]."""
-    _require_nodes(n)
-    check_radial_bounds(r_min, r_max)
-    return np.geomspace(r_min, r_max, n)
+def _grid(scale: float, pairs, n: int) -> np.ndarray:
+    """n geometric nodes between the tail_bounds of the integrand pairs."""
+    if n < MIN_NODES:
+        raise ParameterError(f"a sector solve needs a grid of at least "
+                             f"{MIN_NODES} nodes, got {n}")
+    return np.geomspace(*tail_bounds(scale, pairs), n)
 
 
 def _tri_mass(r: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
@@ -131,20 +139,21 @@ def _sector_pencils(r: np.ndarray, d: float, ells, rho, omega=None,
                     potential=None, constraint=None) -> list[SectorOperator]:
     """The pencils (A, B) of the module docstring on grid r (its s), one per ell.
 
-    ell may be real.  The weights are callables of r; omega None means 1,
-    potential None means 0.  The ell = 0 operator carries the load vector
-    of the constraint weight (rho, from its own bands, when None), the
-    discrete zero-mean condition int constraint f r^(d-1) dr = 0.  Each band
-    is assembled once for all sectors.  The outer boundary is Dirichlet (its
-    node is dropped), the inner one natural.  Raises ParameterError for
-    grids of fewer than MIN_NODES nodes and for ell < 0.
+    ell >= 0 may be real.  The weights are callables of r; omega None means
+    1, potential None means 0.  The measure is (r/r_c)^(d-1), r_c the
+    geometric centre of the grid, so the centrifugal band carries 1/r_c^2.
+    The ell = 0 operator carries the load vector of the constraint weight
+    (rho, from its own bands, when None), the discrete zero-mean condition
+    int constraint f r^(d-1) dr = 0.  Each band is assembled once for all
+    sectors.  The outer boundary is Dirichlet (its node is dropped), the
+    inner one natural.
     """
-    _require_nodes(r.size)
-    if min(ells) < 0:
-        raise ParameterError(f"sector index ell must be >= 0, got {min(ells)}")
+    r_c = math.sqrt(r[0] * r[-1])
 
     def measured(weight, power):
-        return lambda x: x ** power if weight is None else weight(x) * x ** power
+        if weight is None:
+            return lambda x: (x / r_c) ** power
+        return lambda x: weight(x) * (x / r_c) ** power
 
     diag_a, off_a = _tri_grad(r, measured(omega, d - 1.0))
     if potential is not None:
@@ -161,7 +170,7 @@ def _sector_pencils(r: np.ndarray, d: float, ells, rho, omega=None,
     B = _tri_sparse(diag_b, off_b)
     ops = []
     for ell in ells:
-        diag, off, lam = diag_a, off_a, ell * (ell + d - 2.0)
+        diag, off, lam = diag_a, off_a, ell * (ell + d - 2.0) / (r_c * r_c)
         if ell:
             diag, off = diag + lam * diag_c, off + lam * off_c
         ops.append(SectorOperator(ell=ell, grid=r, mass_matrix=B,
@@ -177,21 +186,38 @@ def _optimizer_power(flat: ProblemParams):
     return lambda q: lambda s: np.exp(q / (flat.p - 1.0) * base.log(s))
 
 
-def assemble(params: ProblemParams, ell: int,
-             grid: np.ndarray | None = None) -> SectorOperator:
-    """Sector-ell operator around the explicit optimizer, on a grid in s.
+def assemble(params: ProblemParams, ell: int, n: int = 2000) -> SectorOperator:
+    """Sector-ell operator around the explicit optimizer, on n nodes in s.
 
-    It is the gamma = 0 operator in the dimension d_gamma at the sector
-    ell/alpha (module docstring); in the radial sector the zero-mean
-    condition weighs f by w^(2p-1).
+    It is the gamma = 0 operator in the dimension D = d_gamma at the sector
+    ell' = ell/alpha (module docstring); in the radial sector the zero-mean
+    condition weighs f by w^(2p-1).  The grid holds the integrands of the
+    optimizer and those of an eigenfunction that goes like s^ell' at 0 and
+    like s^(-nu) at infinity, nu (nu - (D-2)) = p a + ell' (ell' + D - 2),
+    where the potential is p a/s^2 and rho decays faster.  Raises
+    ParameterError for ell < 0 and for n < MIN_NODES.
     """
+    if ell < 0:
+        raise ParameterError(f"sector index ell must be >= 0, got {ell}")
     p, alpha = params.p, 1.0 - params.gamma / 2.0
-    d_gamma = derive(params).d_gamma
-    s = spectral_grid() if grid is None else np.asarray(grid, dtype=float)
-    power = _optimizer_power(ProblemParams(d_gamma, 0.0, p))
+    d_g, ell_f, k = derive(params).d_gamma, ell / alpha, 1.0 / (p - 1.0)
+    flat = ProblemParams(d_g, 0.0, p)
+    ex = derive(flat)
+    half = 0.5 * (d_g - 2.0)
+    nu = half + math.sqrt(half * half + p * ex.a_gamma
+                          + ell_f * (ell_f + d_g - 2.0))
+    # the eigenfunction as t^ell' (1 + t^2)^(-sigma): its B and gradient
+    # integrands, the latter t^(2 ell' + D - 3) near 0, or t^(D+1) if ell' = 0
+    sigma = 0.5 * (nu + ell_f)
+    grad = ((2.0 * ell_f + d_g - 2.0, 2.0 * sigma) if ell_f > 0
+            else (d_g + 2.0, 2.0 * sigma + 2.0))
+    s = _grid(math.sqrt(ex.b_gamma), [
+        (d_g + 2.0, 2.0 * k + 2.0), (d_g, (p + 1.0) * k), (d_g, 2.0 * p * k),
+        (2.0 * ell_f + d_g, 2.0 * sigma + 2.0), grad], n)
+    power = _optimizer_power(flat)
     w_p1, w_2p2 = power(p - 1.0), power(2.0 * p - 2.0)
     (op,) = _sector_pencils(
-        s, d_gamma, [ell / alpha],
+        s, d_g, [ell_f],
         potential=lambda x: p * w_p1(x) - (2.0 * p - 1.0) * w_2p2(x),
         rho=lambda x: (2.0 * p - 1.0) * w_2p2(x),
         constraint=power(2.0 * p - 1.0))
@@ -264,38 +290,51 @@ def lowest_eigenvalue(op: SectorOperator):
                               meta={"ell": op.ell, "eigenvalue": lam})
 
 
-def _require_nodes(count: int) -> None:
-    if count < MIN_NODES:
-        raise ParameterError(
-            f"a sector solve needs a grid of at least {MIN_NODES} nodes, "
-            f"got {count}")
-
-
-def sector_min(params: ProblemParams, ell: int, grid: np.ndarray) -> float:
+def sector_min(params: ProblemParams, ell: int, n: int = 2000) -> float:
     """Lowest eigenvalue of sector ell around the explicit optimizer.
 
     In the radial sector the mass direction is projected out.  Raises
-    ParameterError for grids of fewer than MIN_NODES nodes and for ell < 0.
+    ParameterError for n < MIN_NODES and for ell < 0.
     """
-    return lowest_eigenvalue(assemble(params, ell, grid))[0]
+    return lowest_eigenvalue(assemble(params, ell, n))[0]
 
 
-def hardy_poincare_gap(d: int, p: float, n: int = 2000,
-                       r_min: float = 1e-4, r_max: float = 1e4):
+def _hardy_poincare_pencils(d: float, p: float, n: int) -> list[SectorOperator]:
+    """Sectors 0 and 1 of the Hardy-Poincare quotient on one grid in s.
+
+    One grid serves both, since coordinate_correlation reads sector 0's B.
+    It holds the gradient and B integrands of the coordinate s (sector 1) and
+    of s^2 (sector 0).  d is real: d > 2 and 1 < p < d/(d-2), else
+    ParameterError.
+    """
+    if not d > 2.0:
+        raise DimensionTooSmall(f"d must be > 2, got {d}")
+    if not 1.0 < p < d / (d - 2.0):
+        raise POutOfRange(f"p must lie in the open interval (1, {d / (d - 2.0)}) "
+                          f"= (1, d/(d - 2)) for d={d}; got {p}")
+    flat = ProblemParams(float(d), 0.0, float(p))
+    k = 1.0 / (p - 1.0)
+    s = _grid(math.sqrt(derive(flat).b_gamma), [
+        (d, 2.0 * p * k), (d + 2.0, (3.0 * p - 1.0) * k),
+        (d + 4.0, (3.0 * p - 1.0) * k), (d + 2.0, 2.0 * p * k)], n)
+    power = _optimizer_power(flat)
+    return _sector_pencils(s, d, (0, 1), omega=power(2.0 * p),
+                           rho=power(3.0 * p - 1.0))
+
+
+def hardy_poincare_gap(d: float, p: float, n: int = 2000):
     """Constrained Rayleigh minimum of the weighted spectral-gap quotient.
 
     Minimizes int |grad f|^2 w0^(2p) dx / int f^2 w0^(3p-1) dx over functions
     orthogonal to the constants in the w0^(3p-1) inner product, where w0 is
-    the unweighted explicit optimizer.  The search space decomposes over
-    sectors; the radial sector carries the orthogonality constraint while in
-    sector ell = 1 it holds automatically, and higher sectors are dominated.
-    Returns (gap, info) where info holds the minimizing sector, the radial
-    part of the minimizer and its correlation with the coordinate function.
+    the unweighted explicit optimizer in the real dimension d > 2.  The
+    search space decomposes over sectors; the radial sector carries the
+    orthogonality constraint while in sector ell = 1 it holds automatically,
+    and higher sectors are dominated.  Returns (gap, info) where info holds
+    the minimizing sector, the radial part of the minimizer and its
+    correlation with the coordinate function.
     """
-    power = _optimizer_power(validate(d, 0.0, p))
-    r = spectral_grid(n, r_min, r_max)
-    ops = _sector_pencils(r, d, (0, 1), omega=power(2.0 * p),
-                          rho=power(3.0 * p - 1.0))
+    ops = _hardy_poincare_pencils(d, p, n)
     results = {op.ell: lowest_eigenvalue(op) for op in ops}
 
     sector = min(results, key=lambda k: results[k][0])
@@ -304,7 +343,7 @@ def hardy_poincare_gap(d: int, p: float, n: int = 2000,
     # correlation of the minimizer with the coordinate function in the
     # denominator inner product (meaningful for the ell = 1 sector)
     B = ops[0].mass_matrix
-    coord = r[:-1]
+    coord = ops[0].grid[:-1]
     v = prof.values[:-1]
     Bc = B @ coord
     corr = abs(float(v @ Bc)) / math.sqrt(float(coord @ Bc) * float(v @ B @ v))
@@ -313,13 +352,12 @@ def hardy_poincare_gap(d: int, p: float, n: int = 2000,
                   "coordinate_correlation": corr}
 
 
-def gamma_sweep(d: int, p: float, gamma_grid, ell: int = 1,
-                n: int = 800, r_min: float = 1e-4, r_max: float = 1e4):
+def gamma_sweep(d: int, p: float, gamma_grid, ell: int = 1, n: int = 2000):
     """Lowest sector eigenvalue around the explicit optimizer along gamma.
 
-    One grid in s serves the whole sweep, so the curve is a continuous
-    function of gamma alone.  Returns a list of (gamma, lambda_min) pairs.
+    Each point solves on its own n-node grid, whose ends move continuously
+    with gamma, so the curve is a continuous function of gamma.  Returns a
+    list of (gamma, lambda_min) pairs.
     """
-    grid = spectral_grid(n, r_min, r_max)
-    return [(float(g), sector_min(validate(d, float(g), p), ell, grid))
+    return [(float(g), sector_min(validate(d, float(g), p), ell, n))
             for g in gamma_grid]

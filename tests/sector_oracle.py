@@ -15,10 +15,12 @@ mode.  Everything here is computed from (d, gamma, p, ell) alone.
 
 import math
 
-# sector_min at n = 2000 on the default grid meets the closed form within
-# 1.5e-4 relative where lambda >= 0.08 (worst at (3, 1.9, 1.05), ell = 1),
-# and within 7.3e-6 absolute near lambda = 0 (at (3, 0.05, 2), ell = 1, and
-# at gamma = 0): tolerances of about twice and three times those
+# sector_min at its default n = 2000 meets the closed form within 5.5e-5
+# relative where lambda >= 0.08 (worst at (4, 0.3, 1.5), ell = 1, and
+# 5.3e-5 at (6, 1.9, 1.0175)), and within 5.6e-6 absolute near lambda = 0
+# at the points tested here ((3, 0.05, 2), ell = 1, and gamma = 0, p = 2).
+# The translation mode at gamma = 0 grows towards p_max: 1.1e-5 at
+# (3, 0, 2.5) and 2.0e-5 at (3, 0, 2.9), which ABS_TOL barely covers
 REL_TOL = 3e-4
 ABS_TOL = 2e-5
 

@@ -165,8 +165,7 @@ def test_criterion_5_and_6_minimizer_and_kappa_relation():
 
 
 def test_criterion_7_hardy_poincare():
-    from cknlab.spectral import (assemble, hardy_poincare_gap, lowest_eigenvalue,
-                                 spectral_grid)
+    from cknlab.spectral import assemble, hardy_poincare_gap, lowest_eigenvalue
     t0 = time.time()
     gap, info = hardy_poincare_gap(3, 2.0, n=2000)
     gap_ok = abs(gap - 4.0) / 4.0 < 1e-3
@@ -178,12 +177,11 @@ def test_criterion_7_hardy_poincare():
                   and abs(sectors[1] - 4.0) / 4.0 < 1e-3)
 
     pp = validate(3, 0.0, 2.0)
-    grid = spectral_grid(n=2000)
-    op = assemble(pp, ell=1, grid=grid)
+    op = assemble(pp, ell=1, n=2000)
     lam, prof = lowest_eigenvalue(op)
     zero_ok = abs(lam) < 1e-5
     B = op.mass_matrix
-    f = w_gamma_star(pp).deriv(grid)[:-1]
+    f = w_gamma_star(pp).deriv(op.grid)[:-1]
     f = f / np.sqrt(f @ B @ f)
     v = prof.values[:-1]
     sign = np.sign(v @ B @ f)

@@ -99,8 +99,11 @@ class TestCompute:
         code = main(["spectrum", "--d", "3", "--gamma", "0", "--p", "2",
                      "--ell", "1", "--n", "1000", "--out", str(out)])
         assert code == 0
-        lam = json.loads(out.read_text())["result"]["lambda_min"]
-        assert abs(lam) < 1e-4
+        result = json.loads(out.read_text())["result"]
+        assert abs(result["lambda_min"]) < 1e-4
+        # the grid the solve sized for itself, in s = r at gamma = 0
+        assert 0 < result["s_min"] < 1 < result["s_max"]
+        assert result["d_gamma"] == 3.0 and "r_max" not in result
 
     @pytest.mark.parametrize("ell", ["0", "1", "2"])
     def test_spectrum_near_p_one(self, ell, tmp_path):
@@ -116,8 +119,12 @@ class TestCompute:
         # through the profile here
         ("3", "1.5", "1.49", 1e-3),
         # near p = 1 the amplitude a^(1/(p-1)) leaves the float range, but no
-        # sector weight needs it; 0.15069 at n = 2000 against 0.15012
-        ("5", "1.9", "1.0067", 1e-2)])
+        # sector weight needs it; 0.150126 at n = 2000 against 0.150122
+        ("5", "1.9", "1.0067", 1e-2),
+        # d_gamma = 102 and 402: the fixed grid [1e-4, 1e4] raised
+        # SingularMass, and |S^401| overflowed math.gamma
+        ("3", "1.98", "1.005", 1e-3),
+        ("3", "1.995", "1.002", 1e-3)])
     def test_spectrum_large_gamma(self, d, gamma, p, rel, tmp_path):
         out = tmp_path / "s.json"
         assert main(["spectrum", "--d", d, "--gamma", gamma, "--p", p,
@@ -194,7 +201,7 @@ class TestCompute:
                      "--n", "500", "--format", "csv", "--out", str(out)])
         assert code == 0
         rows = [r for r in out.read_text().splitlines() if not r.startswith("#")]
-        assert rows[0] == "gamma,ell,lambdaMin,gridN,rMax"
+        assert rows[0] == "gamma,ell,lambdaMin,gridN"
         assert len(rows) == 4
 
     def test_selection_summary(self, tmp_path):
@@ -264,12 +271,22 @@ class TestExitCodes:
         assert "m must lie in the open interval (0.6666666666666666, 1)" in err
         assert "got 0.55" in err
 
-    @pytest.mark.parametrize("sub", ["spectrum", "sweep", "profile"])
+    @pytest.mark.parametrize("sub", ["profile"])
     @pytest.mark.parametrize("bounds", [["--r-min", "0"], ["--r-min", "-1"],
                                         ["--r-min", "10", "--r-max", "1"]])
     def test_radial_bounds_rejected(self, sub, bounds, capsys):
         assert main([sub, *bounds]) == 2
         assert "0 < r_min < r_max < inf" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub", ["spectrum", "sweep"])
+    @pytest.mark.parametrize("bounds", [["--r-min", "0"], ["--r-min", "-1"],
+                                        ["--r-min", "10", "--r-max", "1"]])
+    def test_spectral_bound_flags_removed(self, sub, bounds):
+        # the sector solves size their own grid; argparse rejects the old
+        # flags with SystemExit(2)
+        with pytest.raises(SystemExit) as exc:
+            main([sub, *bounds])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("bounds", [["--r-min", "0"], ["--r-min", "-1"],
                                         ["--r-min", "10", "--r-max", "1"]])

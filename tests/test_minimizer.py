@@ -5,6 +5,7 @@ import pytest
 from scipy.special import betaln
 
 import cknlab.minimizer as minimizer_module
+import cknlab.profiles as profiles_module
 from cknlab.errors import CknError, GridTooCoarse, ParameterError
 from cknlab.minimizer import (_at_mass, _Discretization, _Flat, _kkt, _newton,
                               best_constant_radial, critical_constant,
@@ -220,7 +221,7 @@ class TestMinimizeRadial:
         # a window that sheds 3% of X, Y and the mass at either end truncates
         # the profile's transition, which both Richardson grids share; the
         # dilation balance sees it
-        monkeypatch.setattr(minimizer_module, "TAIL_SHARE", 0.03)
+        monkeypatch.setattr(profiles_module, "TAIL_SHARE", 0.03)
         with pytest.raises(GridTooCoarse, match="dilation balance"):
             minimize_radial(validate(d, gamma, p), N)
 

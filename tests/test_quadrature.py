@@ -25,6 +25,14 @@ class TestSphereArea:
     def test_circle(self):
         assert sphere_area(2) == pytest.approx(2 * math.pi, rel=1e-15)
 
+    @pytest.mark.parametrize("d", [342.0, 400.0, 402.0])
+    def test_past_gamma_overflow(self, d):
+        # Gamma(d/2) overflows past d = 343, and the flat dimension of
+        # (3, 1.995, 1.002) is 402; the recurrence |S^(d+1)| = 2 pi/d |S^(d-1)|
+        # holds across the switch to the log form
+        assert sphere_area(d + 2) == pytest.approx(
+            2 * math.pi / d * sphere_area(d), rel=1e-12)
+
 
 class TestIntegrate:
     @pytest.mark.parametrize("d,gamma", [(3, 0.0), (3, 0.5), (3, 1.9),

@@ -7,10 +7,9 @@ import scipy.sparse.linalg as spla
 from cknlab.errors import EigenSolverFailure, ParameterError
 from cknlab.params import validate
 from cknlab.profiles import w_gamma_star
-from cknlab.spectral import (MIN_NODES, SHIFT, _optimizer_power,
-                             _sector_pencils, assemble,
-                             gamma_sweep, hardy_poincare_gap,
-                             lowest_eigenvalue, sector_min, spectral_grid)
+from cknlab.spectral import (MIN_NODES, SHIFT, _hardy_poincare_pencils,
+                             _sector_pencils, _tri_mass, assemble, gamma_sweep,
+                             hardy_poincare_gap, lowest_eigenvalue, sector_min)
 from sector_oracle import ABS_TOL, REL_TOL, sector_closed_form
 
 
@@ -44,13 +43,6 @@ def _reference_solve(op):
     return float(vals[0]), vec / np.sqrt(vec @ B @ vec)
 
 
-def _hardy_poincare_ops(d, p, n):
-    """The two sector pencils that hardy_poincare_gap(d, p, n) solves."""
-    power = _optimizer_power(validate(d, 0.0, p))
-    return _sector_pencils(spectral_grid(n=n), d, (0, 1), omega=power(2.0 * p),
-                           rho=power(3.0 * p - 1.0))
-
-
 @pytest.fixture(scope="module")
 def pp0():
     return validate(3, 0.0, 2.0)
@@ -58,8 +50,7 @@ def pp0():
 
 @pytest.fixture(scope="module")
 def op_ell1(pp0):
-    grid = spectral_grid(n=2000)
-    return assemble(pp0, ell=1, grid=grid)
+    return assemble(pp0, ell=1, n=2000)
 
 
 class TestAssemble:
@@ -69,16 +60,14 @@ class TestAssemble:
         B = op_ell1.mass_matrix.toarray()
         assert np.max(np.abs(B - B.T)) == 0.0
 
-    def test_centrifugal_difference(self, pp0):
-        # sectors 0 and 1 differ exactly by the (d-1)/r^2 mass term
-        grid = spectral_grid(n=300)
-        op0 = assemble(pp0, ell=0, grid=grid)
-        op1 = assemble(pp0, ell=1, grid=grid)
-        from cknlab.spectral import _tri_mass
-        d = pp0.d
-        dgc, offc = _tri_mass(grid, lambda x: x ** (d - 3.0))
+    def test_centrifugal_difference(self):
+        # sectors 0 and 1 of one grid differ exactly by the (d-1)/s^2 mass
+        # term, in the measure (s/s_c)^(d-1) of the grid's centre s_c = 10
+        d, grid, s_c = 3, np.geomspace(0.1, 1e3, 300), 10.0
+        op0, op1 = _sector_pencils(grid, d, (0, 1), rho=np.ones_like)
+        dgc, offc = _tri_mass(grid, lambda x: (x / s_c) ** (d - 3.0))
         n = grid.size - 1
-        cent = (d - 1.0) * _tri(dgc[:n], offc[: n - 1]).toarray()
+        cent = (d - 1.0) / s_c**2 * _tri(dgc[:n], offc[: n - 1]).toarray()
         assert np.allclose((op1.stiffness - op0.stiffness).toarray(), cent,
                            rtol=1e-12, atol=1e-12)
 
@@ -91,16 +80,15 @@ class TestAssemble:
         assert vals.min() > 0
 
     def test_only_radial_sector_carries_constraint(self, pp0, op_ell1):
-        grid = spectral_grid(n=300)
-        op0 = assemble(pp0, ell=0, grid=grid)
+        op0 = assemble(pp0, ell=0, n=300)
         assert len(op0.constraints) == 1
-        assert op0.constraints[0].shape == (grid.size - 1,)
+        assert op0.constraints[0].shape == (299,)
         assert np.all(op0.constraints[0] > 0)
         assert op_ell1.constraints == []
 
     def test_rejects_negative_ell(self, pp0):
         with pytest.raises(ParameterError):
-            assemble(pp0, ell=-1, grid=spectral_grid(n=300))
+            assemble(pp0, ell=-1, n=300)
 
 
 class TestLowestEigenvalue:
@@ -118,15 +106,13 @@ class TestLowestEigenvalue:
         assert np.sqrt(dev @ B @ dev) < 1e-3
 
     def test_radial_sector_positive_with_constraint(self, pp0):
-        grid = spectral_grid(n=1200)
-        op = assemble(pp0, ell=0, grid=grid)
+        op = assemble(pp0, ell=0, n=1200)
         lam, _ = lowest_eigenvalue(op)
         assert lam > 0.1
 
     def test_constrained_eigenprofile_is_feasible(self, pp0):
         # the bordered solve keeps every iterate orthogonal to the constraint
-        grid = spectral_grid(n=1000)
-        op = assemble(pp0, ell=0, grid=grid)
+        op = assemble(pp0, ell=0, n=1000)
         c = op.constraints[0]
         lam, eig = lowest_eigenvalue(op)
         v = eig.values[:-1]
@@ -134,26 +120,23 @@ class TestLowestEigenvalue:
         assert op.rayleigh(v) == pytest.approx(lam, rel=1e-12)
 
     def test_dependent_constraints_rejected(self, pp0):
-        grid = spectral_grid(n=400)
-        op = assemble(pp0, ell=0, grid=grid)
+        op = assemble(pp0, ell=0, n=400)
         c = op.constraints[0]
         op.constraints = [c, 3.7 * c]
         with pytest.raises(EigenSolverFailure):
             lowest_eigenvalue(op)
 
     def test_spectral_shift_identity(self, pp0):
-        grid = spectral_grid(n=400)
-        op = assemble(pp0, ell=0, grid=grid)
+        op = assemble(pp0, ell=0, n=400)
         lam_a, _ = lowest_eigenvalue(op)
         op.stiffness = op.stiffness + 0.37 * op.mass_matrix
         lam_b, _ = lowest_eigenvalue(op)
         assert abs(lam_b - lam_a - 0.37) < 1e-10
 
     def test_sector_ordering(self, pp0):
-        grid = spectral_grid(n=600)
         lams = []
         for ell in (1, 2, 3):
-            op = assemble(pp0, ell=ell, grid=grid)
+            op = assemble(pp0, ell=ell, n=600)
             lam, _ = lowest_eigenvalue(op)
             lams.append(lam)
         assert lams[0] < lams[1] < lams[2]
@@ -161,16 +144,16 @@ class TestLowestEigenvalue:
     @pytest.mark.parametrize("ell", [0, 1])
     def test_sector_min_rejects_tiny_grids(self, pp0, ell):
         with pytest.raises(ParameterError):
-            sector_min(pp0, ell, np.geomspace(1e-4, 1e4, MIN_NODES - 1))
-        assert np.isfinite(sector_min(pp0, ell, spectral_grid(n=MIN_NODES)))
+            sector_min(pp0, ell, MIN_NODES - 1)
+        assert np.isfinite(sector_min(pp0, ell, MIN_NODES))
 
     def test_near_p_one(self):
         # at p = 1.02 the tail (b + r^c)^(-k) underflows long before the
         # small powers w^(p-1) and w^(2p-2) of the weights do
         pp = validate(3, 0.0, 1.02)
-        assert abs(sector_min(pp, 1, spectral_grid(n=2000))) < 1e-5
-        coarse = sector_min(pp, 0, spectral_grid(n=2000))
-        fine = sector_min(pp, 0, spectral_grid(n=4000))
+        assert abs(sector_min(pp, 1, 2000)) < 1e-5
+        coarse = sector_min(pp, 0, 2000)
+        fine = sector_min(pp, 0, 4000)
         assert coarse > 0
         assert abs(coarse - fine) < 1e-3
 
@@ -180,34 +163,42 @@ class TestLowestEigenvalue:
         # sector_min solves the radial sector at weight gamma as the gamma = 0
         # one in the real dimension d_gamma, on a grid in s = r^((2-gamma)/2);
         # the reference is the radial pencil in r with its r^-gamma weights,
-        # on an r-grid that holds the profile at these points
+        # on an r-grid [1e-4, 1e4] that holds the profile at these points
         w = w_gamma_star(validate(d, gamma, p))
 
         def weight(q):
             return lambda r: np.exp(q * w.log(r) - gamma * np.log(r))
 
         (op,) = _sector_pencils(
-            spectral_grid(n=n), d, [0], constraint=weight(2 * p - 1),
+            np.geomspace(1e-4, 1e4, n), d, [0], constraint=weight(2 * p - 1),
             potential=lambda r: p * weight(p - 1)(r)
             - (2 * p - 1) * weight(2 * p - 2)(r),
             rho=lambda r: (2 * p - 1) * weight(2 * p - 2)(r))
         weighted = lowest_eigenvalue(op)[0]
-        flat = sector_min(validate(d, gamma, p), 0, spectral_grid(n=n))
+        flat = sector_min(validate(d, gamma, p), 0, n)
         assert flat == pytest.approx(weighted, rel=1e-3)
 
     def test_radial_sector_refines_at_large_gamma(self):
         # at gamma = 1.5 a default grid in r would cut through the profile;
-        # in s the radial value moves by 0.6% from n = 2000 to n = 4000
+        # in s the radial value moves by 0.2% from n = 2000 to n = 4000
         pp = validate(3, 1.5, 1.49)
-        coarse = sector_min(pp, 0, spectral_grid(n=2000))
-        fine = sector_min(pp, 0, spectral_grid(n=4000))
+        coarse = sector_min(pp, 0, 2000)
+        fine = sector_min(pp, 0, 4000)
         assert 0 < fine < coarse
         assert coarse == pytest.approx(fine, rel=1e-2)
+
+    def test_radial_sector_refines_at_large_d_gamma(self):
+        # d_gamma = 42: the fixed grid [1e-4, 1e4] read 0.01043 at n = 2000
+        # and 0.00782 at n = 8000; a grid sized from the integrands holds the
+        # radial value within 1% from n = 2000
+        pp = validate(4, 1.9, 1.045)
+        assert sector_min(pp, 0, 2000) == pytest.approx(sector_min(pp, 0, 8000),
+                                                        rel=1e-2)
 
     def test_grid_convergence(self, pp0):
         lams = []
         for n in (1000, 2000):
-            op = assemble(pp0, ell=1, grid=spectral_grid(n=n))
+            op = assemble(pp0, ell=1, n=n)
             lam, _ = lowest_eigenvalue(op)
             lams.append(lam)
         assert abs(lams[1] - lams[0]) < 1e-4
@@ -230,17 +221,17 @@ class TestBandedSolve:
     @pytest.mark.parametrize("d, gamma, p", [(3, 0.0, 2.0), (4, 0.25, 1.5),
                                              (3, 1.5, 1.49)])
     def test_matches_sparse_reference(self, d, gamma, p, ell):
-        self._check(assemble(validate(d, gamma, p), ell, spectral_grid(n=2000)))
+        self._check(assemble(validate(d, gamma, p), ell, 2000))
 
     @pytest.mark.parametrize("sector", [0, 1])
     def test_hardy_poincare_matches_sparse_reference(self, sector):
-        self._check(_hardy_poincare_ops(3, 2.0, 2000)[sector])
+        self._check(_hardy_poincare_pencils(3, 2.0, 2000)[sector])
 
     def test_shift_above_spectrum_raises(self, pp0):
         # lowering A by 5 B puts the pencil's lowest eigenvalue near -5,
         # below SHIFT = -1: K is indefinite and its factorization must fail
         # instead of Lanczos converging to a wrong eigenvalue (-0.989 here)
-        op = assemble(pp0, ell=1, grid=spectral_grid(n=400))
+        op = assemble(pp0, ell=1, n=400)
         op.stiffness = op.stiffness - 5 * op.mass_matrix
         lowest = sla.eigh(op.stiffness.toarray(), op.mass_matrix.toarray(),
                           eigvals_only=True)[0]
@@ -261,23 +252,25 @@ class TestBandedSolve:
                                              (3, 1.5, 1.49), (3, 1.9, 1.05),
                                              (5, 1.0, 1.3), (3, 0.0, 1.02)])
     def test_every_assembled_operator_factors(self, d, gamma, p):
-        grid = spectral_grid(n=400)
-        self._check_factors([assemble(validate(d, gamma, p), ell, grid)
+        self._check_factors([assemble(validate(d, gamma, p), ell, 400)
                              for ell in (0, 1, 2)])
 
     @pytest.mark.parametrize("d, p", [(3, 2.0), (3, 1.5), (5, 1.2), (4, 1.3),
                                       (5, 1.4)])
     def test_every_hardy_poincare_operator_factors(self, d, p):
-        self._check_factors(_hardy_poincare_ops(d, p, 400))
+        self._check_factors(_hardy_poincare_pencils(d, p, 400))
 
 
 class TestSectorClosedForm:
     @pytest.mark.parametrize("ell", [1, 2, 3])
     @pytest.mark.parametrize("d, gamma, p", [(3, 0.05, 2.0), (4, 0.3, 1.5),
                                              (3, 1.2, 1.7), (3, 1.5, 1.49),
-                                             (3, 1.9, 1.05)])
+                                             (3, 1.9, 1.05), (3, 1.98, 1.005),
+                                             (6, 1.9, 1.0175)])
     def test_matches_closed_form(self, d, gamma, p, ell):
-        lam = sector_min(validate(d, gamma, p), ell, spectral_grid(n=2000))
+        # (3, 1.98, 1.005) and (6, 1.9, 1.0175), d_gamma = 102 and 82, raised
+        # SingularMass on the fixed grid [1e-4, 1e4]
+        lam = sector_min(validate(d, gamma, p), ell, 2000)
         want = sector_closed_form(d, gamma, p, ell)
         assert lam == pytest.approx(want, rel=REL_TOL, abs=ABS_TOL)
 
@@ -300,18 +293,15 @@ class TestHardyPoincare:
     def test_dropping_constraint_gives_zero(self):
         # the radial Hardy-Poincare operator carries the zero-mean
         # constraint; without it the constants annihilate the form
-        d, p = 3, 2.0
-        w0 = w_gamma_star(validate(d, 0.0, p))
-        (op,) = _sector_pencils(spectral_grid(n=800), d, [0],
-                                omega=lambda x: w0(x) ** (2 * p),
-                                rho=lambda x: w0(x) ** (3 * p - 1))
+        op, _ = _hardy_poincare_pencils(3, 2.0, 800)
         assert lowest_eigenvalue(op)[0] > 1.0
         op.constraints = []
         lam, _ = lowest_eigenvalue(op)
         assert abs(lam) < 1e-8
 
     @pytest.mark.parametrize("d, p, n", [(3, 1.5, 1500), (5, 1.2, 1000),
-                                         (4, 1.3, 1000), (5, 1.4, 1000)])
+                                         (4, 1.3, 1000), (5, 1.4, 1000),
+                                         (3, 1.02, 2000)])
     def test_second_parameter_point(self, d, p, n):
         # gap 2 p (p-1)/(d - p(d-2)), = 1 at (3, 1.5) by hand; the
         # constrained radial sector sits at the gap times 2 + d(m-1),
@@ -321,6 +311,24 @@ class TestHardyPoincare:
         m = (p + 1) / (2 * p)
         assert abs(gap - want) < 1e-6
         assert abs(info["by_sector"][0] - want * (2 + d * (m - 1))) < 1e-3
+
+    @pytest.mark.parametrize("d, p", [(10 / 3, 1.5), (12.0, 1.05),
+                                      (102.0, 1.005)])
+    def test_real_dimension(self, d, p):
+        # the gap and the radial ratio 2 + d(m-1) hold in a real dimension,
+        # the flat d_gamma of a weighted problem (102 at (3, 1.98, 1.005))
+        gap, info = hardy_poincare_gap(d, p)
+        want = 2 * p * (p - 1) / (d - p * (d - 2))
+        m = (p + 1) / (2 * p)
+        assert gap == pytest.approx(want, rel=1e-6)
+        assert info["by_sector"][0] / gap == pytest.approx(2 + d * (m - 1),
+                                                           rel=1e-4)
+
+    @pytest.mark.parametrize("d, p", [(2.0, 1.5), (1.5, 1.5), (3.0, 1.0),
+                                      (3.0, 3.0), (10 / 3, 2.5)])
+    def test_rejects_inadmissible_pair(self, d, p):
+        with pytest.raises(ParameterError):
+            hardy_poincare_gap(d, p)
 
 
 class TestGammaSweep:
