@@ -21,8 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import CknError, ParameterError
-from .params import (check_radial_bounds, derive, kappa, to_flat_variables,
-                     validate)
+from .params import check_radial_bounds, derive, kappa, validate
 
 SCHEMA = "ckn/1"
 
@@ -125,15 +124,15 @@ def _cmd_profile(args) -> None:
 def _cmd_shoot(args) -> None:
     from .shooting import find_ground_state
 
-    pp = validate(args.d, args.gamma, args.p)
-    d_gamma, log_c_map = to_flat_variables(pp)
-    res = find_ground_state(pp, tol=args.tol, s_max=args.s_max)
+    res = find_ground_state(validate(args.d, args.gamma, args.p), tol=args.tol)
+    meta = res.profile.meta
     result = {
         "v0": res.v0,
         "classification": res.classification.value,
-        "d_gamma": d_gamma,
-        "log_c_map": log_c_map,
+        "d_gamma": meta["d_gamma"],
+        "log_c_map": meta["log_c_map"],
         "bisection_steps": len(res.bisection_history),
+        "s_max": res.s_max,
     }
     if args.format == "json":
         _emit_json(args, result)
@@ -351,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("shoot", help="ground state by bisection shooting")
     _add_common(sp)
     sp.add_argument("--tol", type=float, default=1e-8)
-    sp.add_argument("--s-max", type=float, default=2e3)
     sp.set_defaults(func=_cmd_shoot)
 
     sp = sub.add_parser("minimize", help="radial best constant by descent")

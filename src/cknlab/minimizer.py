@@ -33,8 +33,8 @@ from scipy.linalg import solve_banded
 from scipy.special import betaln
 
 from .errors import AmplitudeOverflow, GridTooCoarse, NoDescent, ParameterError
-from .params import (ProblemParams, derive, kappa, scaling_exponents,
-                     to_flat_variables)
+from .params import (ProblemParams, derive, kappa, radii_from_flat,
+                     scaling_exponents)
 from .profiles import AnalyticProfile, RadialProfile, tail_bounds, w_star
 from .quadrature import sphere_area
 
@@ -347,12 +347,8 @@ def minimize_radial(params: ProblemParams, n: int = 1024,
             f"the minimizer's profile"
         )
 
-    # log r = log c_map + log(s)/alpha, as shooting maps back; radii past
-    # the float range are dropped
-    with np.errstate(over="ignore", under="ignore"):
-        radii = np.exp(to_flat_variables(params)[1]
-                       + np.log(disc.s) / (1.0 - params.gamma / 2.0))
-    keep = (radii >= np.finfo(float).tiny) & np.isfinite(radii)
+    # radii past the float range are dropped
+    keep, radii, _ = radii_from_flat(params, disc.s)
     if np.count_nonzero(keep) < 2:
         raise AmplitudeOverflow("the radii of the grid leave the float range")
     profile = RadialProfile(

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionTooSmall, GammaOutOfRange, ParameterError, POutOfRange
 from .quadrature import sphere_area
 
@@ -29,6 +31,7 @@ __all__ = [
     "check_radial_bounds",
     "derive",
     "to_flat_variables",
+    "radii_from_flat",
     "mass_from_multiplier",
     "kappa",
     "kappa_numeric",
@@ -170,6 +173,25 @@ def to_flat_variables(params: ProblemParams) -> tuple[float, float]:
     d_gamma = derive(params).d_gamma
     log_c_map = 2.0 / (2.0 - g) * math.log((2.0 - g) / 2.0)
     return d_gamma, log_c_map
+
+
+def radii_from_flat(params: ProblemParams, s: np.ndarray,
+                    dv_ds: np.ndarray | None = None):
+    """(keep, r, dw/dr) of the flat points s and their slopes dv/ds.
+
+    log r = log_c_map + expo log s, expo = 2/(2-gamma), in log form since
+    r = c_map s^expo leaves the float range as gamma nears 2; dw/dr is
+    dv/ds s/(expo r), None without dv_ds.  keep masks the points whose
+    radius is a normal float and whose slope is finite.
+    """
+    expo = 2.0 / (2.0 - params.gamma)
+    with np.errstate(divide="ignore", over="ignore"):
+        r = np.exp(to_flat_variables(params)[1] + expo * np.log(s))
+        dw_dr = None if dv_ds is None else dv_ds * s / (expo * r)
+    keep = (r >= np.finfo(float).tiny) & np.isfinite(r)
+    if dw_dr is not None:
+        keep &= np.isfinite(dw_dr)
+    return keep, r, dw_dr
 
 
 def mass_from_multiplier(J: float, p: float, theta_gamma: float) -> float:

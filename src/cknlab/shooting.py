@@ -29,7 +29,7 @@ import numpy as np
 from scipy.integrate import ode
 
 from .errors import BracketNotFound, ClassificationAmbiguous, ParameterError
-from .params import ProblemParams, to_flat_variables
+from .params import ProblemParams, radii_from_flat, to_flat_variables
 from .profiles import RadialProfile
 
 __all__ = [
@@ -42,6 +42,11 @@ __all__ = [
 _TAYLOR_LAUNCH = 1e-6
 _DECAY_FLOOR = 1e-5
 _PROFILE_WIDTH = 1e-10
+# first shot range of find_ground_state, grown tenfold while undecided starts
+# span more than tol; past 1/eps in s a unit step no longer moves s
+_S_MAX = 2e3
+_S_MAX_CAP = 1.0 / np.finfo(float).eps
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # step budget of a shot, far above the 2261 steps of the longest shot seen,
 # at (3, 1.98, 1.005)
 _MAX_STEPS = 1_000_000
@@ -60,6 +65,7 @@ class ShootingResult:
     profile: RadialProfile | None
     bisection_history: list = field(default_factory=list)
     bracket: tuple[float, float] | None = None
+    s_max: float | None = None
 
 
 def _rhs(d_gamma: float, p: float):
@@ -74,7 +80,7 @@ def _rhs(d_gamma: float, p: float):
     return rhs
 
 
-def integrate_ode(d_gamma: float, p: float, v0: float, s_max: float = 2e3,
+def integrate_ode(d_gamma: float, p: float, v0: float, s_max: float = _S_MAX,
                   stop_on_decay: bool = False) -> ShootingResult:
     """Integrate one shooting trajectory and classify it exactly.
 
@@ -181,31 +187,33 @@ def _compiled_shot(max_steps: int) -> _CompiledShot:
     return _CompiledShot(max_steps)
 
 
-def find_ground_state(params: ProblemParams, tol: float = 1e-8,
-                      s_max: float = 2e3) -> ShootingResult:
+def find_ground_state(params: ProblemParams, tol: float = 1e-8) -> ShootingResult:
     """Bisect the initial value to the separatrix between the two failure modes.
 
     Every shot is classified by the exact energy events of
     :func:`integrate_ode`, so the bracket [lo, hi] is certified: lo is a
     plateau-bound start and hi a crossing one, and the ground state lies
-    between them.  Starts whose shots reach ``s_max`` with neither event
-    cannot be placed on either side; the bisection halves the wider gap
-    next to their span.  ``v0`` is returned, at the bracket midpoint, once
-    hi - lo <= tol * hi; a span wider than that raises
-    ``ClassificationAmbiguous``.
+    between them.  The first hi is found by doubling the start from 2 up to
+    2^60, then squaring it until v0^(2p) would leave the float range
+    (``BracketNotFound``); a bracket with hi > 4 lo, which only squaring
+    leaves, is bisected geometrically.  Starts whose shots reach ``s_max``
+    with neither event cannot be placed on either side; the bisection
+    halves the wider gap next to their span.  While that span is wider
+    than tol * hi, ``s_max`` grows tenfold from ``_S_MAX`` and the span is
+    forgotten; past ``_S_MAX_CAP`` that raises ``ClassificationAmbiguous``.
+    ``v0`` is returned, at the bracket midpoint, once hi - lo <= tol * hi,
+    with the ``s_max`` reached.
 
     The final shot stops at the decay floor, and its profile is returned.
     Every crossing shot passes the floor, so the final shot starts at an
     undecided start if there is one, and otherwise at the midpoint of a
     bracket bisected down to ``_PROFILE_WIDTH`` (or ``tol``, if smaller).
     """
-    if not _TAYLOR_LAUNCH < s_max < math.inf:
-        raise ParameterError(f"s_max must lie in ({_TAYLOR_LAUNCH}, inf), beyond "
-                             f"the launch radius, got s_max={s_max}")
     if not 0.0 < tol < math.inf:
         raise ParameterError(f"tol must lie in (0, inf), got tol={tol}")
     d_gamma, log_c_map = to_flat_variables(params)
     p = params.p
+    s_max = _S_MAX
 
     history: list[tuple[float, Classification]] = []
     lo, hi = 1.0, math.inf
@@ -226,20 +234,25 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
         return res
 
     v0 = 2.0
-    for _ in range(60):
+    while hi == math.inf:
+        if 2.0 * p * math.log(v0) >= _LOG_FLOAT_MAX:
+            raise BracketNotFound(
+                f"no zero-crossing initial value found below v0={v0:.6g}, "
+                f"where v0^(2p) leaves the float range")
         shoot(v0, final=False)
-        if hi < math.inf:
-            break
-        v0 *= 2.0
-    else:
-        raise BracketNotFound("no zero-crossing initial value found while doubling")
+        v0 = 2.0 * v0 if v0 < 2.0**60 else v0 * v0
 
     while True:
         if u_hi - u_lo > tol * hi:
-            raise ClassificationAmbiguous(
-                f"starts in [{u_lo:.9g}, {u_hi:.9g}] reach s_max={s_max:g} with "
-                f"neither a zero crossing nor a negative energy, a span wider "
-                f"than tol={tol:g}; increase s_max")
+            if 10.0 * s_max > _S_MAX_CAP:
+                raise ClassificationAmbiguous(
+                    f"starts in [{u_lo:.9g}, {u_hi:.9g}] reach s_max={s_max:g} "
+                    f"with neither a zero crossing nor a negative energy, a "
+                    f"span wider than tol={tol:g}")
+            # [lo, hi] stays certified: only the undecided starts depend on
+            # the range
+            s_max *= 10.0
+            u_lo, u_hi = math.inf, -math.inf
         undecided = u_lo <= u_hi
         final = hi - lo <= tol * hi and (undecided or hi - lo <= _PROFILE_WIDTH * hi)
         a, b = lo, hi
@@ -247,7 +260,9 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
             a, b = (lo, u_lo) if u_lo - lo >= hi - u_hi else (u_hi, hi)
         # an undecided start tracks the ground state up to s_max, and so does
         # its re-run, which stops at the decay floor
-        start = u_lo if final and undecided else 0.5 * (a + b)
+        start = (u_lo if final and undecided
+                 else math.sqrt(a) * math.sqrt(b) if hi > 4.0 * lo
+                 else 0.5 * (a + b))
         if not a < start < b:
             raise ClassificationAmbiguous(
                 f"bracket [{lo!r}, {hi!r}] cannot be split further in floating "
@@ -257,25 +272,14 @@ def find_ground_state(params: ProblemParams, tol: float = 1e-8,
             break
     v0 = 0.5 * (lo + hi)
 
-    # map the s-profile back to the physical radius in log form, since
-    # r = c_map s^expo underflows near the launch radius as gamma nears 2:
-    # log r = log_c_map + expo log s, and
-    # dw/dr = v'(s) / (dr/ds) = v' s / (expo r)
     sprof = best_ground.profile
-    g = params.gamma
-    expo = 2.0 / (2.0 - g)
-    radii = np.exp(log_c_map + expo * np.log(sprof.radii))
-    # radii below the normal float range, and slopes beyond it, lie where
-    # v = v0 to roundoff; those points are dropped
-    with np.errstate(divide="ignore", over="ignore"):
-        derivs = sprof.derivs * sprof.radii / (expo * radii)
-    keep = (radii >= np.finfo(float).tiny) & np.isfinite(derivs)
+    keep, radii, derivs = radii_from_flat(params, sprof.radii, sprof.derivs)
     profile = RadialProfile(
         radii=radii[keep], values=sprof.values[keep], derivs=derivs[keep],
-        tail_exponent=(2.0 - g) / (params.p - 1.0),
+        tail_exponent=(2.0 - params.gamma) / (p - 1.0),
         meta={"variable": "r", "v0": v0, "d_gamma": d_gamma,
               "log_c_map": log_c_map, "derivatives": "integrator"},
     )
     return ShootingResult(v0=v0, classification=Classification.GROUND_STATE,
                           profile=profile, bisection_history=history,
-                          bracket=(lo, hi))
+                          bracket=(lo, hi), s_max=s_max)

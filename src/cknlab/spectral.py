@@ -216,11 +216,14 @@ def assemble(params: ProblemParams, ell: int, n: int = 2000) -> SectorOperator:
         (2.0 * ell_f + d_g, 2.0 * sigma + 2.0), grad], n)
     power = _optimizer_power(flat)
     w_p1, w_2p2 = power(p - 1.0), power(2.0 * p - 2.0)
+    # the zero-mean weight w^(2p-1) over its peak (a/b)^((2p-1)k), which
+    # leaves the float range near p = 1; a constant factor keeps the constraint
     (op,) = _sector_pencils(
         s, d_g, [ell_f],
         potential=lambda x: p * w_p1(x) - (2.0 * p - 1.0) * w_2p2(x),
         rho=lambda x: (2.0 * p - 1.0) * w_2p2(x),
-        constraint=power(2.0 * p - 1.0))
+        constraint=lambda x: np.exp((1.0 - 2.0 * p) * k
+                                    * np.log1p(x * x / ex.b_gamma)))
     return op
 
 

@@ -193,6 +193,7 @@ class TestCompute:
         result = json.loads(out)["result"]
         assert result["v0"] == pytest.approx(4.0, rel=1e-5)
         assert result["log_c_map"] == 0.0
+        assert result["s_max"] == 2e3
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -339,12 +340,21 @@ class TestExitCodes:
         assert main(["selection", *args]) == 2
         assert "parameter error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("args", [["--s-max", "0"], ["--s-max", "-5"],
-                                      ["--s-max", "1e-7"], ["--tol", "0"],
+    @pytest.mark.parametrize("args", [["--tol", "nan"], ["--tol", "inf"],
+                                      ["--p", "3"], ["--tol", "0"],
                                       ["--tol", "-1"]])
     def test_shoot_bad_input(self, args, capsys):
         assert main(["shoot", *args]) == 2
         assert "parameter error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [["--s-max", "0"], ["--s-max", "-5"],
+                                      ["--s-max", "1e-7"], ["--s-max", "2e3"]])
+    def test_shoot_s_max_flag_removed(self, args):
+        # shooting sizes its own range; argparse rejects the old flag with
+        # SystemExit(2)
+        with pytest.raises(SystemExit) as exc:
+            main(["shoot", *args])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_sweep_bad_gamma_points(self, points, capsys):
@@ -360,13 +370,39 @@ class TestExitCodes:
                      "--p", "1.0067"]) == 3
         assert "AmplitudeOverflow" in capsys.readouterr().err
 
-    def test_shoot_unresolved_near_p_max(self, capsys):
-        # starts over 1e-4 relative wide reach s_max undecided at p = 2.9:
-        # no v0 within --tol can be certified
+    def test_shoot_unresolved_near_p_max(self, monkeypatch, capfd):
+        # starts over 1e-4 relative wide reach s_max = 2e3 undecided at
+        # p = 2.9; with the cap at that range no v0 within --tol can be
+        # certified
+        monkeypatch.setattr(shooting, "_S_MAX_CAP", shooting._S_MAX)
         assert main(["shoot", "--d", "3", "--gamma", "0", "--p", "2.9",
                      "--tol", "1e-8"]) == 3
-        err = capsys.readouterr().err
-        assert "ClassificationAmbiguous" in err and "s_max" in err
+        err = capfd.readouterr().err
+        assert "ClassificationAmbiguous" in err and "s_max=2000" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_shoot_near_p_max_solves(self, capfd):
+        # the range grows until the undecided starts span less than --tol
+        assert main(["shoot", "--d", "3", "--gamma", "0", "--p", "2.9",
+                     "--tol", "1e-8", "--format", "json"]) == 0
+        out, err = capfd.readouterr()
+        assert err == ""
+        result = json.loads(out)["result"]
+        # closed-form peak (p (2 - gamma)/eta)^(1/(p-1)), eta = 3 - p
+        expected = (2.9 * 2.0 / 0.1) ** (1.0 / 1.9)
+        assert result["v0"] == pytest.approx(expected, rel=1e-8)
+        assert result["s_max"] > 2e3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_radial_spectrum_near_gamma_two_exit_code(self, capfd):
+        # d_gamma = 2002: the unit-peak zero-mean weight keeps the
+        # constraint finite; the solve succeeds or fails by name
+        code = main(["spectrum", "--d", "3", "--gamma", "1.999",
+                     "--p", "1.0002", "--ell", "0"])
+        err = capfd.readouterr().err
+        assert code in (0, 3)
+        assert "Traceback" not in err and "Warning" not in err
 
     def test_shoot_near_gamma_two(self, capfd):
         # the map back to r leaves the float range near the launch radius

@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cknlab import shooting
-from cknlab.errors import ClassificationAmbiguous, CknError, ParameterError
+from cknlab.errors import BracketNotFound, ClassificationAmbiguous, ParameterError
 from cknlab.params import derive, to_flat_variables, validate
 from cknlab.profiles import w_gamma_star
 from cknlab.shooting import (Classification, _rhs, find_ground_state,
@@ -248,6 +248,8 @@ class TestFindGroundState:
         (3, 0.2, 2.05, 1e-8),
         (3, 0.3, 1.95, 1e-8),
         (3, 0.3, 2.05, 1e-8),
+        # the peak 2.6e25 lies past the 60 doublings from 2
+        (3, 1.98, 1.005, 1e-8),
     ])
     def test_recovers_closed_form_peak(self, d, gamma, p, tol):
         expected = closed_form_peak(d, gamma, p)
@@ -257,21 +259,47 @@ class TestFindGroundState:
         lo, hi = res.bracket
         assert lo < res.v0 < hi and (hi - lo) / hi <= tol
         assert lo <= expected <= hi
+        if expected > 2.0**60:
+            # past the doublings the start is squared to 2^120, and the
+            # bracket [2^60, 2^120] is bisected geometrically
+            starts = [v0 for v0, _ in res.bisection_history]
+            assert starts[59:62] == [2.0**60, 2.0**120, 2.0**90]
 
-    def test_undecided_span_wider_than_tol_raises(self):
+    def test_undecided_span_wider_than_tol_raises(self, monkeypatch):
         # at (3, 0, 2.5) the starts that reach s_max = 2e3 undecided span more
-        # than 1e-8 but less than 1e-6 relative
+        # than 1e-8 but less than 1e-6 relative; with the cap at the first
+        # range, the range cannot grow
+        monkeypatch.setattr(shooting, "_S_MAX_CAP", shooting._S_MAX)
         pp = validate(3, 0.0, 2.5)
-        with pytest.raises(ClassificationAmbiguous, match="s_max"):
+        with pytest.raises(ClassificationAmbiguous, match="s_max=2000") as exc:
             find_ground_state(pp, tol=1e-8)
+        assert "increase" not in str(exc.value)
         res = find_ground_state(pp, tol=1e-6)
         expected = closed_form_peak(3, 0.0, 2.5)
         assert abs(res.v0 - expected) <= 1e-6 * expected
+        assert res.s_max == shooting._S_MAX
 
-    @pytest.mark.parametrize("p", [2.8, 2.96])
-    def test_near_p_max_raises(self, p):
-        with pytest.raises(CknError):
-            find_ground_state(validate(3, 0.0, p), tol=1e-8)
+    @pytest.mark.parametrize("p", [2.5, 2.8, 2.9, 2.96, 2.99])
+    def test_near_p_max_solves(self, p):
+        # the separatrix decays like s^(-2/(p-1)), ever slower as p nears
+        # p_max = 3, so the undecided starts need a longer range
+        expected = closed_form_peak(3, 0.0, p)
+        res = find_ground_state(validate(3, 0.0, p), tol=1e-8)
+        assert abs(res.v0 - expected) < 1e-8 * expected
+        lo, hi = res.bracket
+        assert lo <= expected <= hi
+        assert res.s_max > shooting._S_MAX
+
+    def test_start_beyond_float_range_raises(self, monkeypatch):
+        # the search stops once v0^(2p) would leave the float range, here
+        # moved down to 100, before the crossing start 8 at (3, 0, 2)
+        monkeypatch.setattr(shooting, "_LOG_FLOAT_MAX", np.log(100.0))
+        with pytest.raises(BracketNotFound, match="v0=4"):
+            find_ground_state(validate(3, 0.0, 2.0))
+
+    def test_s_max_argument_removed(self):
+        with pytest.raises(TypeError):
+            find_ground_state(validate(3, 0.0, 2.0), s_max=2e3)
 
     def test_mapped_back_profile_matches_optimizer(self):
         pp = validate(3, 0.5, 2.0)
