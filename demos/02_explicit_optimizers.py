@@ -39,9 +39,10 @@ def beta_oracle(mu, b, c, q):
 
 
 area = sphere_area(pp.d)
+amp = math.exp(w.log_peak) * w.b**w.k  # w = amp (b + r^c)^(-k)
 for q in (2.0 * pp.p, pp.p + 1.0):
     got = weighted_norm(w, q, pp.gamma, pp)
-    exact = (area * w.amplitude**q *
+    exact = (area * amp**q *
              beta_oracle(pp.d - pp.gamma, w.b, w.c, q * w.k)) ** (1.0 / q)
     print(f"  |w|_{q:.1f} quadrature {got:.12f}  closed {exact:.12f}  "
           f"rel {abs(got - exact) / exact:.1e}")

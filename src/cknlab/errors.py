@@ -42,7 +42,7 @@ class ZeroDenominator(CknError):
 
 
 class AmplitudeOverflow(CknError):
-    """A closed-form profile amplitude, or a power of it, exceeds the float range."""
+    """A closed-form profile's peak, or one of its moments, exceeds the float range."""
 
 
 # -- ODE shooting ---------------------------------------------------------------

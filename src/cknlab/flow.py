@@ -38,9 +38,10 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
-from .errors import NegativeDensity, ParameterError, RootNotBracketed, StepFailure
+from .errors import (AmplitudeOverflow, NegativeDensity, ParameterError,
+                     RootNotBracketed, StepFailure)
 from .params import ProblemParams, validate_m
-from .profiles import AnalyticProfile, RadialProfile
+from .profiles import LOG_FLOAT_MAX, AnalyticProfile, RadialProfile
 from .quadrature import sphere_area
 
 __all__ = [
@@ -142,44 +143,29 @@ class FlowState:
 
 
 def _stationary(C: float, m: float, alpha: float) -> AnalyticProfile:
-    """Stationary state (C + r^(2 alpha))^(1/(m-1)), a Barenblatt profile."""
-    return AnalyticProfile(amplitude=1.0, b=C, c=2.0 * alpha, k=1.0 / (1.0 - m))
+    """Stationary state (C + r^(2 alpha))^(1/(m-1)), a Barenblatt profile
+    with peak C^(1/(m-1))."""
+    k = 1.0 / (1.0 - m)
+    return AnalyticProfile(log_peak=-k * math.log(C), b=C, c=2.0 * alpha, k=k)
 
 
 def stationary_profile(m: float, gamma: float, d: int, M: float) -> AnalyticProfile:
     """Stationary state with prescribed weighted mass; its ``b`` is C.
 
-    The profile, hence its weighted mass, decreases strictly in C (the
-    exponent 1/(m-1) is negative), so mass(C) = M has exactly one root.
+    The mass is mass(1) C^((d-gamma)/(2 alpha) - 1/(1-m)), a negative power,
+    so C is explicit; AmplitudeOverflow if C or its peak leaves the float range.
     """
     validate_m(d, gamma, m)
     if M <= 0:
         raise ParameterError(f"target mass must be positive, got {M}")
     alpha = 1.0 - gamma / 2.0
-    C = _solve_log_C(lambda C: _stationary(C, m, alpha).moment(1.0, d, gamma), M)
-    return _stationary(C, m, alpha)
-
-
-def _solve_log_C(mass_of_C, M: float) -> float:
-    """The stationary constant C > 0 with mass_of_C(C) = M.
-
-    mass_of_C must decrease strictly in C.  The root is bracketed on log C,
-    widening [-1, 1] by 2 per side until the signs differ, and refined by
-    brentq.
-    """
-    def f(logC):
-        return mass_of_C(math.exp(logC)) - M
-
-    lo, hi = -1.0, 1.0
-    while not f(lo) > 0:
-        lo -= 2.0
-        if lo < -400:
-            raise RootNotBracketed("no lower bracket for the stationary constant")
-    while not f(hi) < 0:
-        hi += 2.0
-        if hi > 400:
-            raise RootNotBracketed("no upper bracket for the stationary constant")
-    return math.exp(brentq(f, lo, hi, xtol=1e-14, rtol=8.0 * np.finfo(float).eps))
+    expo = (d - gamma) / (2.0 * alpha) - 1.0 / (1.0 - m)
+    log_C = (math.log(M)
+             - math.log(_stationary(1.0, m, alpha).moment(1.0, d, gamma))) / expo
+    if not abs(log_C) < LOG_FLOAT_MAX:
+        raise AmplitudeOverflow(f"the stationary constant C = exp({log_C:.1f}) "
+                                f"leaves the float range")
+    return _stationary(math.exp(log_C), m, alpha)
 
 
 def make_state(u0, m: float, gamma: float, d: int, n_cells: int = 400,
@@ -435,14 +421,29 @@ def _stationary_for_state(state: FlowState) -> AnalyticProfile:
     measured against the member of the stationary family with that same
     discrete mass; matching through the continuum integral instead would
     leave a spurious quadrature-sized energy floor at the end of every run.
+    The mesh mass decreases strictly in C.  Its root is bracketed on log C,
+    widening [-1, 1] by 2 per side until the signs differ, and refined by
+    brentq; the lower end stops where the peak C^(1/(m-1)) reaches the end of
+    the float range, and a root beyond it raises AmplitudeOverflow.
     """
     mesh, m = state.mesh, state.m
+    lo_end = (m - 1.0) * LOG_FLOAT_MAX
 
-    def mesh_mass(C):
-        B = _stationary(C, m, mesh.alpha)(mesh.radii)
-        return mesh.area * float(np.sum(B * mesh.vol_w))
+    def f(log_C):
+        B = _stationary(math.exp(log_C), m, mesh.alpha)(mesh.radii)
+        return mesh.area * float(np.sum(B * mesh.vol_w)) - state.mass
 
-    return _stationary(_solve_log_C(mesh_mass, state.mass), m, mesh.alpha)
+    lo, hi = max(-1.0, lo_end), 1.0
+    while not f(lo) > 0:
+        if lo == lo_end:
+            raise AmplitudeOverflow("the stationary peak leaves the float range")
+        lo = max(lo - 2.0, lo_end)
+    while not f(hi) < 0:
+        hi += 2.0
+        if hi > 400:
+            raise RootNotBracketed("no upper bracket for the stationary constant")
+    log_C = brentq(f, lo, hi, xtol=1e-14, rtol=8.0 * np.finfo(float).eps)
+    return _stationary(math.exp(log_C), m, mesh.alpha)
 
 
 # step budget of run_decay; a run that needs more has stalled

@@ -30,13 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import betaln
 
 from .errors import AmplitudeOverflow, GridTooCoarse, NoDescent, ParameterError
 from .params import (ProblemParams, derive, kappa, radii_from_flat,
                      scaling_exponents)
-from .profiles import AnalyticProfile, RadialProfile, tail_bounds, w_star
-from .quadrature import sphere_area
+from .profiles import RadialProfile, tail_bounds, w_star
+from .quadrature import log_beta_integral, sphere_area
 
 __all__ = [
     "MinimizationReport",
@@ -85,27 +84,26 @@ class _Flat:
     """The flat problem at a mass in r (None: unit peak), computed in logs.
 
     Its candidate amp (1 + (s/scale)^2)^(-k), k = 1/(p-1), is the optimizer of
-    that mass.  Its measure is (s/scale)^(d_gamma-1) ds, whose powers stay in
-    the float range, so K = |S^(d-1)| (alpha scale)^(d_gamma-1).
+    that mass.  The unit-peak optimizer (1 + s^2/a)^(-k), a the flat a_gamma,
+    has a log Beta integral as mass: no amplitude a^k is formed.  The measure
+    is (s/scale)^(d_gamma-1) ds, so K = |S^(d-1)| (alpha scale)^(d_gamma-1).
     """
 
     def __init__(self, params: ProblemParams, mass: float | None):
         d_g, p = derive(params).d_gamma, params.p
         self.d_gamma, self.p, k = d_g, p, 1.0 / (p - 1.0)
-        log_a = math.log(2.0 * (d_g - p * (d_g - 2.0)) * k * k)
-        # K at scale 1, and the integral of u^(2p) s^(d_g-1), u the unit-peak
-        # optimizer (1 + s^2/a)^(-k): a^(d_g/2) int t^(d_g-1) (1 + t^2)^(-2pk)
+        a = derive(ProblemParams(d_g, 0.0, p)).a_gamma
+        # K at scale 1, and the integral of u^(2p) s^(d_g-1), u = (1 + s^2/a)^(-k)
         log_k1 = math.log(sphere_area(params.d)) \
             + (d_g - 1.0) * math.log(1.0 - params.gamma / 2.0)
-        log_u = betaln(0.5 * d_g, 2.0 * p * k - 0.5 * d_g) - math.log(2.0) \
-            + 0.5 * d_g * log_a
+        log_u = log_beta_integral(d_g, a, 2.0, 2.0 * p * k)
         # the optimizer amp u(s/lam), lam = amp^(-(p-1)/2), has the mass in r
         # amp^(2p) lam^(d_g) exp(log_k1 + log_u)
         log_M, log_amp = log_k1 + log_u, 0.0
         if mass is not None:
             log_M = math.log(mass)
             log_amp = (log_M - log_k1 - log_u) / (2.0 * p - 0.5 * d_g * (p - 1.0))
-        log_scale = 0.5 * log_a - 0.5 * (p - 1.0) * log_amp
+        log_scale = 0.5 * math.log(a) - 0.5 * (p - 1.0) * log_amp
         log_K = log_k1 + (d_g - 1.0) * log_scale
         if max(map(abs, (log_K, log_M, log_M - log_K, log_amp, log_scale))) > 700:
             raise AmplitudeOverflow(f"the map back to r needs K = exp({log_K:.1f})"
@@ -392,8 +390,7 @@ def critical_constant(d: int, gamma: float) -> float:
     if gamma == 2.0:
         return 2.0 / (d - 2.0)
     p_crit = (d - gamma) / (d - 2.0)
-    w = AnalyticProfile(amplitude=1.0, b=1.0, c=2.0 - gamma,
-                        k=1.0 / (p_crit - 1.0))
+    w = w_star(ProblemParams(d, gamma, p_crit))
     return w.moment(2.0 * p_crit, d, gamma) ** (1.0 / (2.0 * p_crit)) \
         / math.sqrt(w.gradient_moment(d))
 

@@ -1,7 +1,9 @@
 """Barenblatt-type profiles, weighted norms, energies and optimality residuals.
 
-``AnalyticProfile`` wraps a closed-form radial function a (b + r^c)^(-k)
-together with its exact derivatives and exact Beta-integral moments.  The
+``AnalyticProfile`` wraps a closed-form radial function
+exp(log_peak) (1 + r^c/b)^(-k) together with its exact derivatives and exact
+Beta-integral moments, all taken in log form: near p = 1 the optimizer's
+amplitude a^(1/(p-1)) leaves the float range where its peak does not.  The
 norms, quotients, energies and optimality residuals take such a profile (the
 weighted norm also takes a bare callable) and integrate it by tanh-sinh
 quadrature, with no truncation radius.  ``RadialProfile`` is the sampled
@@ -17,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 import numpy as np
-from scipy.special import betaincinv
+from scipy.special import betaincinv, xlogy
 
 from . import quadrature as quad
 from .errors import (AmplitudeOverflow, DivergentNorm, ParameterError,
@@ -138,55 +140,54 @@ class RadialProfile:
 
 
 class AnalyticProfile:
-    """Closed-form radial profile with exact first and second derivatives.
+    """Closed-form radial profile w(r) = exp(log_peak) (1 + r^c/b)^(-k).
 
-    Represents w(r) = amplitude * (b + r^c)^(-k); both Barenblatt families and
-    their dilates take this form.
+    Both Barenblatt families and their dilates take this form.  w is taken
+    through its log, finite at every r > 0, and its derivatives are w times a
+    bounded factor in t = r^c/(b + r^c), over r and r^2.  AmplitudeOverflow
+    is raised where the peak or a returned moment leaves the float range.
     """
 
-    def __init__(self, amplitude: float, b: float, c: float, k: float):
-        self.amplitude = float(amplitude)
+    def __init__(self, log_peak: float, b: float, c: float, k: float):
+        self.log_peak = float(log_peak)
         self.b = float(b)
         self.c = float(c)
         self.k = float(k)
         # decay power of w itself: r^(-c k)
         self.tail_exponent = c * k
+        _exp(self.log_peak, "the peak")
+
+    def _log1p_x(self, r):
+        """log(1 + x), x = r^c/b, as softplus(log x): finite where x is not."""
+        z = xlogy(self.c, np.asarray(r, dtype=float)) - math.log(self.b)
+        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
     def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", under="ignore"):
-            return self.amplitude * (self.b + r**self.c) ** (-self.k)
+        return np.exp(self.log(r))
 
     def log(self, r):
-        """log w(r) = log a - k log(b + r^c), for a positive amplitude.
+        """log w(r) = log_peak - k log(1 + r^c/b).
 
         exp(q log w) keeps w^q representable in the far tail, where w
         itself underflows to 0.
         """
-        r = np.asarray(r, dtype=float)
-        return math.log(self.amplitude) - self.k * np.log(self.b + r**self.c)
+        return self.log_peak - self.k * self._log1p_x(r)
+
+    def _w_and_t(self, r):
+        """w(r) and t = r^c/(b + r^c) = 1 - exp(-log(1 + r^c/b))."""
+        log1p_x = self._log1p_x(r)
+        return np.exp(self.log_peak - self.k * log1p_x), -np.expm1(-log1p_x)
 
     def deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            s = r**self.c
-            base = (self.b + s) ** (-self.k - 1.0)
-            out = (-self.amplitude * self.k * self.c) * r ** (self.c - 1.0) * base
-        # far in the tail `base` underflows to 0 while the factor before it
-        # overflows; the product there is 0, not inf * 0 = nan
-        return np.where((base == 0.0) & np.isnan(out), 0.0, out)
+        """w'(r) = -k c t w / r, at r > 0."""
+        w, t = self._w_and_t(r)
+        return -self.k * self.c * t * w / r
 
     def second_deriv(self, r):
-        r = np.asarray(r, dtype=float)
-        a, b, c, k = self.amplitude, self.b, self.c, self.k
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            s = r**c
-            base = (b + s) ** (-k - 2.0)
-            t_sq = (k + 1.0) * (c * r ** (c - 1.0)) ** 2
-            t_curv = (b + s) * c * (c - 1.0) * r ** (c - 2.0)
-            out = a * k * base * (t_sq - t_curv)
-        # as in deriv: an underflowed `base` makes the product 0
-        return np.where((base == 0.0) & np.isnan(out), 0.0, out)
+        """w''(r) = k c t (1 - c + (k + 1) c t) w / r^2, at r > 0."""
+        c, k = self.c, self.k
+        w, t = self._w_and_t(r)
+        return k * c * t * (1.0 - c + (k + 1.0) * c * t) * w / r / r
 
     def sample(self, radii: np.ndarray | None = None) -> RadialProfile:
         radii = default_grid() if radii is None else np.asarray(radii, dtype=float)
@@ -199,37 +200,46 @@ class AnalyticProfile:
         )
 
     def moment(self, q: float, d: float, gamma: float) -> float:
-        """|S^(d-1)| int_0^inf |w|^q r^(d-1-gamma) dr, exactly (Beta integral).
+        """|S^(d-1)| int_0^inf w^q r^(d-1-gamma) dr, exactly (Beta integral).
 
         d may be real, so the same closed form serves the flattened radial
         dimension d_gamma = 2 (d - gamma)/(2 - gamma).
         """
-        return quad.sphere_area(d) * _power(abs(self.amplitude), q) \
-            * quad.power_law_weighted_integral(d - gamma, self.b, self.c,
-                                               q * self.k)
+        return _exp(math.log(quad.sphere_area(d)) + q * self.log_peak
+                    + quad.log_beta_integral(d - gamma, self.b, self.c,
+                                             q * self.k), "the moment")
 
     def gradient_moment(self, d: float) -> float:
         """|S^(d-1)| int_0^inf w'(r)^2 r^(d-1) dr, exactly (Beta integral).
 
-        w'^2 = (a c k)^2 r^(2c-2) (b + r^c)^(-2(k+1)), a Beta integral with
-        mu = d + 2c - 2; d may be real.
+        w'^2 = (c k/b)^2 w(0)^2 r^(2c-2) (1 + r^c/b)^(-2(k+1)), a Beta
+        integral with mu = d + 2c - 2; d may be real.
         """
-        return quad.sphere_area(d) * _power(abs(self.amplitude), 2.0) \
-            * (self.c * self.k) ** 2 * quad.power_law_weighted_integral(
-                d + 2.0 * self.c - 2.0, self.b, self.c, 2.0 * (self.k + 1.0))
+        return _exp(math.log(quad.sphere_area(d)) + 2.0 * self.log_peak
+                    + 2.0 * math.log(self.c * self.k / self.b)
+                    + quad.log_beta_integral(d + 2.0 * self.c - 2.0, self.b,
+                                             self.c, 2.0 * (self.k + 1.0)),
+                    "the gradient moment")
 
     def scaled(self, amp_factor: float, dilation: float) -> "AnalyticProfile":
-        """Profile amp_factor * w(dilation * r), still in closed form.
+        """Profile amp_factor * w(dilation * r): (lam r)^c/b = r^c/(b lam^(-c))."""
+        return AnalyticProfile(log_peak=self.log_peak + math.log(amp_factor),
+                               b=self.b * dilation ** (-self.c), c=self.c,
+                               k=self.k)
 
-        amp (b + (lam r)^c)^(-k) = amp lam^(-c k) (b lam^(-c) + r^c)^(-k).
-        """
-        lam = dilation
-        return AnalyticProfile(
-            amplitude=amp_factor * self.amplitude * lam ** (-self.c * self.k),
-            b=self.b * lam ** (-self.c),
-            c=self.c,
-            k=self.k,
-        )
+
+#: log of the largest float
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+
+
+def _exp(log_value: float, what: str) -> float:
+    """exp(log_value) of a peak or a moment; AmplitudeOverflow past the float
+    range, as for the optimizer's peak exp(1116.7) at (3, 1.999, 1.0002)."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise AmplitudeOverflow(f"{what} exp({log_value:.1f}) exceeds the "
+                                f"float range") from None
 
 
 #: Share of each integrand's integral that a radial grid leaves beyond
@@ -254,7 +264,7 @@ def tail_bounds(scale: float, pairs) -> tuple[float, float]:
 
 def w_star(params: ProblemParams) -> AnalyticProfile:
     """Unit-coefficient optimizer (1 + r^(2-gamma))^(-1/(p-1))."""
-    return AnalyticProfile(amplitude=1.0, b=1.0, c=2.0 - params.gamma,
+    return AnalyticProfile(log_peak=0.0, b=1.0, c=2.0 - params.gamma,
                            k=1.0 / (params.p - 1.0))
 
 
@@ -266,28 +276,13 @@ def w_gamma_star(params: ProblemParams) -> AnalyticProfile:
     """
     ex = derive(params)
     k = 1.0 / (params.p - 1.0)
-    return AnalyticProfile(amplitude=_power(ex.a_gamma, k), b=ex.b_gamma,
-                           c=2.0 - params.gamma, k=k)
+    return AnalyticProfile(log_peak=k * math.log(ex.a_gamma / ex.b_gamma),
+                           b=ex.b_gamma, c=2.0 - params.gamma, k=k)
 
 
 def barenblatt_mass(params: ProblemParams) -> float:
     """Closed form of the weighted L^(2p) mass of the normalized optimizer."""
     return w_gamma_star(params).moment(2.0 * params.p, params.d, params.gamma)
-
-
-def _power(base: float, expo: float) -> float:
-    """base**expo for an amplitude; AmplitudeOverflow past the float range.
-
-    Near p = 1 the optimizer's amplitude a_gamma^(1/(p-1)) grows like
-    exp(log(a_gamma)/(p-1)) and leaves the float range, e.g. at
-    (d, gamma, p) = (5, 1.9, 1.0067).
-    """
-    try:
-        return base**expo
-    except OverflowError:
-        raise AmplitudeOverflow(
-            f"amplitude {base:.6g}^{expo:.6g} = exp({expo * math.log(base):.1f}) "
-            f"exceeds the float range") from None
 
 
 def dilate_to_mass(params: ProblemParams, mass: float) -> AnalyticProfile:

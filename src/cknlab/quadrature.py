@@ -24,10 +24,11 @@ import math
 from typing import Callable
 
 import numpy as np
+from scipy.special import betaln
 
 from .errors import NaNEncountered, NonConvergent
 
-__all__ = ["integrate", "sphere_area", "power_law_weighted_integral"]
+__all__ = ["integrate", "sphere_area", "log_beta_integral"]
 
 
 def sphere_area(d: float) -> float:
@@ -163,19 +164,15 @@ def integrate(f: Callable, d: int, gamma: float) -> float:
     )
 
 
-def power_law_weighted_integral(mu: float, b: float, c: float, q: float) -> float:
-    """Closed form of int_0^inf r^(mu-1) (b + r^c)^(-q) dr.
+def log_beta_integral(mu: float, b: float, c: float, q: float) -> float:
+    """Closed form of log int_0^inf r^(mu-1) (1 + r^c/b)^(-q) dr.
 
-    Substituting s = r^c / b turns the integral into a Beta function:
-
-        b^(mu/c - q) B(mu/c, q - mu/c) / c,
-
-    valid for 0 < mu/c < q.  This is the oracle for every norm of a
-    Barenblatt-type profile.
+    Substituting x = r^c/b turns the integral into a Beta function, so its
+    log is (mu/c) log b + log B(mu/c, q - mu/c) - log c, valid for
+    0 < mu/c < q.  This is the oracle for every moment of a Barenblatt-type
+    profile; the log stays in the float range where the integral does not.
     """
-    from scipy.special import betaln
-
     nu = mu / c
     if not (0.0 < nu < q):
         raise ValueError(f"Beta integral requires 0 < mu/c < q, got mu/c={nu}, q={q}")
-    return b ** (nu - q) * math.exp(betaln(nu, q - nu)) / c
+    return nu * math.log(b) + betaln(nu, q - nu) - math.log(c)

@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 from scipy.special import betaln, hyp2f1
 
 from .params import ProblemParams, validate
-from .profiles import AnalyticProfile, w_gamma_star
+from .profiles import AnalyticProfile, barenblatt_mass, w_gamma_star
 from .quadrature import integrate, sphere_area
 
 __all__ = [
@@ -53,7 +53,6 @@ class SelectionContext:
     def __post_init__(self):
         self.params = validate(self.d, 0.0, self.p)
         self.w0 = w_gamma_star(self.params)
-        from .profiles import barenblatt_mass
         self.mass = barenblatt_mass(self.params)
 
     @property

@@ -30,7 +30,7 @@ from scipy.integrate import ode
 
 from .errors import BracketNotFound, ClassificationAmbiguous, ParameterError
 from .params import ProblemParams, radii_from_flat, to_flat_variables
-from .profiles import RadialProfile
+from .profiles import LOG_FLOAT_MAX as _LOG_FLOAT_MAX, RadialProfile
 
 __all__ = [
     "Classification",
@@ -46,7 +46,6 @@ _PROFILE_WIDTH = 1e-10
 # span more than tol; past 1/eps in s a unit step no longer moves s
 _S_MAX = 2e3
 _S_MAX_CAP = 1.0 / np.finfo(float).eps
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 # step budget of a shot, far above the 2261 steps of the longest shot seen,
 # at (3, 1.98, 1.005)
 _MAX_STEPS = 1_000_000

@@ -17,10 +17,11 @@ omega = 1, V = p w^(p-1) - (2p-1) w^(2p-2) and rho = (2p-1) w^(2p-2); 0 marks
 marginal stability, and at gamma = 0 the translation mode sits exactly at 0
 in sector 1.  The weighted spectral-gap (Hardy-Poincare) quotient has
 omega = w^(2p), V = 0 and rho = w^(3p-1).  Radial (ell = 0) operators carry
-the zero-mean constraint that removes the mass direction.  Powers are
-w^q = exp(q log(a/(b + s^2))/(p-1)), through ``AnalyticProfile.log`` of
-w^(p-1) = a/(b + s^2): none needs the amplitude a^(1/(p-1)), which leaves
-the float range near p = 1, and w^q stays representable in the far tail.
+the zero-mean constraint that removes the mass direction.  Every weight is
+a power exp(q log u) of the unit-peak optimizer u = w/w(0) times a power of
+a/b = w(0)^(p-1), since w(0) leaves the float range near p = 1: the
+zero-mean weight is u^(2p-1), and the Hardy-Poincare forms, over w(0)^(2p),
+have omega = u^(2p) and rho = (a/b) u^(3p-1).
 
 Every solve sizes its own geometric grid of n nodes in s: its ends are the
 TAIL_SHARE quantiles (``profiles.tail_bounds``) of the integrands of the
@@ -179,11 +180,12 @@ def _sector_pencils(r: np.ndarray, d: float, ells, rho, omega=None,
     return ops
 
 
-def _optimizer_power(flat: ProblemParams):
-    """q -> (s -> w(s)^q) for the optimizer w of a gamma = 0 triple."""
+def _unit_optimizer(flat: ProblemParams):
+    """(q -> (s -> u(s)^q), a/b) for the optimizer w of a gamma = 0 triple,
+    u = w/w(0) its unit-peak form and a/b = w(0)^(p-1)."""
     ex = derive(flat)
-    base = AnalyticProfile(amplitude=ex.a_gamma, b=ex.b_gamma, c=2.0, k=1.0)
-    return lambda q: lambda s: np.exp(q / (flat.p - 1.0) * base.log(s))
+    u = AnalyticProfile(log_peak=0.0, b=ex.b_gamma, c=2.0, k=1.0 / (flat.p - 1.0))
+    return (lambda q: lambda s: np.exp(q * u.log(s))), ex.a_gamma / ex.b_gamma
 
 
 def assemble(params: ProblemParams, ell: int, n: int = 2000) -> SectorOperator:
@@ -214,16 +216,15 @@ def assemble(params: ProblemParams, ell: int, n: int = 2000) -> SectorOperator:
     s = _grid(math.sqrt(ex.b_gamma), [
         (d_g + 2.0, 2.0 * k + 2.0), (d_g, (p + 1.0) * k), (d_g, 2.0 * p * k),
         (2.0 * ell_f + d_g, 2.0 * sigma + 2.0), grad], n)
-    power = _optimizer_power(flat)
-    w_p1, w_2p2 = power(p - 1.0), power(2.0 * p - 2.0)
-    # the zero-mean weight w^(2p-1) over its peak (a/b)^((2p-1)k), which
-    # leaves the float range near p = 1; a constant factor keeps the constraint
+    power, ab = _unit_optimizer(flat)
+    u_p1, u_2p2 = power(p - 1.0), power(2.0 * p - 2.0)
+    # w^(p-1) = (a/b) u^(p-1); the zero-mean weight is u^(2p-1), w^(2p-1)
+    # over its peak: a constant factor keeps the constraint
     (op,) = _sector_pencils(
         s, d_g, [ell_f],
-        potential=lambda x: p * w_p1(x) - (2.0 * p - 1.0) * w_2p2(x),
-        rho=lambda x: (2.0 * p - 1.0) * w_2p2(x),
-        constraint=lambda x: np.exp((1.0 - 2.0 * p) * k
-                                    * np.log1p(x * x / ex.b_gamma)))
+        potential=lambda x: p * ab * u_p1(x) - (2.0 * p - 1.0) * ab * ab * u_2p2(x),
+        rho=lambda x: (2.0 * p - 1.0) * ab * ab * u_2p2(x),
+        constraint=power(2.0 * p - 1.0))
     return op
 
 
@@ -320,9 +321,10 @@ def _hardy_poincare_pencils(d: float, p: float, n: int) -> list[SectorOperator]:
     s = _grid(math.sqrt(derive(flat).b_gamma), [
         (d, 2.0 * p * k), (d + 2.0, (3.0 * p - 1.0) * k),
         (d + 4.0, (3.0 * p - 1.0) * k), (d + 2.0, 2.0 * p * k)], n)
-    power = _optimizer_power(flat)
+    power, ab = _unit_optimizer(flat)
+    u_3p1 = power(3.0 * p - 1.0)
     return _sector_pencils(s, d, (0, 1), omega=power(2.0 * p),
-                           rho=power(3.0 * p - 1.0))
+                           rho=lambda x: ab * u_3p1(x))
 
 
 def hardy_poincare_gap(d: float, p: float, n: int = 2000):

@@ -102,16 +102,18 @@ def test_criterion_3_beta_oracle_norms():
     for d, gamma, p in _grid_points():
         pp = validate(d, gamma, p)
         w = w_gamma_star(pp)
+        # w = amp (b + r^c)^(-k), amp = w(0) b^k
+        amp = math.exp(w.log_peak) * w.b**w.k
         area = sphere_area(d)
         for q in (2.0 * p, p + 1.0):
             got = weighted_norm(w, q, gamma, pp)
-            exact = (area * w.amplitude**q *
+            exact = (area * amp**q *
                      beta_oracle(d - gamma, w.b, w.c, q * w.k)) ** (1.0 / q)
             worst = max(worst, abs(got - exact) / exact)
         # gradient norm against its own Beta form
         from cknlab.profiles import gradient_norm
         got = gradient_norm(w, pp)
-        coeff = (w.amplitude * w.k * w.c) ** 2
+        coeff = (amp * w.k * w.c) ** 2
         exact = math.sqrt(area * coeff * beta_oracle(
             d + 2.0 - 2.0 * gamma, w.b, w.c, 2.0 * (w.k + 1.0)))
         worst = max(worst, abs(got - exact) / exact)

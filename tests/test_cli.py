@@ -1,8 +1,10 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from scipy.special import betaln
 
 from cknlab import shooting
 from cknlab.cli import main, parse_config_echo
@@ -215,6 +217,23 @@ class TestCompute:
         assert abs(res["total_K_quadrature"] - res["total_K_closed_form"]) \
             < 1e-8 * abs(res["total_K_closed_form"])
 
+    def test_selection_near_p_one(self, capsys):
+        # the amplitude a^(2p/(p-1)) of the mass is exp(938) at p = 1.02, the
+        # mass M only 1.09e5; the closed form of the total is
+        # (p-1)(d-2) M/(2p (d+2-p(d-2))), M a Beta integral in peak form
+        code, out = run_cli(["selection", "--d", "3", "--p", "1.02", "--curve",
+                             "angular", "--s-points", "10", "--format", "json"],
+                            capsys)
+        assert code == 0
+        d, p = 3, 1.02
+        eta, k = d - p * (d - 2.0), 1.0 / (p - 1.0)
+        b, nu, q = eta**2 / (p * (p - 1.0) ** 2), d / 2.0, 2.0 * p * k
+        mass = math.exp(math.log(4.0 * math.pi) + q * math.log(2.0 * p / eta)
+                        + nu * math.log(b) + betaln(nu, q - nu) - math.log(2.0))
+        closed = (p - 1.0) * (d - 2.0) * mass / (2.0 * p * (d + 2.0 - p * (d - 2.0)))
+        res = json.loads(out)["result"]
+        assert res["total_K_quadrature"] == pytest.approx(closed, rel=1e-8)
+
     def test_selection_angular_next_to_one(self, capsys):
         # 2 sqrt(s)/(1+s) rounds to 1 at s = 1 + 1e-9, where arctanh has no
         # finite value; m3_closed must still match m_d there
@@ -366,8 +385,22 @@ class TestExitCodes:
         assert "points_per_decade" in capsys.readouterr().err
 
     def test_profile_amplitude_overflow(self, capsys):
-        assert main(["profile", "--d", "5", "--gamma", "1.9",
-                     "--p", "1.0067"]) == 3
+        # the amplitude a^(1/(p-1)) is exp(773) at (5, 1.9, 1.0067), but the
+        # profile (a/(b + r^c))^(1/(p-1)) peaks at exp(34.5)
+        code, out = run_cli(["profile", "--d", "5", "--gamma", "1.9",
+                             "--p", "1.0067", "--format", "json"], capsys)
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["el_residual"] <= 1e-13
+        d, gamma, p = 5, 1.9, 1.0067
+        eta, c, k = d - gamma - p * (d - 2.0), 2.0 - gamma, 1.0 / (p - 1.0)
+        a, b = c * eta / (p - 1.0) ** 2, eta**2 / (p * (p - 1.0) ** 2)
+        r = np.array(res["profile"]["radii"])
+        exact = np.exp(k * (math.log(a) - np.log(b + r**c)))
+        assert np.allclose(res["profile"]["values"], exact, rtol=1e-12, atol=0)
+        # at (3, 1.999, 1.0002) the peak exp(1116.7) itself overflows
+        assert main(["profile", "--d", "3", "--gamma", "1.999",
+                     "--p", "1.0002"]) == 3
         assert "AmplitudeOverflow" in capsys.readouterr().err
 
     def test_shoot_unresolved_near_p_max(self, monkeypatch, capfd):

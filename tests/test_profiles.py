@@ -23,6 +23,18 @@ def beta_oracle(mu, b, c, q):
     return b ** (nu - q) * math.exp(betaln(nu, q - nu)) / c
 
 
+def log_mass_oracle(d, gamma, p):
+    """log of the weighted L^(2p) mass of (a/(b + r^c))^k, c = 2 - gamma,
+    k = 1/(p-1), in peak form: |S^(d-1)| (a/b)^(2pk) int r^(d-gamma-1)
+    (1 + r^c/b)^(-2pk) dr, with a/b = p c/eta and b = eta^2/(p (p-1)^2)."""
+    eta = d - gamma - p * (d - 2.0)
+    c, k = 2.0 - gamma, 1.0 / (p - 1.0)
+    b = eta**2 / (p * (p - 1.0) ** 2)
+    nu, q = (d - gamma) / c, 2.0 * p * k
+    return (math.log(sphere_area(d)) + q * math.log(p * c / eta)
+            + nu * math.log(b) + betaln(nu, q - nu) - math.log(c))
+
+
 class TestPointValues:
     def test_w_star_peak(self):
         pp = validate(3, 0.3, 1.8)
@@ -67,15 +79,18 @@ class TestPointValues:
                 p * (2.0 - gamma) / ex.eta, rel=1e-12)
 
     def test_log_form(self):
-        # log w agrees with w where w is representable, and stays finite in
-        # the tail where w underflows: at p = 1.02, k = 50 and
-        # (b + r^2)^(-50) is below the float range at r = 1e4
+        # log w agrees with w where w is representable, and w is evaluated
+        # through it: at p = 1.02, k = 50, w(1e4) = (a/(b + 1e8))^50 is
+        # 6.02e-201, though a^50 and (b + 1e8)^(-50) leave the float range
         wg = w_gamma_star(validate(3, 0.0, 1.02))
         r = np.geomspace(1e-4, 10.0, 40)
         assert np.allclose(np.exp(wg.log(r)), wg(r), rtol=1e-12, atol=0)
-        assert wg(1e4) == 0.0
-        assert wg.log(1e4) == pytest.approx(
-            math.log(wg.amplitude) - 50.0 * math.log(wg.b + 1e8), rel=1e-12)
+        eta = 3.0 - 1.02
+        a, b = 2.0 * eta / 0.02**2, eta**2 / (1.02 * 0.02**2)
+        exact = 50.0 * (math.log(a) - math.log(b + 1e8))
+        assert wg.log(1e4) == pytest.approx(exact, rel=1e-12)
+        assert wg(1e4) == pytest.approx(math.exp(exact), rel=1e-12)
+        assert 6.0e-201 < wg(1e4) < 6.1e-201
 
 
 class TestNorms:
@@ -92,7 +107,7 @@ class TestNorms:
         k = 1.0 / (pp.p - 1.0)
         val = weighted_norm(w_gamma_star(pp), q, pp.gamma, pp)
         prof = w_gamma_star(pp)
-        exact = (sphere_area(4) * prof.amplitude**q *
+        exact = (sphere_area(4) * derive(pp).a_gamma ** (q * k) *
                  beta_oracle(4 - 0.5, prof.b, 1.5, q * k)) ** (1.0 / q)
         assert val == pytest.approx(exact, rel=1e-10)
 
@@ -111,7 +126,7 @@ class TestNorms:
 
     def test_divergent_norm_detected(self):
         pp = validate(3, 0.0, 2.0)
-        slow = AnalyticProfile(1.0, 1.0, 2.0, 0.5)  # decays like r^{-1}
+        slow = AnalyticProfile(0.0, 1.0, 2.0, 0.5)  # decays like r^{-1}
         with pytest.raises(DivergentNorm):
             weighted_norm(slow, 2.0, 0.0, pp)
 
@@ -135,12 +150,13 @@ class TestNorms:
 class TestGradientNorm:
     def test_matches_analytic_derivative_oracle(self):
         # oracle: |w'|^2 = (A k c)^2 r^(2c-2) (b + r^c)^(-2k-2) against
-        # r^(d-1) dr; at (3, 0, 2) this is 4 r^2 (1+r^2)^(-4).  Near p = 1
-        # the tail nodes overflow r^(c-1) and underflow the power factor.
+        # r^(d-1) dr, A = w(0) b^k; at (3, 0, 2) this is 4 r^2 (1+r^2)^(-4).
+        # Near p = 1 the tail nodes take r^c far past the float range.
         for family, pp in ((w_star, validate(3, 0.0, 2.0)),
                            (w_gamma_star, validate(3, 0.0, 1.04))):
             w = family(pp)
-            A, b, c, k = w.amplitude, w.b, w.c, w.k
+            b, c, k = w.b, w.c, w.k
+            A = math.exp(w.log_peak) * b**k
             exact = math.sqrt(sphere_area(pp.d) * (A * k * c) ** 2
                               * beta_oracle(2 * c - 2 + pp.d, b, c, 2 * k + 2))
             assert gradient_norm(w, pp) == pytest.approx(exact, rel=1e-8)
@@ -169,7 +185,10 @@ class TestQuotient:
         pp = validate(3, 0.5, 2.0)
         ex = derive(pp)
         for amp, b, kf in [(1.0, 1.0, 1.0), (2.0, 0.3, 1.4), (0.5, 2.0, 1.1)]:
-            w = AnalyticProfile(amp, b, 2.0 - pp.gamma, kf / (pp.p - 1.0))
+            k = kf / (pp.p - 1.0)
+            # amp (b + r^c)^(-k), of peak amp b^(-k)
+            w = AnalyticProfile(math.log(amp) - k * math.log(b), b,
+                                2.0 - pp.gamma, k)
             n2p = weighted_norm(w, 2 * pp.p, pp.gamma, pp)
             ncrit = weighted_norm(w, ex.two_star_gamma, pp.gamma, pp)
             np1 = weighted_norm(w, pp.p + 1, pp.gamma, pp)
@@ -192,7 +211,8 @@ class TestEnergy:
             amp = rng.uniform(0.2, 3.0)
             b = rng.uniform(0.2, 3.0)
             k = rng.uniform(1.0, 2.0) / (pp.p - 1.0)
-            w = AnalyticProfile(amp, b, 2.0 - pp.gamma, k)
+            w = AnalyticProfile(math.log(amp) - k * math.log(b), b,
+                                2.0 - pp.gamma, k)
             E, G = energy(w, pp, J)
             assert E > -1e-9 * G
 
@@ -234,18 +254,81 @@ class TestMassHelpers:
             assert got == pytest.approx(target, rel=1e-9)
 
     def test_amplitude_overflow_is_named(self):
-        # a_gamma^(1/(p-1)) is about exp(773) at (5, 1.9, 1.0067)
+        # the amplitude a^(1/(p-1)) is about exp(773) at (5, 1.9, 1.0067),
+        # but the peak (a/b)^(1/(p-1)) only exp(34.5)
+        d, gamma, p = 5, 1.9, 1.0067
+        log_peak = math.log(p * (2.0 - gamma) / (d - gamma - p * (d - 2.0))) \
+            / (p - 1.0)
+        assert 34.4 < log_peak < 34.6
+        assert w_gamma_star(validate(d, gamma, p))(0.0) == pytest.approx(
+            math.exp(log_peak), rel=1e-12)
+        # a^(2p/(p-1)) is exp(938), but the mass is 1.09e5
+        assert barenblatt_mass(validate(3, 0.0, 1.02)) == pytest.approx(
+            math.exp(log_mass_oracle(3, 0.0, 1.02)), rel=1e-12)
+        # the peak exp(1116.7) and the mass exp(1762.8) themselves leave the
+        # float range
+        pp = validate(3, 1.999, 1.0002)
+        assert log_mass_oracle(3, 1.999, 1.0002) == pytest.approx(1762.8,
+                                                                  abs=0.1)
+        with pytest.raises(AmplitudeOverflow, match=r"exp\(1116\.7\)"):
+            w_gamma_star(pp)
         with pytest.raises(AmplitudeOverflow):
-            w_gamma_star(validate(5, 1.9, 1.0067))
-        # finite amplitude, but its 2p-th power in the mass overflows
-        with pytest.raises(AmplitudeOverflow):
-            barenblatt_mass(validate(3, 0.0, 1.02))
+            barenblatt_mass(pp)
 
     def test_dilate_preserves_optimality(self):
         pp = validate(3, 0.5, 2.0)
         w = dilate_to_mass(pp, 2.0 * barenblatt_mass(pp))
         assert quotient(w, pp) == pytest.approx(quotient(w_gamma_star(pp), pp),
                                                 rel=1e-10)
+
+
+# admissible points near p = 1 where the amplitude a^(1/(p-1)) leaves the
+# float range and the peak (a/b)^(1/(p-1)) does not
+NEAR_P_ONE = [(3, 0.0, 1.02), (3, 1.98, 1.005), (5, 1.9, 1.0067),
+              (8, 1.95, 1.0015)]
+
+
+class TestNearPOne:
+    @pytest.mark.parametrize("d,gamma,p", NEAR_P_ONE)
+    def test_barenblatt_mass_closed_form(self, d, gamma, p):
+        got = barenblatt_mass(validate(d, gamma, p))
+        assert got == pytest.approx(math.exp(log_mass_oracle(d, gamma, p)),
+                                    rel=1e-12)
+
+    @pytest.mark.parametrize("d,gamma,p", NEAR_P_ONE[:3])
+    def test_quotient_is_reciprocal_constant(self, d, gamma, p):
+        pp = validate(d, gamma, p)
+        c_star, _ = best_constant_radial(pp)
+        assert quotient(w_gamma_star(pp), pp) == pytest.approx(1.0 / c_star,
+                                                                rel=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("w", [
+        w_gamma_star(validate(3, 0.0, 1.02)),
+        w_gamma_star(validate(5, 1.9, 1.0067)),
+        w_gamma_star(validate(8, 1.95, 1.0015)),
+        # r^c leaves the float range at r = 1e300 while w = 1/r does not
+        AnalyticProfile(0.0, 1.0, 2.0, 0.5)],
+        ids=["3-0-1.02", "5-1.9-1.0067", "8-1.95-1.0015", "slow-tail"])
+    def test_derivatives_match_log(self, w):
+        r = np.geomspace(1e-3, 1e300, 400)
+        v, dv, ddv = w(r), w.deriv(r), w.second_deriv(r)
+        assert np.all(np.isfinite(dv)) and np.all(np.isfinite(ddv))
+        # (log w)' and (log w)'' by central differences in log r, compared
+        # as r w'/w and r^2 w''/w = r^2 ((log w)'' + (log w)'^2), which are
+        # bounded by (k c)^2 + k c + 1
+        h = 1e-4
+        lo, mid, hi = w.log(r * math.exp(-h)), w.log(r), w.log(r * math.exp(h))
+        g1 = (hi - lo) / (2.0 * h)  # r (log w)'
+        g2 = (hi - 2.0 * mid + lo) / h**2 - g1  # r^2 (log w)''
+        scale = (w.k * w.c) ** 2 + w.k * w.c + 1.0
+        # where w/r^2 is a normal float, so that w' and w'' are too
+        live = w.log(r) - 2.0 * np.log(r) > math.log(1e-300)
+        assert np.count_nonzero(live) >= 10
+        r, v, dv, ddv, g1, g2 = (x[live] for x in (r, v, dv, ddv, g1, g2))
+        assert np.allclose(r * dv / v, g1, rtol=0, atol=1e-6 * scale)
+        assert np.allclose(r * r * ddv / v, g2 + g1 * g1, rtol=0,
+                           atol=1e-4 * scale)
 
 
 # (d, gamma, p) with gamma > 0, p halfway into the admissible range
@@ -272,8 +355,10 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("gamma", [0.5, 1.2, 1.9])
     def test_moments_in_real_dimension(self, d, gamma):
         # k = d_gamma keeps every moment with q >= 1 finite
-        w = AnalyticProfile(amplitude=1.7, b=0.6, c=2.0 - gamma,
-                            k=2.0 * (d - gamma) / (2.0 - gamma))
+        # 1.7 (0.6 + r^c)^(-k)
+        k = 2.0 * (d - gamma) / (2.0 - gamma)
+        w = AnalyticProfile(log_peak=math.log(1.7) - k * math.log(0.6), b=0.6,
+                            c=2.0 - gamma, k=k)
         area = sphere_area(d)
         for q in (1.0, 2.0, 2.5):
             exact = area * 1.7**q * beta_oracle(d - gamma, 0.6, w.c, q * w.k)
@@ -292,8 +377,8 @@ class TestClosedFormMoments:
         alpha = (2.0 - gamma) / 2.0
         d_gamma = 2.0 * (d - gamma) / (2.0 - gamma)
         k = d_gamma
-        w = AnalyticProfile(amplitude=1.0, b=1.0, c=2.0 - gamma, k=k)
-        flat = AnalyticProfile(amplitude=1.0, b=1.0, c=2.0, k=k)
+        w = AnalyticProfile(log_peak=0.0, b=1.0, c=2.0 - gamma, k=k)
+        flat = AnalyticProfile(log_peak=0.0, b=1.0, c=2.0, k=k)
         area, area_flat = sphere_area(d), sphere_area(d_gamma)
         for q in (1.0, 2.0, 3.5):
             assert w.moment(q, d, gamma) / area == pytest.approx(
