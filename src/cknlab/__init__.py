@@ -7,9 +7,8 @@ __version__ = "0.1.0"
 from .params import (DerivedExponents, ProblemParams, derive, kappa,
                      kappa_numeric, mass_from_multiplier, validate)
 from .profiles import (AnalyticProfile, RadialProfile, barenblatt_mass,
-                       default_grid, dilate_to_mass, el_residual, energy,
-                       gradient_norm, quotient, w_gamma_star, w_star,
-                       weighted_norm)
+                       default_grid, el_residual, energy, gradient_norm,
+                       quotient, w_gamma_star, w_star, weighted_norm)
 from .quadrature import integrate, log_beta_integral, sphere_area
 
 __all__ = [
@@ -18,6 +17,6 @@ __all__ = [
     "mass_from_multiplier", "kappa", "kappa_numeric",
     "integrate", "sphere_area", "log_beta_integral",
     "RadialProfile", "AnalyticProfile", "default_grid", "w_star",
-    "w_gamma_star", "barenblatt_mass", "dilate_to_mass", "weighted_norm",
+    "w_gamma_star", "barenblatt_mass", "weighted_norm",
     "gradient_norm", "quotient", "energy", "el_residual",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CknError, ParameterError
+from .errors import CknError, DecayWindowTooShort, ParameterError
 from .params import check_radial_bounds, derive, kappa, validate
 
 SCHEMA = "ckn/1"
@@ -227,7 +227,7 @@ def _cmd_flow(args) -> None:
     }
     try:
         meta["fitted_rate"] = fit_decay_rate(series)
-    except ValueError:
+    except DecayWindowTooShort:
         meta["fitted_rate"] = None
     if args.format == "json":
         result = dict(meta, t=series.t.tolist(), F=series.F.tolist(),
@@ -352,7 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.set_defaults(func=_cmd_shoot)
 
-    sp = sub.add_parser("minimize", help="radial best constant by descent")
+    sp = sub.add_parser("minimize", help="radial best constant by descent; "
+                       "J is two-grid extrapolated")
     _add_common(sp)
     sp.add_argument("--grid", type=int, default=1024)
     sp.add_argument("--solver-tol", type=float, default=1e-4)

@@ -87,3 +87,7 @@ class NegativeDensity(CknError):
 
 class RootNotBracketed(CknError):
     pass
+
+
+class DecayWindowTooShort(CknError):
+    """Fewer than 8 rows of a decay series lie in the rate's fit window."""

@@ -38,9 +38,9 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
-from .errors import (AmplitudeOverflow, NegativeDensity, ParameterError,
-                     RootNotBracketed, StepFailure)
-from .params import ProblemParams, validate_m
+from .errors import (AmplitudeOverflow, DecayWindowTooShort, NegativeDensity,
+                     ParameterError, RootNotBracketed, StepFailure)
+from .params import validate_m
 from .profiles import LOG_FLOAT_MAX, AnalyticProfile, RadialProfile
 from .quadrature import sphere_area
 
@@ -54,7 +54,6 @@ __all__ = [
     "fisher_information",
     "run_decay",
     "DecaySeries",
-    "self_similar_map",
     "fit_decay_rate",
 ]
 
@@ -495,37 +494,7 @@ def fit_decay_rate(series: DecaySeries) -> float:
     F0 = series.F[0]
     mask = (series.F > 0) & (series.F <= 1e-1 * F0) & (series.F >= 1e-3 * F0)
     if mask.sum() < 8:
-        raise ValueError("decay window too short to fit a rate")
+        raise DecayWindowTooShort(f"{mask.sum()} rows in the fit window, 8 needed")
     t, logF = series.t[mask], np.log(series.F[mask])
     slope = np.polyfit(t, logF, 1)[0]
     return -float(slope)
-
-
-def self_similar_map(profile: RadialProfile, params: ProblemParams, m: float,
-                     t: float, direction: str = "to_selfsim") -> RadialProfile:
-    """Map between the physical frame and the self-similar frame.
-
-    The expansion factor R(t) = [1 + (2-gamma)(d-gamma)(m - m_c) t]^(1/((d -
-    gamma)(m - m_c))) relates a physical-frame density u at time t to the
-    rescaled density v at time log(R)/(2-gamma) through
-    u(t, x) = R^(gamma-d) v(tau, x/R).  Both directions are exact inverses.
-    """
-    d, g = params.d, params.gamma
-    m_c = (d - 2.0) / (d - g)
-    if m == m_c:
-        raise ValueError("the map is singular at the extinction exponent")
-    a = (d - g) * (m - m_c)
-    R = (1.0 + (2.0 - g) * a * t) ** (1.0 / a)
-    tau = math.log(R) / (2.0 - g)
-    if direction == "to_selfsim":
-        radii = profile.radii / R
-        values = profile.values * R ** (d - g)
-        meta = dict(profile.meta, frame="selfsim", tau=tau, R=R)
-    elif direction == "to_physical":
-        radii = profile.radii * R
-        values = profile.values * R ** (g - d)
-        meta = dict(profile.meta, frame="physical", t=t, R=R)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    return RadialProfile(radii=radii, values=values,
-                         tail_exponent=profile.tail_exponent, meta=meta)

@@ -1,7 +1,7 @@
 """Radial best constants by direct constrained minimization in the flat variable.
 
 The energy G[w] = 0.5 |grad w|^2 + (p+1)^(-1) |w|_(p+1,gamma)^(p+1) is
-minimized over nonnegative radial profiles with the weighted L^(2p) mass held
+minimized over positive radial profiles with the weighted L^(2p) mass held
 fixed.  The solver works in s = (r/c_map)^alpha, alpha = (2-gamma)/2,
 c_map = alpha^(1/alpha), the map of shooting and the sector spectra.  There
 every weight gamma is the gamma = 0 problem in the real dimension
@@ -11,16 +11,13 @@ K = |S^(d-1)| alpha^(d_gamma-1) times their integrals against
 s^(d_gamma-1) ds, and the exponents of the quotient and of J are the same for
 both triples, so every result maps back by K.
 
-The flat problem is normalized at the unit-peak optimizer
-u(s) = (1 + s^2/a)^(-1/(p-1)), a the flat a_gamma, dilated to a given mass,
-so no amplitude a^(1/(p-1)) is formed.  Its geometric grid ends where the
-integrands of X, Y and the mass of that candidate shed TAIL_SHARE each.  The
-mass constraint is a pure power of a norm, so every iterate is rescaled to
-the exact mass.  The Hessian of the Lagrangian is tridiagonal, so each level
-of a coarse-to-fine ladder is solved by damped Newton on its bordered (KKT)
-system, one banded solve per step.  Piecewise-linear gradients with exact
-cell moments of the measure keep the discretization bias of the quotient far
-below the solver tolerances.
+The unknowns are the nodal phi = log w of a profile linear in log s on each
+cell of a geometric grid, so X, Y and the mass are exact integrals of a
+positive function: the discrete quotient bounds the radial minimum from
+above.  The mass is a shift of phi and the grid dilates with the profile, so
+the problem is solved once, at the mass of the unit-peak optimizer.  Each
+level of a coarse-to-fine ladder is solved by damped Newton on the bordered
+(KKT) system of the tridiagonal Hessian, one tridiagonal solve per step.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import AmplitudeOverflow, GridTooCoarse, NoDescent, ParameterError
 from .params import (ProblemParams, derive, kappa, radii_from_flat,
@@ -51,22 +48,25 @@ __all__ = [
 #: profile's transition and reaches 1e-2 where the domain truncates it.
 DILATION_BALANCE_MAX = 1e-3
 
-#: Damped Newton on each ladder level.  The Levenberg weight starts at
-#: NEWTON_LAM_START: with 1e-6 the first cold-start steps at (4, 1.5, 1.1)
-#: jump to the constant profile, a local minimum of the discrete problem.  A
-#: level that needs a weight above NEWTON_LAM_MAX, or more than
-#: NEWTON_MAX_STEPS steps, raises NoDescent.  A level has converged once a
-#: step changes the energy by at most NEWTON_ENERGY_RTOL and no node by more
-#: than NEWTON_STEP_RTOL, both relative.
+#: Damped Newton on each ladder level, from the Levenberg weight
+#: NEWTON_LAM_START.  A level that needs a weight above NEWTON_LAM_MAX, or
+#: more than NEWTON_MAX_STEPS steps, raises NoDescent; from the cold start the
+#: coarsest level takes up to about 700.  See _newton for NEWTON_ENERGY_RTOL
+#: and NEWTON_STEP_RTOL: energies carry 1e-14 rounding.
 NEWTON_LAM_START = 1e-2
 NEWTON_LAM_MAX = 1e12
-NEWTON_MAX_STEPS = 200
+NEWTON_MAX_STEPS = 1000
 NEWTON_ENERGY_RTOL = 1e-15
 NEWTON_STEP_RTOL = 1e-10
+
+# Taylor coefficients of int_0^1 v^2 exp(-y v) dv for y < 0.1, highest first
+_J2_SERIES = [(-1.0) ** k / (math.factorial(k) * (k + 3)) for k in range(9, -1, -1)]
 
 
 @dataclass
 class MinimizationReport:
+    """In r; J is extrapolated, best_quotient is not (see minimize_radial)."""
+
     best_quotient: float
     best_profile: RadialProfile
     iterations: int
@@ -81,79 +81,92 @@ class MinimizationReport:
 
 
 class _Flat:
-    """The flat problem at a mass in r (None: unit peak), computed in logs.
+    """The flat problem at the mass of its unit-peak optimizer, in logs.
 
-    Its candidate amp (1 + (s/scale)^2)^(-k), k = 1/(p-1), is the optimizer of
-    that mass.  The unit-peak optimizer (1 + s^2/a)^(-k), a the flat a_gamma,
-    has a log Beta integral as mass: no amplitude a^k is formed.  The measure
-    is (s/scale)^(d_gamma-1) ds, so K = |S^(d-1)| (alpha scale)^(d_gamma-1).
+    The optimizer (1 + (s/scale)^2)^(-k), k = 1/(p-1), scale = sqrt(a), has
+    a log Beta integral as mass: no amplitude a^k is formed.  The measure is
+    (s/scale)^(d_gamma-1) ds, so K = |S^(d-1)| (alpha scale)^(d_gamma-1).
     """
 
-    def __init__(self, params: ProblemParams, mass: float | None):
+    def __init__(self, params: ProblemParams):
         d_g, p = derive(params).d_gamma, params.p
         self.d_gamma, self.p, k = d_g, p, 1.0 / (p - 1.0)
         a = derive(ProblemParams(d_g, 0.0, p)).a_gamma
         # K at scale 1, and the integral of u^(2p) s^(d_g-1), u = (1 + s^2/a)^(-k)
         log_k1 = math.log(sphere_area(params.d)) \
             + (d_g - 1.0) * math.log(1.0 - params.gamma / 2.0)
-        log_u = log_beta_integral(d_g, a, 2.0, 2.0 * p * k)
-        # the optimizer amp u(s/lam), lam = amp^(-(p-1)/2), has the mass in r
-        # amp^(2p) lam^(d_g) exp(log_k1 + log_u)
-        log_M, log_amp = log_k1 + log_u, 0.0
-        if mass is not None:
-            log_M = math.log(mass)
-            log_amp = (log_M - log_k1 - log_u) / (2.0 * p - 0.5 * d_g * (p - 1.0))
-        log_scale = 0.5 * math.log(a) - 0.5 * (p - 1.0) * log_amp
-        log_K = log_k1 + (d_g - 1.0) * log_scale
-        if max(map(abs, (log_K, log_M, log_M - log_K, log_amp, log_scale))) > 700:
+        self.log_mass = log_k1 + log_beta_integral(d_g, a, 2.0, 2.0 * p * k)
+        log_K = log_k1 + 0.5 * (d_g - 1.0) * math.log(a)
+        if max(map(abs, (log_K, self.log_mass, self.log_mass - log_K))) > 700:
             raise AmplitudeOverflow(f"the map back to r needs K = exp({log_K:.1f})"
-                                    f" and the mass exp({log_M:.1f})")
-        self.amp, self.scale = math.exp(log_amp), math.exp(log_scale)
-        self.mass, self.K = math.exp(log_M - log_K), math.exp(log_K)
-        # the integrands of X, Y and the mass of the candidate, in s/scale
-        self.s_min, self.s_max = tail_bounds(self.scale, [
-            (d_g + 2.0, 2.0 * k + 2.0), (d_g, (p + 1.0) * k), (d_g, 2.0 * p * k)])
+                                    f" and the mass exp({self.log_mass:.1f})")
+        self.scale = math.sqrt(a)
+        self.mass, self.K = math.exp(self.log_mass - log_K), math.exp(log_K)
+        # the optimizer's integrands of X, Y, mass in t = s/scale, times the
+        # closures' relative errors t^2/(1 + t^2) at s_min, 1/(1 + t^2) at s_max
+        pairs = np.array([(d_g + 2.0, 2.0 * k + 3.0), (d_g, (p + 1.0) * k + 1.0),
+                          (d_g, 2.0 * p * k + 1.0)])
+        self.s_min = tail_bounds(self.scale, pairs + [2.0, 0.0])[0]
+        self.s_max = tail_bounds(self.scale, pairs)[1]
 
-    def candidate(self, s: np.ndarray) -> np.ndarray:
-        return self.amp * np.exp(-np.log1p((s / self.scale) ** 2)
-                                 / (self.p - 1.0))
+    def log_candidate(self, s: np.ndarray) -> np.ndarray:
+        return -np.log1p((s / self.scale) ** 2) / (self.p - 1.0)
+
+
+def _moments(y: np.ndarray):
+    """J_j = int_0^1 v^j exp(-y v) dv for j = 0, 1, 2, at y >= 0."""
+    e = np.exp(-y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j0 = -np.expm1(-y) / y
+        j1 = (j0 - e) / y
+        j2 = (2.0 * j1 - e) / y
+    small = y < 0.1
+    ys, es = y[small], e[small]
+    j2[small] = series = np.polyval(_J2_SERIES, ys)
+    j1[small] = 0.5 * (ys * series + es)
+    j0[small] = ys * j1[small] + es
+    return j0, j1, j2
 
 
 class _Discretization:
-    """n geometric nodes on [s_min, s_max], lumped masses, gradient weights.
+    """n geometric nodes on [s_min, s_max] carrying phi = log w.
 
-    A profile is constant below s_min and falls linearly from its last node
-    to 0 at the next geometric node, so the discrete problem restricts the
-    one on the whole line; the constant profile is no competitor.
+    phi is linear in log s on each cell; the profile is constant below s_min
+    and continues past s_max as the optimizer's tail (s/s_max)^(-2/(p-1)),
+    whose integrals are finite for every p < p_max.  Row j of X, Y and the
+    mass integrates exp(a_j phi + offset_j), X's times beta^2 = phi'^2.
     """
 
     def __init__(self, flat: _Flat, n: int):
-        self.flat, self.p = flat, flat.p
+        self.flat, p, d_g = flat, flat.p, flat.d_gamma
+        self.p, sigma = p, 2.0 / (p - 1.0)
         self.s = np.geomspace(flat.s_min, flat.s_max, n)
-        d_g, t = flat.d_gamma, self.s / flat.scale
-        # the first cell reaches down to s = 0: a constant-value closure
-        edges = np.concatenate([[0.0], 0.5 * (t[1:] + t[:-1]), [t[-1]]])
-        self.m = flat.scale * np.diff(edges**d_g) / d_g
-        nodes = np.append(t, t[-1] ** 2 / t[-2])
-        c = np.diff(nodes**d_g) / d_g / (flat.scale * np.diff(nodes) ** 2)
-        self.c, self.c_end = c[:-1], c[-1]  # cells, and the fall to 0
-        self.c_full = c.copy()  # diagonal of the stiffness matrix
-        self.c_full[1:] += self.c
+        log_t = np.log(self.s / flat.scale)
+        self.h = h = (log_t[-1] - log_t[0]) / (n - 1)
+        self.a = np.array([2.0, p + 1.0, 2.0 * p])
+        b = np.array([d_g - 2.0, d_g, d_g])
+        pre = np.log([h / flat.scale, h * flat.scale, h * flat.scale])
+        self.offset = b[:, None] * log_t + pre[:, None]
+        # the integrals below s_min (no gradient) and past s_max, per unit of
+        # the end node's cell integrand
+        self.closures = np.array([[0.0, 1.0, 1.0], [sigma**2, 1.0, 1.0]]).T \
+            / (h * np.array([b, self.a * sigma - b]).T)
 
-    def stiffness_apply(self, w: np.ndarray) -> np.ndarray:
-        dw = w[1:] - w[:-1]
-        out = np.zeros_like(w)
-        out[:-1] -= self.c * dw
-        out[1:] += self.c * dw
-        out[-1] += self.c_end * w[-1]
-        return 2.0 * out
+    def terms(self, phi: np.ndarray):
+        """Row exponents E at the nodes, per cell exp(E) at its larger end and
+        the fall y from it, and the rows' integrals below s_min and past s_max."""
+        E = self.a[:, None] * phi + self.offset
+        left, right = E[:, :-1], E[:, 1:]
+        return E, np.exp(np.maximum(left, right)), np.abs(right - left), \
+            self.closures * np.exp(E[:, [0, -1]])
 
-    def functionals(self, w: np.ndarray):
-        p = self.p
-        X = float(np.sum(self.c * (w[1:] - w[:-1]) ** 2)
-                  + self.c_end * w[-1] ** 2)
-        Y = float(np.sum(self.m * np.abs(w) ** (p + 1)))
-        mass = float(np.sum(self.m * np.abs(w) ** (2 * p)))
+    def functionals(self, phi: np.ndarray):
+        _, top, y, ends = self.terms(phi)
+        # exprel(-y) = (1 - exp(-y))/y, 1 at y = 0
+        cells = top * np.divide(np.expm1(-y), -y, out=np.ones_like(y),
+                                where=y > 0.0)
+        cells[0] *= ((phi[1:] - phi[:-1]) / self.h) ** 2
+        X, Y, mass = cells.sum(axis=1) + ends.sum(axis=1)
         return X, Y, mass
 
 
@@ -165,87 +178,115 @@ def _quotient(params: ProblemParams, X: float, Y: float, mass: float) -> float:
         / mass ** (1.0 / (2.0 * p))
 
 
-def _at_mass(disc: _Discretization, w: np.ndarray, target_mass: float):
-    """The mass-rescaled profile t w and its energy 0.5 X + Y/(p+1), with
-    t = (M / mass(w))^(1/(2p)); the energy is inf if w has no mass."""
+def _at_mass(disc: _Discretization, phi: np.ndarray, target_mass: float):
+    """phi shifted to the mass M and its energy 0.5 X + Y/(p+1): the mass of
+    phi + c is exp(2pc) times that of phi."""
     p = disc.p
-    X, Y, mass = disc.functionals(w)
-    if mass <= 0.0:
-        return w, math.inf
-    t = (target_mass / mass) ** (1.0 / (2.0 * p))
-    return t * w, 0.5 * t * t * X + t ** (p + 1) * Y / (p + 1.0)
+    X, Y, mass = disc.functionals(phi)
+    c = (np.log(target_mass) - np.log(mass)) / (2.0 * p)
+    return phi + c, 0.5 * np.exp(2.0 * c) * X \
+        + np.exp((p + 1.0) * c) * Y / (p + 1.0)
 
 
-def _kkt(disc: _Discretization, w: np.ndarray, target_mass: float):
-    """Residual, mass gradient and Hessian diagonal of the Lagrangian
-    0.5 X + Y/(p+1) - mu (mass - M) at a mass-rescaled iterate w.
+def _kkt(disc: _Discretization, phi: np.ndarray, target_mass: float):
+    """Residual, mass gradient and the Hessian's diagonal and off-diagonal of
+    the Lagrangian 0.5 X + Y/(p+1) - mu (mass - M) in phi, at a shifted iterate.
 
-    mu = (X + Y)/(2p M) is the multiplier that makes the residual orthogonal
-    to w.  The Hessian is tridiagonal: its off-diagonal bands are -disc.c.
+    mu = (X + Y)/(2p M) makes the residual sum to 0, orthogonal to the shift,
+    so it is the gradient of the mass-normalized energy.
     """
-    p, m = disc.p, disc.m
-    X, Y, _ = disc.functionals(w)
-    mu = (X + Y) / (2.0 * p * target_mass)
-    wp = w ** (p - 1.0)
-    wq = w ** (2.0 * p - 2.0)
-    g = 2.0 * p * m * wq * w
-    resid = 0.5 * disc.stiffness_apply(w) + m * wp * w - mu * g
-    diag = disc.c_full + p * m * wp - 2.0 * p * (2.0 * p - 1.0) * mu * m * wq
-    return resid, g, diag
+    p, h, a = disc.p, disc.h, disc.a
+    E, top, y, ends = disc.terms(phi)
+    j0, j1, j2 = _moments(y)
+    # each cell's integrals against 1 - u, u and u(1 - u), u = 0 at the left
+    # node, from the moments about its larger end; those against (1 - u)^2
+    # and u^2 are the first two less the third
+    i0, left = top * j0, np.where(E[:, 1:] >= E[:, :-1], j1, j0 - j1)
+    ints = top * np.array([left, j0 - left, j1 - j2])
+    beta = (phi[1:] - phi[:-1]) / h
+    X = beta**2 @ i0[0] + ends[0].sum()
+    mu = (X + i0[1].sum() + ends[1].sum()) / (2.0 * p * target_mass)
+
+    # a_j times the rows' weights; X's beta^2 adds slope and stiffness terms
+    wa = a * np.array([0.5, 1.0 / (p + 1.0), -mu])
+    cw = np.empty_like(i0)
+    cw[0], cw[1:] = wa[0] * beta**2, wa[1:, None]
+    gl, gr = np.einsum("jm,kjm->km", cw, ints[:2])
+    cw *= a[:, None]
+    hl, hr, hlr = np.einsum("jm,kjm->km", cw, ints)
+    stiff = i0[0] / h**2
+    slope = beta * h * stiff
+    # the closures below s_min and past s_max act on the end nodes
+    resid, diag, g = np.zeros((3, phi.size))
+    resid[[0, -1]], diag[[0, -1]], g[[0, -1]] = wa @ ends, (wa * a) @ ends, ends[2]
+    resid[:-1] += gl - slope
+    resid[1:] += gr + slope
+    diag[:-1] += hl - hlr + stiff - 4.0 * beta * ints[0, 0] / h
+    diag[1:] += hr - hlr + stiff + 4.0 * beta * ints[1, 0] / h
+    g[:-1] += ints[0, 2]
+    g[1:] += ints[1, 2]
+    return resid, 2.0 * p * g, diag, \
+        hlr - stiff + 2.0 * beta * (ints[0, 0] - ints[1, 0]) / h
 
 
-def _newton(disc: _Discretization, w0: np.ndarray, target_mass: float):
+def _newton(disc: _Discretization, phi0: np.ndarray, target_mass: float,
+            lam: float = NEWTON_LAM_START):
     """Damped Newton on the bordered (KKT) system of one ladder level.
 
-    Each step solves (H + lam D) [a, b] = [resid, g] with one banded solve,
-    takes the multiplier step d_mu = g.a / g.b from the Schur complement,
-    clips w - a + d_mu b to w >= 0 and rescales it to the exact mass.
-    D = 2 c_full + m is the diagonal scale of the graded grid.  A step is
-    accepted only if the mass-normalized energy does not rise; lam shrinks
-    tenfold on acceptance and grows tenfold on rejection.  Returns the
-    mass-rescaled minimizer and the number of steps taken.
+    Each step solves (H + lam |diag H|) [a, b] = [resid, g] by LAPACK's
+    tridiagonal dgtsv, takes the multiplier step d_mu = g.a / g.b from the
+    Schur complement, caps phi - a + d_mu b node by node and shifts it to the
+    exact mass.  It is accepted only if the system is regular and the energy
+    does not rise; lam shrinks tenfold on acceptance and grows tenfold on
+    rejection.  The level has converged once a step changes the energy to
+    first order by at most NEWTON_ENERGY_RTOL and either moves no node by more
+    than NEWTON_STEP_RTOL of the peak or is rejected: the energy's rounding
+    cannot then tell it from phi.  Returns phi, the steps and the final lam.
     """
-    w, G = _at_mass(disc, np.maximum(w0, 0.0), target_mass)
-    if G == math.inf:
-        raise NoDescent(f"the start profile has no mass on the {w.size}-node "
-                        f"level")
-    shift = 2.0 * disc.c_full + disc.m
-    ab = np.zeros((3, w.size))
-    ab[0, 1:] = -disc.c
-    ab[2, :-1] = -disc.c
-    lam = NEWTON_LAM_START
-    resid, g, diag = _kkt(disc, w, target_mass)
+    phi, G = _at_mass(disc, phi0, target_mass)
+    resid, g, diag, off = _kkt(disc, phi, target_mass)
     for step in range(1, NEWTON_MAX_STEPS + 1):
-        ab[1] = diag + lam * shift
-        a, b = solve_banded((1, 1), ab, np.column_stack([resid, g])).T
-        clipped = np.maximum(w - a + (g @ a) / (g @ b) * b, 0.0)
-        trial, G_trial = _at_mass(disc, clipped, target_mass)
-        settled = abs(G_trial - G) <= NEWTON_ENERGY_RTOL * G and \
-            np.max(np.abs(trial - w)) <= NEWTON_STEP_RTOL * np.max(w)
-        accepted = G_trial <= G
+        # a node whose integrals all underflow has a zero row: it stays put
+        scale = np.where(diag == 0.0, 1.0, np.abs(diag))
+        *_, ab, info = dgtsv(off, diag + lam * scale, off,
+                             np.array([resid, g]).T)
+        a, b = ab.T
+        # a trial past the float range has the energy inf or NaN: rejected
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            # below a cliff in phi the energy grows linearly in the drop, and
+            # the Newton step is unbounded: no node moves down by more than 1
+            # or up by more than 1 or to the level of its higher neighbour
+            mirror = np.concatenate(([phi[1]], phi, [phi[-2]]))
+            rise = np.maximum(np.maximum(mirror[:-2], mirror[2:]) - phi, 1.0)
+            d = np.minimum(np.maximum(-a + (g @ a) / (g @ b) * b, -1.0), rise)
+            trial, G_trial = _at_mass(disc, phi + d, target_mass)
+            move = trial - phi
+        accepted = not info and G_trial <= G
+        settled = not info and abs(resid @ move) <= NEWTON_ENERGY_RTOL * G \
+            and (not accepted or np.max(np.abs(move) * np.exp(phi - phi.max()))
+                 <= NEWTON_STEP_RTOL)
         if accepted:
-            w, G, lam = trial, G_trial, lam / 10.0
+            phi, G, lam = trial, G_trial, lam / 10.0
         if settled:
-            return w, step
+            return phi, step, lam
         if accepted:
-            resid, g, diag = _kkt(disc, w, target_mass)
+            resid, g, diag, off = _kkt(disc, phi, target_mass)
         else:
             lam *= 10.0
             if lam > NEWTON_LAM_MAX:
                 raise NoDescent(f"no descent step from energy {G} on the "
-                                f"{w.size}-node level: the damping passed "
+                                f"{phi.size}-node level: the damping passed "
                                 f"{NEWTON_LAM_MAX:.0e}")
     raise NoDescent(f"no convergence in {NEWTON_MAX_STEPS} Newton steps on "
-                    f"the {w.size}-node level")
+                    f"the {phi.size}-node level")
 
 
 def _solve(disc: _Discretization, start_fn, target_mass: float):
     """Coarse-to-fine continuation on the ladder n -> n//2 + 1 -> ... <= 128.
 
-    The ladder has at least two levels; its second-finest level is the
-    Richardson coarse grid, whose minimum energy G_coarse is returned too.
-    Each level is one damped Newton solve started from the interpolated
-    coarser minimizer, so only the coarsest level sees the start profile.
+    The ladder has at least two levels; the minimum energy G_coarse of the
+    second-finest is returned too.  Each level is one damped Newton solve
+    from the coarser minimizer, interpolated, and the damping it ended with.
     """
     n_fine = disc.s.size
     sizes = [n_fine, n_fine // 2 + 1]
@@ -253,45 +294,42 @@ def _solve(disc: _Discretization, start_fn, target_mass: float):
         sizes.append(sizes[-1] // 2 + 1)
     sizes.reverse()
 
-    total_it = 0
-    level = w = None
+    total_it, lam = 0, NEWTON_LAM_START
+    level = phi = None
     for n in sizes:
-        coarse, w_coarse = level, w
+        coarse, phi_coarse = level, phi
         level = disc if n == n_fine else _Discretization(disc.flat, n)
-        if w is None:
-            w0 = np.asarray(start_fn(level.s), dtype=float)
-        else:
-            w0 = np.interp(np.log(level.s), np.log(coarse.s), w)
-        w, nit = _newton(level, w0, target_mass)
+        phi0 = start_fn(level.s) if phi is None else np.interp(
+            np.log(level.s), np.log(coarse.s), phi)
+        phi, nit, lam = _newton(level, phi0, target_mass, lam)
         total_it += nit
-    _, G_coarse = _at_mass(coarse, w_coarse, target_mass)
-    _, G = _at_mass(disc, w, target_mass)
-
-    # projected gradient of the mass-normalized energy, which at a
-    # mass-rescaled w is the KKT residual: free components as is, active
-    # bound only if pushing in
-    grad = _kkt(disc, w, target_mass)[0]
-    pg = np.where(w > 0, grad, np.minimum(grad, 0.0))
-    return w, G, float(np.max(np.abs(pg))), total_it, G_coarse
+    _, G_coarse = _at_mass(coarse, phi_coarse, target_mass)
+    _, G = _at_mass(disc, phi, target_mass)
+    grad = _kkt(disc, phi, target_mass)[0]
+    return phi, G, float(np.max(np.abs(grad)) / G), total_it, G_coarse
 
 
 def minimize_radial(params: ProblemParams, n: int = 1024,
                     solver_tol: float = 1e-4, mass: float | None = None,
                     start: str = "warm") -> MinimizationReport:
-    """Minimize the constrained energy over nonnegative radial grid profiles.
+    """Minimize the constrained energy over positive radial grid profiles.
 
-    The flat problem is solved on n nodes at the mass in r ``mass``, by
-    default the unit-peak optimizer's.  start: 'warm' begins at 1.2 x the
-    candidate, 'cold' at a Gaussian bump; both must reach the same minimum.
-    The report carries, in r, the quotient at the discrete minimizer, the
-    quotient at the grid-sampled candidate as reference and a two-grid
-    Richardson error estimate, whose coarse grid is the ladder's
-    second-finest level (n//2 + 1 nodes); s_min and s_max are the grid ends.
+    The flat problem is solved on n nodes at the mass of the unit-peak
+    optimizer; a mass in r ``mass`` maps its minimizer to the optimizer
+    family's member of that mass, amp w(s/lam), and changes no other
+    result.  start: 'warm' begins at the optimizer, 'cold' at the Gaussian
+    bump exp(-(s/scale)^2); both must reach the same minimum.  The report
+    carries, in r, the quotient of the discrete minimizer, an upper bound on
+    1/C*, and of the grid-sampled optimizer as reference.  Its J is not the
+    discrete minimum energy, whose h^2 error at (3, 0, 2) on 512 nodes is
+    1.4e-5, but the Richardson extrapolation from it and the minimum on the
+    ladder's second-finest level (n//2 + 1 nodes); err_estimate is the size
+    of that correction.  s_min and s_max are the grid ends, and
+    gradient_norm is the largest |dG/d phi_i| / G of the mass-normalized G.
 
-    Two guards turn a wrong minimum into GridTooCoarse: the Richardson
-    estimate must stay within solver_tol * J, and |dilation_balance| within
-    DILATION_BALANCE_MAX.  The second catches a domain that truncates the
-    profile's transition, which both Richardson grids share.
+    GridTooCoarse is raised where err_estimate exceeds solver_tol * J, or
+    |dilation_balance| or its terms at the grid's ends DILATION_BALANCE_MAX,
+    as where the window truncates the profile's transition.
     """
     if n < 3:
         raise ParameterError(f"grid n must be >= 3 so that the coarse level "
@@ -304,21 +342,19 @@ def minimize_radial(params: ProblemParams, n: int = 1024,
     if start not in ("warm", "cold"):
         raise ParameterError(f"start must be 'warm' or 'cold', got {start!r}")
     p, theta = params.p, derive(params).theta_gamma
-    flat = _Flat(params, mass)
+    flat = _Flat(params)
     disc, K, M = _Discretization(flat, n), flat.K, flat.mass
 
-    if start == "warm":
-        start_fn = lambda s: 1.2 * flat.candidate(s)  # noqa: E731
-    else:
-        start_fn = lambda s: np.exp(-((s / flat.scale) ** 2))  # noqa: E731
+    start_fn = flat.log_candidate if start == "warm" \
+        else lambda s: -((s / flat.scale) ** 2)
 
-    w_hat, G, pgnorm, nit, G_c = _solve(disc, start_fn, M)
+    phi, G, gnorm, nit, G_c = _solve(disc, start_fn, M)
 
-    X, Y, mass_h = disc.functionals(w_hat)
+    X, Y, mass_h = disc.functionals(phi)
     quot = _quotient(params, K * X, K * Y, K * mass_h)
 
-    # reference: the candidate, evaluated with the same discrete functionals
-    cand, G_ref = _at_mass(disc, flat.candidate(disc.s), M)
+    # reference: the optimizer, evaluated with the same discrete functionals
+    cand, G_ref = _at_mass(disc, flat.log_candidate(disc.s), M)
     Xc, Yc, _ = disc.functionals(cand)
     ref_quot = _quotient(params, K * Xc, K * Yc, K * M)
 
@@ -327,38 +363,58 @@ def minimize_radial(params: ProblemParams, n: int = 1024,
             f"minimum {G} stalled above the explicit candidate {G_ref}"
         )
 
-    J = K * G / (K * M) ** theta
     A, B = scaling_exponents(params)
     balance = (0.5 * A * X - B * Y / (p + 1)) / G
+    # at a stationary phi the balance sums the kinks of phi times weights; the
+    # terms at s_min and s_max, the closures' kinks, may cancel in the sum.
+    # Each is kink (mean slope exp(E_X)/h -/+ the closure's gradient), and A
+    # and B are alpha times their flat values
+    E, _, _, ends = disc.terms(phi)
+    closure = (disc.a * [0.5, 1.0 / (p + 1.0), -(X + Y) / (2.0 * p * M)]) \
+        @ ends
+    (first, last), sigma = np.diff(phi)[[0, -1]] / disc.h, 2.0 / (p - 1.0)
+    at_ends = (1.0 - params.gamma / 2.0) / G * np.array([first, -sigma - last]) \
+        * (0.5 * np.array([first, last - sigma]) * np.exp(E[0, [0, -1]])
+           / disc.h + [-1.0, 1.0] * closure)
 
-    J_c = K * G_c / (K * M) ** theta
-    err_est = abs(J - J_c) / 3.0
+    # the minimum energies of the two finest levels, Richardson-extrapolated
+    J_n, J_c = K * np.array([G, G_c]) / (K * M) ** theta
+    J, err_est = J_n + (J_n - J_c) / 3.0, abs(J_n - J_c) / 3.0
     if err_est > solver_tol * abs(J):
         raise GridTooCoarse(
             f"Richardson estimate {err_est:.3e} exceeds "
             f"{solver_tol:.1e} * J = {solver_tol * abs(J):.3e}"
         )
-    if abs(balance) > DILATION_BALANCE_MAX:
+    if max(abs(balance), *abs(at_ends)) > DILATION_BALANCE_MAX:
         raise GridTooCoarse(
-            f"dilation balance {balance:.3e} exceeds {DILATION_BALANCE_MAX:.0e}: "
-            f"the grid [{flat.s_min:g}, {flat.s_max:g}] in s does not hold "
-            f"the minimizer's profile"
+            f"dilation balance {balance:.3e} ({at_ends[0]:.3e}, {at_ends[1]:.3e} at "
+            f"the ends) exceeds {DILATION_BALANCE_MAX:.0e}: the grid [{flat.s_min:g},"
+            f" {flat.s_max:g}] in s does not hold the minimizer's profile"
         )
 
+    # the member amp w(s/lam) of mass `mass` in r: the mass scales as
+    # amp^(2p) lam^(d_gamma), and lam = amp^(-(p-1)/2) keeps it a minimizer
+    log_amp = 0.0 if mass is None else (math.log(mass) - flat.log_mass) \
+        / (2.0 * p - 0.5 * flat.d_gamma * (p - 1.0))
+    if abs(log_amp) > 700:
+        raise AmplitudeOverflow(f"the profile of mass {mass:g} peaks at "
+                                f"exp({log_amp:.1f})")
+    mass = K * M if mass is None else mass
+    s = disc.s * math.exp(-0.5 * (p - 1.0) * log_amp)
     # radii past the float range are dropped
-    keep, radii, _ = radii_from_flat(params, disc.s)
+    keep, radii, _ = radii_from_flat(params, s)
     if np.count_nonzero(keep) < 2:
         raise AmplitudeOverflow("the radii of the grid leave the float range")
     profile = RadialProfile(
-        radii=radii[keep], values=w_hat[keep],
+        radii=radii[keep], values=np.exp(phi[keep] + log_amp),
         tail_exponent=(2.0 - params.gamma) / (p - 1.0),
-        meta={"start": start, "mass": K * M},
+        meta={"start": start, "mass": mass},
     )
     return MinimizationReport(
         best_quotient=quot, best_profile=profile, iterations=nit,
-        gradient_norm=K * pgnorm, reference=ref_quot, J=J, mass=K * M,
-        dilation_balance=balance, err_estimate=err_est, s_min=flat.s_min,
-        s_max=flat.s_max,
+        gradient_norm=gnorm, reference=ref_quot, J=J, mass=mass,
+        dilation_balance=balance, err_estimate=err_est, s_min=s[0],
+        s_max=s[-1],
     )
 
 

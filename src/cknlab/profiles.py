@@ -34,7 +34,6 @@ __all__ = [
     "w_star",
     "w_gamma_star",
     "barenblatt_mass",
-    "dilate_to_mass",
     "weighted_norm",
     "gradient_norm",
     "quotient",
@@ -283,22 +282,6 @@ def w_gamma_star(params: ProblemParams) -> AnalyticProfile:
 def barenblatt_mass(params: ProblemParams) -> float:
     """Closed form of the weighted L^(2p) mass of the normalized optimizer."""
     return w_gamma_star(params).moment(2.0 * params.p, params.d, params.gamma)
-
-
-def dilate_to_mass(params: ProblemParams, mass: float) -> AnalyticProfile:
-    """Member of the constrained-minimizer family with prescribed mass.
-
-    The family alpha * w_gamma_star(alpha^((p-1)/(2-gamma)) x) consists of all
-    radial solutions of the constrained problem; its weighted L^(2p) mass is a
-    pure power of alpha, so the matching alpha is explicit.
-    """
-    d, g, p = params.d, params.gamma, params.p
-    base = w_gamma_star(params)
-    m_base = barenblatt_mass(params)
-    expo = 2.0 * p - (p - 1.0) * (d - g) / (2.0 - g)
-    alpha = (mass / m_base) ** (1.0 / expo)
-    lam = alpha ** ((p - 1.0) / (2.0 - g))
-    return base.scaled(alpha, lam)
 
 
 def weighted_norm(w, q: float, gamma: float, params: ProblemParams) -> float:

@@ -146,6 +146,12 @@ class TestCompute:
         res = json.loads(out.read_text())["result"]["max_identity_residual"]
         assert low <= res <= high
 
+    def test_flow_short_run_has_no_fitted_rate(self, tmp_path):
+        out = tmp_path / "f.json"
+        assert main(["flow", "--T", "0.05", "--cells", "50", "--format",
+                     "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["fitted_rate"] is None
+
     def test_flow_rough_datum_at_large_gamma(self, tmp_path):
         # amplitude 1 takes the datum down to vacuum where cos(alpha log r)
         # = -1; no face reaches the velocity cap, so dF/dt = -I holds

@@ -8,7 +8,7 @@ from cknlab.errors import AmplitudeOverflow, DivergentNorm
 from cknlab.minimizer import best_constant_radial
 from cknlab.params import derive, validate
 from cknlab.profiles import (AnalyticProfile, RadialProfile, barenblatt_mass,
-                             default_grid, dilate_to_mass, el_residual, energy,
+                             default_grid, el_residual, energy,
                              gradient_norm, quotient, w_gamma_star, w_star,
                              weighted_norm)
 from cknlab.quadrature import sphere_area
@@ -245,14 +245,6 @@ class TestBarrier:
 
 
 class TestMassHelpers:
-    def test_dilate_to_mass_hits_target(self):
-        pp = validate(3, 0.5, 2.0)
-        M = barenblatt_mass(pp)
-        for target in (0.5 * M, M, 3.0 * M):
-            w = dilate_to_mass(pp, target)
-            got = weighted_norm(w, 2 * pp.p, pp.gamma, pp) ** (2 * pp.p)
-            assert got == pytest.approx(target, rel=1e-9)
-
     def test_amplitude_overflow_is_named(self):
         # the amplitude a^(1/(p-1)) is about exp(773) at (5, 1.9, 1.0067),
         # but the peak (a/b)^(1/(p-1)) only exp(34.5)
@@ -274,12 +266,6 @@ class TestMassHelpers:
             w_gamma_star(pp)
         with pytest.raises(AmplitudeOverflow):
             barenblatt_mass(pp)
-
-    def test_dilate_preserves_optimality(self):
-        pp = validate(3, 0.5, 2.0)
-        w = dilate_to_mass(pp, 2.0 * barenblatt_mass(pp))
-        assert quotient(w, pp) == pytest.approx(quotient(w_gamma_star(pp), pp),
-                                                rel=1e-10)
 
 
 # admissible points near p = 1 where the amplitude a^(1/(p-1)) leaves the
