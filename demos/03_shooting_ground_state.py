@@ -9,9 +9,10 @@ either cross zero (too high), get trapped by the stable plateau at v = 1
 
 The energy E = v'^2/2 + v^(2p)/(2p) - v^(p+1)/(p+1) only decreases along a
 trajectory and is >= 0 wherever v = 0, so each shot is classed exactly: it
-crosses zero when it reaches v = 0, and is plateau-bound once E < 0.  The
-bisection keeps a certified bracket [plateau start, crossing start] around
-the ground state.
+crosses zero when it reaches v = 0, and is plateau-bound once E < 0.  Each
+shot integrates the unit-peak form u = v/v0, whose one parameter is
+lam = v0^(p-1); the bisection on lam keeps a certified bracket
+[plateau start, crossing start] around the ground state.
 """
 
 import numpy as np

@@ -9,7 +9,7 @@ d_gamma = 2(d-gamma)/(2-gamma) (Bonforte-Dolbeault-Muratori-Nazaret, KRM 10,
 2017): X = |w'|_2^2, Y = |w|_(p+1,gamma)^(p+1) and the mass are
 K = |S^(d-1)| alpha^(d_gamma-1) times their integrals against
 s^(d_gamma-1) ds, and the exponents of the quotient and of J are the same for
-both triples, so every result maps back by K.
+both triples, so every result maps back by a power of K, taken in logs.
 
 The unknowns are the nodal phi = log w of a profile linear in log s on each
 cell of a geometric grid, so X, Y and the mass are exact integrals of a
@@ -85,7 +85,7 @@ class _Flat:
 
     The optimizer (1 + (s/scale)^2)^(-k), k = 1/(p-1), scale = sqrt(a), has
     a log Beta integral as mass: no amplitude a^k is formed.  The measure is
-    (s/scale)^(d_gamma-1) ds, so K = |S^(d-1)| (alpha scale)^(d_gamma-1).
+    (s/scale)^(d_gamma-1) ds, so log_K = log(|S^(d-1)| (alpha scale)^(d_gamma-1)).
     """
 
     def __init__(self, params: ProblemParams):
@@ -96,12 +96,12 @@ class _Flat:
         log_k1 = math.log(sphere_area(params.d)) \
             + (d_g - 1.0) * math.log(1.0 - params.gamma / 2.0)
         self.log_mass = log_k1 + log_beta_integral(d_g, a, 2.0, 2.0 * p * k)
-        log_K = log_k1 + 0.5 * (d_g - 1.0) * math.log(a)
-        if max(map(abs, (log_K, self.log_mass, self.log_mass - log_K))) > 700:
-            raise AmplitudeOverflow(f"the map back to r needs K = exp({log_K:.1f})"
-                                    f" and the mass exp({self.log_mass:.1f})")
-        self.scale = math.sqrt(a)
-        self.mass, self.K = math.exp(self.log_mass - log_K), math.exp(log_K)
+        self.log_K = log_k1 + 0.5 * (d_g - 1.0) * math.log(a)
+        log_flat = self.log_mass - self.log_K
+        if max(abs(self.log_mass), abs(log_flat)) > 700:
+            raise AmplitudeOverflow(f"the mass exp({self.log_mass:.1f}) in r or "
+                                    f"exp({log_flat:.1f}) in s leaves the float range")
+        self.scale, self.mass = math.sqrt(a), math.exp(log_flat)
         # the optimizer's integrands of X, Y, mass in t = s/scale, times the
         # closures' relative errors t^2/(1 + t^2) at s_min, 1/(1 + t^2) at s_max
         pairs = np.array([(d_g + 2.0, 2.0 * k + 3.0), (d_g, (p + 1.0) * k + 1.0),
@@ -170,12 +170,14 @@ class _Discretization:
         return X, Y, mass
 
 
-def _quotient(params: ProblemParams, X: float, Y: float, mass: float) -> float:
+def _quotient(params: ProblemParams, X: float, Y: float, mass: float,
+              log_K: float = 0.0) -> float:
     """Interpolation quotient from X = |w'|_2^2, Y = |w|_(p+1,gamma)^(p+1) and
-    mass = |w|_(2p,gamma)^(2p) of one profile, discrete or exact."""
+    mass = |w|_(2p,gamma)^(2p) of one profile, discrete or exact, each the
+    given value times K = exp(log_K)."""
     p, vt = params.p, derive(params).vartheta
-    return X ** (vt / 2.0) * Y ** ((1.0 - vt) / (p + 1.0)) \
-        / mass ** (1.0 / (2.0 * p))
+    a, b, c = vt / 2.0, (1.0 - vt) / (p + 1.0), 0.5 / p
+    return math.exp(log_K * (a + b - c)) * X**a * Y**b / mass**c
 
 
 def _at_mass(disc: _Discretization, phi: np.ndarray, target_mass: float):
@@ -241,7 +243,7 @@ def _newton(disc: _Discretization, phi0: np.ndarray, target_mass: float,
     rejection.  The level has converged once a step changes the energy to
     first order by at most NEWTON_ENERGY_RTOL and either moves no node by more
     than NEWTON_STEP_RTOL of the peak or is rejected: the energy's rounding
-    cannot then tell it from phi.  Returns phi, the steps and the final lam.
+    cannot then tell it from phi.  Returns phi, its energy, the steps and lam.
     """
     phi, G = _at_mass(disc, phi0, target_mass)
     resid, g, diag, off = _kkt(disc, phi, target_mass)
@@ -268,7 +270,7 @@ def _newton(disc: _Discretization, phi0: np.ndarray, target_mass: float,
         if accepted:
             phi, G, lam = trial, G_trial, lam / 10.0
         if settled:
-            return phi, step, lam
+            return phi, G, step, lam
         if accepted:
             resid, g, diag, off = _kkt(disc, phi, target_mass)
         else:
@@ -295,16 +297,14 @@ def _solve(disc: _Discretization, start_fn, target_mass: float):
     sizes.reverse()
 
     total_it, lam = 0, NEWTON_LAM_START
-    level = phi = None
+    level = phi = G = None
     for n in sizes:
-        coarse, phi_coarse = level, phi
+        coarse, G_coarse = level, G
         level = disc if n == n_fine else _Discretization(disc.flat, n)
         phi0 = start_fn(level.s) if phi is None else np.interp(
             np.log(level.s), np.log(coarse.s), phi)
-        phi, nit, lam = _newton(level, phi0, target_mass, lam)
+        phi, G, nit, lam = _newton(level, phi0, target_mass, lam)
         total_it += nit
-    _, G_coarse = _at_mass(coarse, phi_coarse, target_mass)
-    _, G = _at_mass(disc, phi, target_mass)
     grad = _kkt(disc, phi, target_mass)[0]
     return phi, G, float(np.max(np.abs(grad)) / G), total_it, G_coarse
 
@@ -343,7 +343,7 @@ def minimize_radial(params: ProblemParams, n: int = 1024,
         raise ParameterError(f"start must be 'warm' or 'cold', got {start!r}")
     p, theta = params.p, derive(params).theta_gamma
     flat = _Flat(params)
-    disc, K, M = _Discretization(flat, n), flat.K, flat.mass
+    disc, M = _Discretization(flat, n), flat.mass
 
     start_fn = flat.log_candidate if start == "warm" \
         else lambda s: -((s / flat.scale) ** 2)
@@ -351,12 +351,13 @@ def minimize_radial(params: ProblemParams, n: int = 1024,
     phi, G, gnorm, nit, G_c = _solve(disc, start_fn, M)
 
     X, Y, mass_h = disc.functionals(phi)
-    quot = _quotient(params, K * X, K * Y, K * mass_h)
+    quot = _quotient(params, X, Y, mass_h, flat.log_K)
 
-    # reference: the optimizer, evaluated with the same discrete functionals
-    cand, G_ref = _at_mass(disc, flat.log_candidate(disc.s), M)
-    Xc, Yc, _ = disc.functionals(cand)
-    ref_quot = _quotient(params, K * Xc, K * Yc, K * M)
+    # reference: the optimizer on the same grid, its energy shifted as in _at_mass
+    Xc, Yc, mass_c = disc.functionals(flat.log_candidate(disc.s))
+    ref_quot = _quotient(params, Xc, Yc, mass_c, flat.log_K)
+    c = math.log(M / mass_c) / (2.0 * p)
+    G_ref = 0.5 * math.exp(2.0 * c) * Xc + math.exp((p + 1.0) * c) * Yc / (p + 1.0)
 
     if G > G_ref * (1.0 + 10.0 * solver_tol):
         raise NoDescent(
@@ -378,7 +379,7 @@ def minimize_radial(params: ProblemParams, n: int = 1024,
            / disc.h + [-1.0, 1.0] * closure)
 
     # the minimum energies of the two finest levels, Richardson-extrapolated
-    J_n, J_c = K * np.array([G, G_c]) / (K * M) ** theta
+    J_n, J_c = math.exp(flat.log_K * (1.0 - theta)) * np.array([G, G_c]) / M**theta
     J, err_est = J_n + (J_n - J_c) / 3.0, abs(J_n - J_c) / 3.0
     if err_est > solver_tol * abs(J):
         raise GridTooCoarse(
@@ -399,7 +400,7 @@ def minimize_radial(params: ProblemParams, n: int = 1024,
     if abs(log_amp) > 700:
         raise AmplitudeOverflow(f"the profile of mass {mass:g} peaks at "
                                 f"exp({log_amp:.1f})")
-    mass = K * M if mass is None else mass
+    mass = math.exp(flat.log_mass) if mass is None else mass
     s = disc.s * math.exp(-0.5 * (p - 1.0) * log_amp)
     # radii past the float range are dropped
     keep, radii, _ = radii_from_flat(params, s)

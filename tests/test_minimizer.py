@@ -6,7 +6,8 @@ from scipy.special import betaln, exprel
 
 import cknlab.minimizer as minimizer_module
 import cknlab.profiles as profiles_module
-from cknlab.errors import CknError, GridTooCoarse, ParameterError
+from cknlab.errors import (AmplitudeOverflow, CknError, GridTooCoarse,
+                           ParameterError)
 from cknlab.minimizer import (_at_mass, _Discretization, _Flat, _kkt, _newton,
                               best_constant_radial, critical_constant,
                               hs_upper_bound, minimize_radial)
@@ -137,7 +138,7 @@ class TestMinimizeRadial:
         flat, disc = flat_discretization(pp, N)
         assert (rep.s_min, rep.s_max) == (disc.s[0], disc.s[-1])
         _, _, mass = disc.functionals(np.log(rep.best_profile.values))
-        assert abs(flat.K * mass - rep.mass) / rep.mass < 1e-12
+        assert abs(flat.log_K + math.log(mass) - math.log(rep.mass)) < 1e-12
 
     @pytest.mark.parametrize("d,gamma,p", [(3, 0.0, 2.0), (3, 0.5, 2.0),
                                            (4, 1.5, 1.1), (5, 1.0, 1.3)])
@@ -152,7 +153,8 @@ class TestMinimizeRadial:
         mass = sphere_area(d) * big_b ** (2.0 * p * k) * beta_oracle(
             d - gamma, big_b, 2.0 - gamma, 2.0 * p * k)
         flat = _Flat(pp)
-        assert flat.K * flat.mass == pytest.approx(mass, rel=1e-12)
+        assert flat.log_K + math.log(flat.mass) == pytest.approx(
+            math.log(mass), rel=0.0, abs=1e-12)
         assert flat.log_candidate(np.zeros(1))[0] == 0.0
 
     def test_dilation_balance_vanishes(self):
@@ -183,9 +185,9 @@ class TestMinimizeRadial:
 
         monkeypatch.setattr(minimizer_module, "_at_mass", shifting)
         monkeypatch.setattr(minimizer_module, "_kkt", recording)
-        phi, _, _ = _newton(disc, phi0, M)
+        phi, G, _, _ = _newton(disc, phi0, M)
         values = [energies[id(v)] for v in iterates + [phi]]
-        assert len(values) >= 3
+        assert len(values) >= 3 and G == values[-1]
         assert all(b <= a for a, b in zip(values, values[1:]))
         assert np.max(np.abs(_kkt(disc, phi, M)[0])) <= 1e-8 * values[-1]
 
@@ -257,6 +259,19 @@ class TestMinimizeRadial:
         rep = minimize_radial(validate(d, gamma, p))
         assert rep.best_quotient == pytest.approx(
             oracle_quotient(d, gamma, p), rel=1e-4)
+
+    def test_map_back_in_logs(self):
+        # at (8, 1.95, 1.0015) the map back K = exp(824.6) leaves the float
+        # range, while the mass exp(423.7), the quotient and J do not; at
+        # (12, 1.95, 1.001) the mass exp(879.3) itself does
+        pp = validate(8, 1.95, 1.0015)
+        rep = minimize_radial(pp)
+        assert rep.best_quotient == pytest.approx(
+            oracle_quotient(8, 1.95, 1.0015), rel=1e-4)
+        assert rep.J == pytest.approx(best_constant_radial(pp)[1], rel=1e-4)
+        assert math.log(rep.mass) == pytest.approx(423.7, abs=0.05)
+        with pytest.raises(AmplitudeOverflow, match=r"exp\(879\.3\)"):
+            minimize_radial(validate(12, 1.95, 1.001))
 
     def test_sweep_lands_or_raises(self):
         # 140 points over d = 3..6, seven gammas and five p per interval:

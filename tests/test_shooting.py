@@ -3,11 +3,11 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from cknlab import shooting
-from cknlab.errors import BracketNotFound, ClassificationAmbiguous, ParameterError
+from cknlab.errors import (BracketNotFound, ClassificationAmbiguous, CknError,
+                           ParameterError)
 from cknlab.params import derive, to_flat_variables, validate
 from cknlab.profiles import w_gamma_star
-from cknlab.shooting import (Classification, _rhs, find_ground_state,
-                             integrate_ode)
+from cknlab.shooting import Classification, find_ground_state, integrate_ode
 
 # an underflowing radius map, or 0 ** negative, fails the suite
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -22,8 +22,19 @@ def energy(v, dv, p):
     return 0.5 * dv**2 + v ** (2 * p) / (2 * p) - v ** (p + 1) / (p + 1)
 
 
+def _rhs(d_gamma, p):
+    """Right-hand side of the shooting equation in v and s, with the odd
+    extension of the reaction term below v = 0."""
+    def rhs(s, y):
+        v, dv = y
+        av = abs(v)
+        sign = 1.0 if v >= 0 else -1.0
+        return (dv, -(d_gamma - 1.0) / s * dv + sign * (av**p - av ** (2 * p - 1)))
+    return rhs
+
+
 def launch(d_gamma, p, v0, s0=1e-6):
-    """Taylor start (s0, (v, v')) of a shot, as the module launches it."""
+    """Taylor start (s0, (v, v')) of a shot at the module's launch radius."""
     curv = (v0**p - v0 ** (2 * p - 1)) / (2 * d_gamma)
     return s0, (v0 + curv * s0**2, 2 * curv * s0)
 
@@ -31,8 +42,9 @@ def launch(d_gamma, p, v0, s0=1e-6):
 def reference_class(d_gamma, p, v0, stop_on_decay=False):
     """Class of a shot by solve_ivp's event detection.
 
-    The events, their order and the E(v0) <= 0 shortcut are the module's;
-    solve_ivp also detects an event only by a sign change between step ends.
+    The events, their order and the E(v0) <= 0 shortcut are the module's,
+    in v and s in place of the module's unit-peak variables; solve_ivp also
+    detects an event only by a sign change between step ends.
     """
     if v0 ** (p - 1.0) <= 2.0 * p / (p + 1.0):
         return Classification.DIVERGES_TO_PLATEAU
@@ -248,7 +260,7 @@ class TestFindGroundState:
         (3, 0.2, 2.05, 1e-8),
         (3, 0.3, 1.95, 1e-8),
         (3, 0.3, 2.05, 1e-8),
-        # the peak 2.6e25 lies past the 60 doublings from 2
+        # the peak 2.6e25, at lam = v0^(p-1) = 1.34
         (3, 1.98, 1.005, 1e-8),
     ])
     def test_recovers_closed_form_peak(self, d, gamma, p, tol):
@@ -259,11 +271,9 @@ class TestFindGroundState:
         lo, hi = res.bracket
         assert lo < res.v0 < hi and (hi - lo) / hi <= tol
         assert lo <= expected <= hi
-        if expected > 2.0**60:
-            # past the doublings the start is squared to 2^120, and the
-            # bracket [2^60, 2^120] is bisected geometrically
-            starts = [v0 for v0, _ in res.bisection_history]
-            assert starts[59:62] == [2.0**60, 2.0**120, 2.0**90]
+        if p < 1.01:
+            # lam is bisected, not v0: a search in v0 took 105 shots here
+            assert len(res.bisection_history) <= 60
 
     def test_undecided_span_wider_than_tol_raises(self, monkeypatch):
         # at (3, 0, 2.5) the starts that reach s_max = 2e3 undecided span more
@@ -291,11 +301,55 @@ class TestFindGroundState:
         assert res.s_max > shooting._S_MAX
 
     def test_start_beyond_float_range_raises(self, monkeypatch):
-        # the search stops once v0^(2p) would leave the float range, here
-        # moved down to 100, before the crossing start 8 at (3, 0, 2)
-        monkeypatch.setattr(shooting, "_LOG_FLOAT_MAX", np.log(100.0))
-        with pytest.raises(BracketNotFound, match="v0=4"):
+        # a start whose peak passes the end, here moved down to 3 at
+        # (3, 0, 2), is shot at the end; plateau-bound there, the search stops
+        monkeypatch.setattr(shooting, "_LOG_V0_END", np.log(3.0))
+        with pytest.raises(BracketNotFound, match=r"exp\(1\.1\)"):
             find_ground_state(validate(3, 0.0, 2.0))
+
+    def test_start_moved_to_float_range_end(self, monkeypatch):
+        # with the end at 5, the doubling's start 8 is shot at 5; it crosses
+        # zero, and the ground state 4 is bracketed below the end
+        monkeypatch.setattr(shooting, "_LOG_V0_END", np.log(5.0))
+        res = find_ground_state(validate(3, 0.0, 2.0), tol=1e-8)
+        starts = [v0 for v0, _ in res.bisection_history]
+        assert starts[:3] == pytest.approx([2.0, 4.0, 5.0], rel=1e-15)
+        assert abs(res.v0 - 4.0) < 1e-8 * 4.0
+        lo, hi = res.bracket
+        assert lo <= 4.0 <= hi < 5.0
+
+    def test_final_shot_past_lam_resolution(self, monkeypatch):
+        # where no final start between two adjacent floats of lam reaches the
+        # decay floor, as at (3, 1.995, 1.0005), the crossing end's shot, which
+        # passes it, gives the profile; here every final start strictly
+        # inside the bracket is made plateau-bound
+        real, crossing = shooting.integrate_ode, set()
+
+        def fake(d_gamma, p, v0, s_max, stop_on_decay=False):
+            res = real(d_gamma, p, v0, s_max=s_max, stop_on_decay=stop_on_decay)
+            if res.classification is Classification.CROSSES_ZERO:
+                crossing.add(v0)
+            elif stop_on_decay and v0 not in crossing:
+                return shooting.ShootingResult(
+                    v0, Classification.DIVERGES_TO_PLATEAU, None)
+            return res
+
+        monkeypatch.setattr(shooting, "integrate_ode", fake)
+        res = find_ground_state(validate(4, 0.25, 1.5), tol=1e-8)
+        lo, hi = res.bracket
+        v0, cls = res.bisection_history[-1]
+        assert v0 == hi and cls is Classification.GROUND_STATE
+        # lam = v0^(1/2) is bisected down to adjacent floats
+        assert 0.0 < (hi - lo) / hi < 1e-15
+        expected = closed_form_peak(4, 0.25, 1.5)
+        assert abs(res.v0 - expected) < 1e-8 * expected
+        assert res.profile.radii.size > 100
+
+    def test_peak_past_float_range_raises(self):
+        # at (3, 1.999, 1.0002) the peak is exp(1116.7): the search raises a
+        # named error, never a v0
+        with pytest.raises(CknError):
+            find_ground_state(validate(3, 1.999, 1.0002))
 
     def test_s_max_argument_removed(self):
         with pytest.raises(TypeError):
