@@ -29,24 +29,26 @@ optimizer and of the sought eigenfunction, at the optimizer's scale sqrt(b).
 The measure is (s/s_c)^(d-1), s_c = sqrt(s_min s_max), which stays in the
 float range in any real dimension d; it scales both forms alike.
 Discretization is piecewise-linear finite elements with per-cell Gauss
-quadrature: the forms stay symmetric and tridiagonal, and the
-discrete eigenvalues are variational upper bounds.  The shift-invert solve
-works on their bands alone: LAPACK's dpttrf factors the positive definite
-tridiagonal A - SHIFT B, dpttrs solves with it, and B is applied by its two
-bands.  Constraints are imposed exactly, through the bordered (KKT) system
-of the shift-invert solve, never by penalties.
+quadrature: the forms stay symmetric and tridiagonal, and the discrete
+eigenvalues are variational upper bounds.  An operator holds each form as
+its two bands, and every eigensolve works on the bands alone with LAPACK's
+tridiagonal kernels: inverse iteration on the positive definite
+A - SHIFT B (dpttrf, dpttrs), then Rayleigh-quotient iteration on
+A - lambda B (dgtsv).  A Sturm count (dstebz) on the equilibrated
+A - sigma B certifies, by Sylvester's law of inertia, that no eigenvalue
+lies below the one returned.  Constraints are imposed exactly, through
+bordered (KKT) systems, never by penalties.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz
 
 from .errors import (DimensionTooSmall, EigenSolverFailure, ParameterError,
                      POutOfRange, SingularMass)
@@ -66,7 +68,7 @@ _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
 _GL_HATS = _GL_W[:, None] * np.column_stack(
     [(1.0 - _GL_X) ** 2, _GL_X ** 2, (1.0 - _GL_X) * _GL_X])
 
-# shift of the shift-invert solve, a strict lower bound of every pencil
+# shift of the inverse iteration, a strict lower bound of every pencil
 # spectrum here: A - SHIFT B is the positive definite form a for the sector
 # pencils (a - b, b), and numerator plus denominator for the Hardy-Poincare
 # quotient
@@ -78,6 +80,26 @@ SHIFT = -1.0
 # 0.69 at 16, for 0.238
 MIN_NODES = 16
 
+# inverse iteration on A - SHIFT B hands over to Rayleigh-quotient iteration
+# once its Rayleigh quotient moves by at most this share of lambda - SHIFT
+SETTLE = 1e-3
+# Rayleigh-quotient iteration stops once lambda moves by at most this
+# share of lambda - SHIFT; it converges cubically, so the step before moved
+# lambda to rounding level
+RQI_TOL = 1e-10
+# step caps: over 1008 solves (d = 3..8, gamma up to 1.98, ell = 0..3 and
+# Hardy-Poincare operators, n = 400, 2000 and 8000) inverse iteration took
+# at most 86 steps, and Rayleigh-quotient iteration, which can wander
+# through a dense spectrum before it converges, at most 10
+INVERSE_MAX_STEPS = 200
+RQI_MAX_STEPS = 50
+# a lambda is certified when no pencil eigenvalue lies below
+# lambda - CERT_GAP max(1, |lambda|)
+CERT_GAP = 1e-9
+# width of the bisection bracket, relative to lambda - SHIFT, when a
+# certificate fails
+BISECT_TOL = 4e-14
+
 
 def _grid(scale: float, pairs, n: int) -> np.ndarray:
     """n geometric nodes between the tail_bounds of the integrand pairs."""
@@ -87,33 +109,32 @@ def _grid(scale: float, pairs, n: int) -> np.ndarray:
     return np.geomspace(*tail_bounds(scale, pairs), n)
 
 
-def _tri_mass(r: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal FE mass matrix for int f g weight(r) dr: (diag, off)."""
+def _gauss_nodes(r: np.ndarray) -> np.ndarray:
+    """The Gauss nodes of grid r, one row per cell: where weights are sampled."""
     h = np.diff(r)
-    x = r[:-1, None] + h[:, None] * _GL_X[None, :]
-    d_l, d_r, off = ((weight(x) @ _GL_HATS) * h[:, None]).T
+    return r[:-1, None] + h[:, None] * _GL_X[None, :]
+
+
+def _tri_mass(r: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal FE mass matrix for int f g weight(r) dr: (diag, off).
+
+    weight holds the weight's values at _gauss_nodes(r).
+    """
+    h = np.diff(r)
+    d_l, d_r, off = ((weight @ _GL_HATS) * h[:, None]).T
     diag = np.zeros(r.size)
     diag[:-1] += d_l
     diag[1:] += d_r
     return diag, off
 
 
-def _tri_grad(r: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal FE stiffness for int f' g' weight(r) dr."""
-    h = np.diff(r)
-    x = r[:-1, None] + h[:, None] * _GL_X[None, :]
-    coeff = (weight(x) @ _GL_W) / h
+def _tri_grad(r: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal FE stiffness for int f' g' weight(r) dr, weight at _gauss_nodes(r)."""
+    coeff = (weight @ _GL_W) / np.diff(r)
     diag = np.zeros(r.size)
     diag[:-1] += coeff
     diag[1:] += coeff
     return diag, -coeff
-
-
-def _tri_sparse(diag: np.ndarray, off: np.ndarray) -> sp.csc_matrix:
-    """Sparse symmetric tridiagonal from full-grid bands, Dirichlet outer node dropped."""
-    n = diag.size - 1
-    return sp.diags([off[: n - 1], diag[:n], off[: n - 1]], [-1, 0, 1],
-                    format="csc")
 
 
 def _load(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -121,71 +142,88 @@ def _load(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return diag[:-1] + off + np.append(0.0, off[:-1])
 
 
+def _apply(bands, x: np.ndarray) -> np.ndarray:
+    """The symmetric tridiagonal matrix with bands (diag, off) times x."""
+    diag, off = bands
+    y = diag * x
+    y[:-1] += off * x[1:]
+    y[1:] += off * x[:-1]
+    return y
+
+
 @dataclass
 class SectorOperator:
-    """Discretized linearization in one spherical-harmonic sector."""
+    """Discretized linearization in one spherical-harmonic sector.
+
+    stiffness and mass_matrix hold the symmetric tridiagonal forms A and B
+    on the interior nodes (the outer Dirichlet node dropped) as their
+    (diagonal, off-diagonal) bands.
+    """
 
     ell: float  # sector of the gamma = 0 problem, ell/alpha
     grid: np.ndarray
-    stiffness: sp.csc_matrix
-    mass_matrix: sp.csc_matrix
+    stiffness: tuple[np.ndarray, np.ndarray]
+    mass_matrix: tuple[np.ndarray, np.ndarray]
     constraints: list = field(default_factory=list)
 
     def rayleigh(self, f: np.ndarray) -> float:
         """Rayleigh quotient of the pencil; 0 means marginal stability."""
-        return float(f @ self.stiffness @ f) / float(f @ self.mass_matrix @ f)
+        return (float(f @ _apply(self.stiffness, f))
+                / float(f @ _apply(self.mass_matrix, f)))
 
 
 def _sector_pencils(r: np.ndarray, d: float, ells, rho, omega=None,
                     potential=None, constraint=None) -> list[SectorOperator]:
     """The pencils (A, B) of the module docstring on grid r (its s), one per ell.
 
-    ell >= 0 may be real.  The weights are callables of r; omega None means
-    1, potential None means 0.  The measure is (r/r_c)^(d-1), r_c the
-    geometric centre of the grid, so the centrifugal band carries 1/r_c^2.
-    The ell = 0 operator carries the load vector of the constraint weight
-    (rho, from its own bands, when None), the discrete zero-mean condition
-    int constraint f r^(d-1) dr = 0.  Each band is assembled once for all
-    sectors.  The outer boundary is Dirichlet (its node is dropped), the
-    inner one natural.
+    ell >= 0 may be real.  The weights are their values at _gauss_nodes(r);
+    omega None means 1, potential None means 0.  The measure is
+    (r/r_c)^(d-1), r_c the geometric centre of the grid, so the centrifugal
+    band carries 1/r_c^2.  The ell = 0 operator carries the load vector of
+    the constraint weight (rho, from its own bands, when None), the discrete
+    zero-mean condition int constraint f r^(d-1) dr = 0.  Each band is
+    assembled once for all sectors.  The outer boundary is Dirichlet (its
+    node is dropped), the inner one natural.
     """
     r_c = math.sqrt(r[0] * r[-1])
+    x = _gauss_nodes(r) / r_c
+    measure = x ** (d - 1.0)
 
-    def measured(weight, power):
-        if weight is None:
-            return lambda x: (x / r_c) ** power
-        return lambda x: weight(x) * (x / r_c) ** power
+    def measured(weight):
+        return measure if weight is None else weight * measure
 
-    diag_a, off_a = _tri_grad(r, measured(omega, d - 1.0))
+    diag_a, off_a = _tri_grad(r, measured(omega))
     if potential is not None:
-        diag_v, off_v = _tri_mass(r, measured(potential, d - 1.0))
+        diag_v, off_v = _tri_mass(r, measured(potential))
         diag_a, off_a = diag_a + diag_v, off_a + off_v
     if max(ells) > 0:
-        diag_c, off_c = _tri_mass(r, measured(omega, d - 3.0))
-    diag_b, off_b = _tri_mass(r, measured(rho, d - 1.0))
+        centrifugal = x ** (d - 3.0)
+        diag_c, off_c = _tri_mass(r, centrifugal if omega is None
+                                  else omega * centrifugal)
+    diag_b, off_b = _tri_mass(r, measured(rho))
     if np.any(diag_b <= 0.0) or not np.all(np.isfinite(diag_b)):
         raise SingularMass("weight underflow produced a singular mass matrix")
     if 0 in ells:
         load = _load(*((diag_b, off_b) if constraint is None else
-                       _tri_mass(r, measured(constraint, d - 1.0))))
-    B = _tri_sparse(diag_b, off_b)
+                       _tri_mass(r, measured(constraint))))
+    mass = (diag_b[:-1], off_b[:-1])
     ops = []
     for ell in ells:
         diag, off, lam = diag_a, off_a, ell * (ell + d - 2.0) / (r_c * r_c)
         if ell:
             diag, off = diag + lam * diag_c, off + lam * off_c
-        ops.append(SectorOperator(ell=ell, grid=r, mass_matrix=B,
-                                  stiffness=_tri_sparse(diag, off),
+        ops.append(SectorOperator(ell=ell, grid=r, mass_matrix=mass,
+                                  stiffness=(diag[:-1], off[:-1]),
                                   constraints=[] if ell else [load]))
     return ops
 
 
-def _unit_optimizer(flat: ProblemParams):
-    """(q -> (s -> u(s)^q), a/b) for the optimizer w of a gamma = 0 triple,
-    u = w/w(0) its unit-peak form and a/b = w(0)^(p-1)."""
+def _unit_optimizer(flat: ProblemParams, x: np.ndarray):
+    """(log u(x), a/b) for the optimizer w of a gamma = 0 triple, u = w/w(0)
+    its unit-peak form and a/b = w(0)^(p-1)."""
     ex = derive(flat)
     u = AnalyticProfile(log_peak=0.0, b=ex.b_gamma, c=2.0, k=1.0 / (flat.p - 1.0))
-    return (lambda q: lambda s: np.exp(q * u.log(s))), ex.a_gamma / ex.b_gamma
+    return u.log(x), ex.a_gamma / ex.b_gamma
 
 
 def assemble(params: ProblemParams, ell: int, n: int = 2000) -> SectorOperator:
@@ -216,16 +254,115 @@ def assemble(params: ProblemParams, ell: int, n: int = 2000) -> SectorOperator:
     s = _grid(math.sqrt(ex.b_gamma), [
         (d_g + 2.0, 2.0 * k + 2.0), (d_g, (p + 1.0) * k), (d_g, 2.0 * p * k),
         (2.0 * ell_f + d_g, 2.0 * sigma + 2.0), grad], n)
-    power, ab = _unit_optimizer(flat)
-    u_p1, u_2p2 = power(p - 1.0), power(2.0 * p - 2.0)
-    # w^(p-1) = (a/b) u^(p-1); the zero-mean weight is u^(2p-1), w^(2p-1)
-    # over its peak: a constant factor keeps the constraint
+    # log u once for every weight: w^(p-1) = (a/b) u^(p-1); the zero-mean
+    # weight is u^(2p-1), w^(2p-1) over its peak: a constant factor keeps
+    # the constraint
+    log_u, ab = _unit_optimizer(flat, _gauss_nodes(s))
+    u_2p2 = np.exp((2.0 * p - 2.0) * log_u)
     (op,) = _sector_pencils(
         s, d_g, [ell_f],
-        potential=lambda x: p * ab * u_p1(x) - (2.0 * p - 1.0) * ab * ab * u_2p2(x),
-        rho=lambda x: (2.0 * p - 1.0) * ab * ab * u_2p2(x),
-        constraint=power(2.0 * p - 1.0))
+        potential=(p * ab * np.exp((p - 1.0) * log_u)
+                   - (2.0 * p - 1.0) * ab * ab * u_2p2),
+        rho=(2.0 * p - 1.0) * ab * ab * u_2p2,
+        constraint=np.exp((2.0 * p - 1.0) * log_u) if ell == 0 else None)
     return op
+
+
+def _scaled(op: SectorOperator, scale: np.ndarray,
+            sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of D (A - sigma B) D, D = diag(scale).
+
+    With scale = diag(A - SHIFT B)^(-1/2) its entries are of order 1,
+    where those of A and B span as many decades as the measure does.
+    """
+    (a_diag, a_off), (b_diag, b_off) = op.stiffness, op.mass_matrix
+    return ((a_diag - sigma * b_diag) * scale * scale,
+            (a_off - sigma * b_off) * scale[:-1] * scale[1:])
+
+
+def _solve_shifted(op: SectorOperator, scale: np.ndarray, C, sigma: float,
+                   z: np.ndarray) -> np.ndarray:
+    """y with (A - sigma B) y + C mu = z and C^T y = 0 (C None: no border).
+
+    LAPACK's dgtsv solves the scaled D (A - sigma B) D, which may be
+    indefinite, for z and the columns of C together; the border then costs
+    one small solve.
+    """
+    diag, off = _scaled(op, scale, sigma)
+    rhs = scale[:, None] * np.column_stack([z] if C is None else [z, C])
+    *_, y, info = dgtsv(off, diag, off, rhs, False, True, False, True)
+    if info > 0:
+        raise EigenSolverFailure(f"A - lambda B is singular at lambda = {sigma!r}")
+    y *= scale[:, None]
+    if C is None:
+        return y[:, 0]
+    return y[:, 0] - y[:, 1:] @ np.linalg.solve(C.T @ y[:, 1:], C.T @ y[:, 0])
+
+
+def _iterate(solve, quotient, mass, lam: float, x: np.ndarray, tol: float,
+             max_steps: int):
+    """Inverse iteration x <- solve(lam, B x), B-normalized, lam <- quotient(x).
+
+    It stops once lam moves by at most tol (lam - SHIFT) and returns
+    (lam, x).  A solve that ignores lam is plain inverse iteration; one
+    that shifts by lam is Rayleigh-quotient iteration.
+    """
+    for _ in range(max_steps):
+        y = solve(lam, _apply(mass, x))
+        if not np.all(np.isfinite(y)):
+            raise EigenSolverFailure("an eigensolver iterate is not finite")
+        # near an eigenvalue y is huge: scale it to unit max before its B-norm
+        y /= np.max(np.abs(y))
+        x = y / math.sqrt(float(y @ _apply(mass, y)))
+        new = quotient(x)
+        if abs(new - lam) <= tol * (new - SHIFT):
+            return new, x
+        lam = new
+    raise EigenSolverFailure(f"the eigensolver iteration did not settle in "
+                             f"{max_steps} steps")
+
+
+def _equilibration(op: SectorOperator) -> np.ndarray:
+    """diag(A - SHIFT B)^(-1/2): the scale under which the bands are of order 1."""
+    (a_diag, _), (b_diag, _) = op.stiffness, op.mass_matrix
+    return 1.0 / np.sqrt(a_diag - SHIFT * b_diag)
+
+
+def _count_below(op: SectorOperator, sigma: float) -> int:
+    """Number of pencil eigenvalues below sigma on C^T x = 0.
+
+    By Sylvester's law of inertia it is the number of negative eigenvalues
+    of M = D (A - sigma B) D, D = _equilibration(op), which LAPACK's dstebz
+    counts by Sturm sequences: on (-2 g, 0], g a Gershgorin bound, with a
+    tolerance wider than the interval, so that it counts and does not
+    bisect.  Constraints add Haynsworth's term for the border
+    c_tilde = D C, its columns scaled to unit max: the positive eigenvalues
+    of c_tilde^T M^-1 c_tilde, less their number.  Unscaled, that term can
+    sit near 1e-40 and take the wrong sign.  A singular M counts as one
+    eigenvalue below sigma.
+    """
+    scale = _equilibration(op)
+    diag, off = _scaled(op, scale, sigma)
+    ring = np.abs(off)
+    g = float(np.max(np.abs(diag) + np.append(ring, 0.0) + np.append(0.0, ring)))
+    below, *_, info = dstebz(diag, off, 1, -2.0 * g, 0.0, 0, 0, 4.0 * g, b"E")
+    if info != 0:
+        raise EigenSolverFailure(f"dstebz failed to count at sigma = {sigma!r}")
+    if not op.constraints:
+        return int(below)
+    c_tilde = scale[:, None] * np.column_stack(op.constraints)
+    c_tilde /= np.max(np.abs(c_tilde), axis=0)
+    *_, x, info = dgtsv(off, diag, off, c_tilde, False, True, False, False)
+    if info > 0:
+        return max(int(below), 1)
+    border = np.linalg.eigvalsh(c_tilde.T @ x)
+    return int(below) + int(np.count_nonzero(border > 0.0)) - c_tilde.shape[1]
+
+
+def _certificate_shift(lam: float) -> float:
+    """lambda - CERT_GAP max(1, |lambda|): lambda is certified when no pencil
+    eigenvalue lies below it."""
+    return lam - CERT_GAP * max(1.0, abs(lam))
 
 
 def lowest_eigenvalue(op: SectorOperator):
@@ -233,63 +370,93 @@ def lowest_eigenvalue(op: SectorOperator):
 
     Returns (lambda_min, eigenprofile) with the eigenprofile normalized in
     the mass-matrix norm and stored on the operator grid (outer Dirichlet
-    node reattached as zero).  One path serves every operator: shift-invert
-    Lanczos with K = A - SHIFT B factored once, as L D L^T by LAPACK's
-    tridiagonal dpttrf; dpttrs applies K^-1 and B is applied by its bands.
-    A pivot of D that is not positive means SHIFT is not below the pencil
-    spectrum: EigenSolverFailure, not a wrong eigenvalue.  Constraints C
-    enter through the bordered system [[K, C], [C^T, 0]], solved by its Schur
-    complement, x = K^-1 z - K^-1 C (C^T K^-1 C)^-1 C^T K^-1 z, so every
-    Lanczos vector satisfies C^T x = 0 exactly.  Shift-invert keeps full
-    accuracy in the small eigenvalues even when the graded grid gives the
-    pencil a dynamic range of many orders of magnitude.
+    node reattached as zero).  One path serves every operator, on the bands
+    alone:
+
+    1. LAPACK's dpttrf factors K = A - SHIFT B as L D L^T.  A pivot of D
+       that is not positive means SHIFT is not below the pencil spectrum:
+       EigenSolverFailure, not a wrong eigenvalue.  Inverse iteration with
+       K from a fixed start vector runs until its Rayleigh quotient settles
+       (SETTLE).  Constraints C enter through the bordered system
+       [[K, C], [C^T, 0]], solved by its Schur complement,
+       x = K^-1 z - K^-1 C (C^T K^-1 C)^-1 C^T K^-1 z, so every iterate
+       satisfies C^T x = 0.
+    2. Rayleigh-quotient iteration solves A - lambda B, bordered by C, with
+       LAPACK's dgtsv until lambda moves by at most RQI_TOL (lambda - SHIFT).
+       Each Rayleigh quotient is summed through the factor of K.
+    3. A certificate counts the pencil eigenvalues below
+       lambda - CERT_GAP max(1, |lambda|) by Sturm sequences
+       (``_count_below``).  If any lies there, the iteration has found a
+       higher eigenvalue: bisection on the same count brackets the lowest
+       one to BISECT_TOL, and inverse and Rayleigh-quotient iteration from
+       the bracket's lower end find it, certified again.
+
+    Every returned eigenvalue has passed its certificate; where none passes,
+    or an iterate is not finite, the solve raises EigenSolverFailure.  The
+    start vector is fixed, so repeated runs give the same digits.
     """
-    A, B = op.stiffness, op.mass_matrix
-    n = A.shape[0]
-    b_diag, b_off = B.diagonal(), B.diagonal(1)
-
-    def apply_b(x):
-        y = b_diag * x
-        y[:-1] += b_off * x[1:]
-        y[1:] += b_off * x[:-1]
-        return y
-
-    # both bands are fresh arrays, so dpttrf may overwrite them
-    k_diag, k_off, info = dpttrf(A.diagonal() - SHIFT * b_diag,
-                                 A.diagonal(1) - SHIFT * b_off, True, True)
+    mass = op.mass_matrix
+    n = mass[0].size
+    (a_diag, a_off), (b_diag, b_off) = op.stiffness, mass
+    fac_diag, fac_off, info = dpttrf(a_diag - SHIFT * b_diag, a_off - SHIFT * b_off)
     if info > 0:
         raise EigenSolverFailure(
             f"A - SHIFT B is not positive definite at SHIFT = {SHIFT}: "
             f"dpttrf pivot {info} of {n} is not positive")
+    scale, root = _equilibration(op), np.sqrt(fac_diag)
 
-    def solve_k(z):
-        return dpttrs(k_diag, k_off, z)[0]
+    def quotient(x):
+        # x^T K x / x^T B x of a B-normalized x, with x^T K x summed as
+        # sum (D_i^(1/2) (L^T x)_i)^2 through the factor: positive terms
+        # only, so no cancellation between the bands of A
+        lx = x.copy()
+        lx[:-1] += fac_off * x[1:]
+        lx *= root
+        return SHIFT + float(lx @ lx)
 
-    solve = solve_k
+    C = KCS = None
     try:
         if op.constraints:
             C = np.column_stack(op.constraints)
             if np.linalg.matrix_rank(C) < C.shape[1]:
                 raise EigenSolverFailure("constraint vectors are linearly dependent")
             # K^-1 C (C^T K^-1 C)^-1, from the Schur complement once
-            KC = solve_k(C)
+            KC = dpttrs(fac_diag, fac_off, C)[0]
             KCS = sla.cho_solve(sla.cho_factor(C.T @ KC), KC.T).T
 
-            def solve(z):
-                x = solve_k(z)
-                return x - KCS @ (C.T @ x)
+        def solve(_, z):
+            # K^-1 z, bordered by the constraints
+            x = dpttrs(fac_diag, fac_off, z)[0]
+            return x if C is None else x - KCS @ (C.T @ x)
 
-        # a fixed start vector: ARPACK's random default makes repeated runs
-        # differ in the last digits
-        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-        vals, vecs = spla.eigsh(
-            A, k=1, M=spla.LinearOperator((n, n), matvec=apply_b, dtype=float),
-            sigma=SHIFT, which="LM", tol=0.0, v0=v0,
-            OPinv=spla.LinearOperator((n, n), matvec=solve, dtype=float))
-    except (sla.LinAlgError, RuntimeError) as exc:
+        shifted = partial(_solve_shifted, op, scale, C)
+        start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+
+        def iterate(settle):
+            # inverse iteration by settle, then Rayleigh-quotient iteration
+            lam, x = _iterate(settle, quotient, mass, math.inf, start, SETTLE,
+                              INVERSE_MAX_STEPS)
+            return _iterate(shifted, quotient, mass, lam, x, RQI_TOL,
+                            RQI_MAX_STEPS)
+
+        lam, x = iterate(solve)
+        if _count_below(op, _certificate_shift(lam)):
+            # a higher eigenvalue: bracket the lowest by the same count
+            lo, hi = SHIFT, _certificate_shift(lam)
+            while hi - lo > BISECT_TOL * (hi - SHIFT):
+                mid = 0.5 * (lo + hi)
+                if _count_below(op, mid):
+                    hi = mid
+                else:
+                    lo = mid
+            lam, x = iterate(lambda _, z: shifted(lo, z))
+            if _count_below(op, _certificate_shift(lam)):
+                raise EigenSolverFailure(
+                    f"no certified lowest eigenvalue: pencil eigenvalues lie "
+                    f"below {lam!r} also after bisection")
+    except sla.LinAlgError as exc:
         raise EigenSolverFailure(str(exc)) from exc
-    lam, vec = float(vals[0]), vecs[:, 0]
-    vec = np.append(vec / math.sqrt(float(vec @ apply_b(vec))), 0.0)
+    vec = np.append(x, 0.0)
     return lam, RadialProfile(radii=op.grid, values=vec,
                               meta={"ell": op.ell, "eigenvalue": lam})
 
@@ -321,10 +488,9 @@ def _hardy_poincare_pencils(d: float, p: float, n: int) -> list[SectorOperator]:
     s = _grid(math.sqrt(derive(flat).b_gamma), [
         (d, 2.0 * p * k), (d + 2.0, (3.0 * p - 1.0) * k),
         (d + 4.0, (3.0 * p - 1.0) * k), (d + 2.0, 2.0 * p * k)], n)
-    power, ab = _unit_optimizer(flat)
-    u_3p1 = power(3.0 * p - 1.0)
-    return _sector_pencils(s, d, (0, 1), omega=power(2.0 * p),
-                           rho=lambda x: ab * u_3p1(x))
+    log_u, ab = _unit_optimizer(flat, _gauss_nodes(s))
+    return _sector_pencils(s, d, (0, 1), omega=np.exp(2.0 * p * log_u),
+                           rho=ab * np.exp((3.0 * p - 1.0) * log_u))
 
 
 def hardy_poincare_gap(d: float, p: float, n: int = 2000):
@@ -350,8 +516,9 @@ def hardy_poincare_gap(d: float, p: float, n: int = 2000):
     B = ops[0].mass_matrix
     coord = ops[0].grid[:-1]
     v = prof.values[:-1]
-    Bc = B @ coord
-    corr = abs(float(v @ Bc)) / math.sqrt(float(coord @ Bc) * float(v @ B @ v))
+    Bc = _apply(B, coord)
+    corr = abs(float(v @ Bc)) / math.sqrt(float(coord @ Bc)
+                                          * float(v @ _apply(B, v)))
     return gap, {"sector": sector, "eigenprofile": prof,
                   "by_sector": {k: results[k][0] for k in results},
                   "coordinate_correlation": corr}

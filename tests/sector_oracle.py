@@ -1,4 +1,5 @@
-"""Closed form of the lowest sector eigenvalue for ell >= 1, for the tests.
+"""Closed form of the lowest sector eigenvalue for ell >= 1, for the tests,
+and the sparse matrix of a sector operator's bands.
 
 Under s = r^alpha, alpha = (2-gamma)/2, sector ell at weight gamma is sector
 ell' = ell/alpha of the unweighted problem in the real dimension
@@ -14,6 +15,8 @@ mode.  Everything here is computed from (d, gamma, p, ell) alone.
 """
 
 import math
+
+import scipy.sparse as sp
 
 # sector_min at its default n = 2000 meets the closed form within 5.5e-5
 # relative where lambda >= 0.08 (worst at (4, 0.3, 1.5), ell = 1, and
@@ -33,3 +36,10 @@ def sector_closed_form(d, gamma, p, ell):
     lin = 4.0 - 2.0 * n - 4.0 * ell_flat
     sigma = (-lin + math.sqrt(lin * lin + 16.0 * p * a)) / 8.0
     return sigma * (sigma + 1.0) / ((2.0 * p - 1.0) * q * (q + 1.0)) - 1.0
+
+
+def tridiagonal(bands):
+    """The symmetric tridiagonal CSC matrix of (diag, off) bands, such as a
+    SectorOperator's stiffness and mass_matrix."""
+    diag, off = bands
+    return sp.diags([off, diag, off], [-1, 0, 1], format="csc")

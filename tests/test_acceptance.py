@@ -37,7 +37,7 @@ from cknlab.params import derive, validate
 from cknlab.profiles import el_residual, w_gamma_star, weighted_norm
 from cknlab.quadrature import sphere_area
 from cknlab.shooting import Classification, find_ground_state
-from sector_oracle import ABS_TOL, REL_TOL, sector_closed_form
+from sector_oracle import ABS_TOL, REL_TOL, sector_closed_form, tridiagonal
 
 
 def _report(num, ok, detail):
@@ -182,7 +182,7 @@ def test_criterion_7_hardy_poincare():
     op = assemble(pp, ell=1, n=2000)
     lam, prof = lowest_eigenvalue(op)
     zero_ok = abs(lam) < 1e-5
-    B = op.mass_matrix
+    B = tridiagonal(op.mass_matrix)
     f = w_gamma_star(pp).deriv(op.grid)[:-1]
     f = f / np.sqrt(f @ B @ f)
     v = prof.values[:-1]

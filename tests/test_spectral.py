@@ -7,22 +7,24 @@ import scipy.sparse.linalg as spla
 from cknlab.errors import EigenSolverFailure, ParameterError
 from cknlab.params import validate
 from cknlab.profiles import w_gamma_star
-from cknlab.spectral import (MIN_NODES, SHIFT, _hardy_poincare_pencils,
+from cknlab.spectral import (CERT_GAP, MIN_NODES, SHIFT, _count_below,
+                             _gauss_nodes, _hardy_poincare_pencils,
                              _sector_pencils, _tri_mass, assemble, gamma_sweep,
                              hardy_poincare_gap, lowest_eigenvalue, sector_min)
-from sector_oracle import ABS_TOL, REL_TOL, sector_closed_form
+from sector_oracle import ABS_TOL, REL_TOL, sector_closed_form, tridiagonal
 
 
-def _tri(diag, off):
-    return sp.diags([off, diag, off], [-1, 0, 1])
+def _shift_stiffness(op, t):
+    """Replace A by A + t B."""
+    op.stiffness = tuple(a + t * b for a, b in zip(op.stiffness, op.mass_matrix))
 
 
 def _reference_solve(op):
-    """The same shift-invert solve on general sparse machinery: SuperLU for
-    K = A - SHIFT B, sparse products with B, and the bordered constraint
-    solve through a Cholesky-factored Schur complement.  Returns (lambda,
-    eigenvector on the interior nodes, B-normalized)."""
-    A, B = op.stiffness, op.mass_matrix
+    """A shift-invert Lanczos solve on general sparse machinery: ARPACK,
+    SuperLU for K = A - SHIFT B, sparse products with B, and the bordered
+    constraint solve through a Cholesky-factored Schur complement.  Returns
+    (lambda, eigenvector on the interior nodes, B-normalized)."""
+    A, B = tridiagonal(op.stiffness), tridiagonal(op.mass_matrix)
     n = A.shape[0]
     lu = spla.splu(sp.csc_matrix(A - SHIFT * B))
     solve = lu.solve
@@ -55,28 +57,29 @@ def op_ell1(pp0):
 
 class TestAssemble:
     def test_symmetry(self, op_ell1):
-        A = op_ell1.stiffness.toarray()
+        A = tridiagonal(op_ell1.stiffness).toarray()
         assert np.max(np.abs(A - A.T)) < 1e-12 * np.max(np.abs(A))
-        B = op_ell1.mass_matrix.toarray()
+        B = tridiagonal(op_ell1.mass_matrix).toarray()
         assert np.max(np.abs(B - B.T)) == 0.0
 
     def test_centrifugal_difference(self):
         # sectors 0 and 1 of one grid differ exactly by the (d-1)/s^2 mass
         # term, in the measure (s/s_c)^(d-1) of the grid's centre s_c = 10
         d, grid, s_c = 3, np.geomspace(0.1, 1e3, 300), 10.0
-        op0, op1 = _sector_pencils(grid, d, (0, 1), rho=np.ones_like)
-        dgc, offc = _tri_mass(grid, lambda x: (x / s_c) ** (d - 3.0))
+        x = _gauss_nodes(grid)
+        op0, op1 = _sector_pencils(grid, d, (0, 1), rho=np.ones_like(x))
+        dgc, offc = _tri_mass(grid, (x / s_c) ** (d - 3.0))
         n = grid.size - 1
-        cent = (d - 1.0) / s_c**2 * _tri(dgc[:n], offc[: n - 1]).toarray()
-        assert np.allclose((op1.stiffness - op0.stiffness).toarray(), cent,
-                           rtol=1e-12, atol=1e-12)
+        cent = (d - 1.0) / s_c**2 * tridiagonal((dgc[:n], offc[: n - 1])).toarray()
+        diff = tridiagonal(op1.stiffness) - tridiagonal(op0.stiffness)
+        assert np.allclose(diff.toarray(), cent, rtol=1e-12, atol=1e-12)
 
     def test_rayleigh_quotient_at_translation_mode(self, pp0, op_ell1):
         f = w_gamma_star(pp0).deriv(op_ell1.grid)[:-1]
         assert abs(op_ell1.rayleigh(f)) < 1e-4
 
     def test_mass_matrix_positive_definite(self, op_ell1):
-        vals = np.linalg.eigvalsh(op_ell1.mass_matrix.toarray())
+        vals = np.linalg.eigvalsh(tridiagonal(op_ell1.mass_matrix).toarray())
         assert vals.min() > 0
 
     def test_only_radial_sector_carries_constraint(self, pp0, op_ell1):
@@ -97,7 +100,7 @@ class TestLowestEigenvalue:
         assert abs(lam) < 1e-5
         # eigenprofile matches the derivative of the optimizer in the
         # mass-matrix norm
-        B = op_ell1.mass_matrix
+        B = tridiagonal(op_ell1.mass_matrix)
         f = w_gamma_star(pp0).deriv(op_ell1.grid)[:-1]
         f = f / np.sqrt(f @ B @ f)
         v = prof.values[:-1]
@@ -129,7 +132,7 @@ class TestLowestEigenvalue:
     def test_spectral_shift_identity(self, pp0):
         op = assemble(pp0, ell=0, n=400)
         lam_a, _ = lowest_eigenvalue(op)
-        op.stiffness = op.stiffness + 0.37 * op.mass_matrix
+        _shift_stiffness(op, 0.37)
         lam_b, _ = lowest_eigenvalue(op)
         assert abs(lam_b - lam_a - 0.37) < 1e-10
 
@@ -165,15 +168,16 @@ class TestLowestEigenvalue:
         # the reference is the radial pencil in r with its r^-gamma weights,
         # on an r-grid [1e-4, 1e4] that holds the profile at these points
         w = w_gamma_star(validate(d, gamma, p))
+        grid = np.geomspace(1e-4, 1e4, n)
+        r = _gauss_nodes(grid)
 
         def weight(q):
-            return lambda r: np.exp(q * w.log(r) - gamma * np.log(r))
+            return np.exp(q * w.log(r) - gamma * np.log(r))
 
         (op,) = _sector_pencils(
-            np.geomspace(1e-4, 1e4, n), d, [0], constraint=weight(2 * p - 1),
-            potential=lambda r: p * weight(p - 1)(r)
-            - (2 * p - 1) * weight(2 * p - 2)(r),
-            rho=lambda r: (2 * p - 1) * weight(2 * p - 2)(r))
+            grid, d, [0], constraint=weight(2 * p - 1),
+            potential=p * weight(p - 1) - (2 * p - 1) * weight(2 * p - 2),
+            rho=(2 * p - 1) * weight(2 * p - 2))
         weighted = lowest_eigenvalue(op)[0]
         flat = sector_min(validate(d, gamma, p), 0, n)
         assert flat == pytest.approx(weighted, rel=1e-3)
@@ -205,14 +209,14 @@ class TestLowestEigenvalue:
 
 
 class TestBandedSolve:
-    """The LAPACK tridiagonal solve against the general sparse reference."""
+    """The certified banded solve against the general sparse reference."""
 
     @staticmethod
     def _check(op):
         lam, prof = lowest_eigenvalue(op)
         want, ref = _reference_solve(op)
         assert abs(lam - want) <= 1e-12
-        B = op.mass_matrix
+        B = tridiagonal(op.mass_matrix)
         v = prof.values[:-1]
         dev = v - np.sign(v @ B @ ref) * ref
         assert np.sqrt(dev @ B @ dev) <= 1e-8
@@ -223,17 +227,36 @@ class TestBandedSolve:
     def test_matches_sparse_reference(self, d, gamma, p, ell):
         self._check(assemble(validate(d, gamma, p), ell, 2000))
 
+    @pytest.mark.parametrize("d, gamma, p, ell", [
+        (6, 1.9, 1.0175, 1), (3, 1.98, 1.005, 0), (3, 1.98, 1.005, 1),
+        (3, 1.98, 1.005, 2), (3, 1.99, 1.002, 0)])
+    def test_lands_above_lowest_then_certified(self, d, gamma, p, ell):
+        # at d_gamma = 82-202 the spectra are dense, and the Rayleigh-quotient
+        # iteration from the settled inverse iteration lands on a higher
+        # eigenvalue; the certificate's count sees it, and the bisection on
+        # that count finds the lowest one
+        self._check(assemble(validate(d, gamma, p), ell, 2000))
+
     @pytest.mark.parametrize("sector", [0, 1])
     def test_hardy_poincare_matches_sparse_reference(self, sector):
         self._check(_hardy_poincare_pencils(3, 2.0, 2000)[sector])
 
+    @pytest.mark.parametrize("sector", [0, 1])
+    @pytest.mark.parametrize("d, p", [(3, 2.5), (4, 1.9)])
+    def test_hardy_poincare_near_p_max_matches_sparse_reference(self, d, p, sector):
+        # the crowded spectra near p_max: with 4 inverse steps in place of
+        # the settle rule, the Rayleigh-quotient iteration lands above the
+        # lowest eigenvalue at (4, 1.9), sector 0
+        self._check(_hardy_poincare_pencils(d, p, 2000)[sector])
+
     def test_shift_above_spectrum_raises(self, pp0):
         # lowering A by 5 B puts the pencil's lowest eigenvalue near -5,
         # below SHIFT = -1: K is indefinite and its factorization must fail
-        # instead of Lanczos converging to a wrong eigenvalue (-0.989 here)
+        # instead of the solve returning a wrong eigenvalue
         op = assemble(pp0, ell=1, n=400)
-        op.stiffness = op.stiffness - 5 * op.mass_matrix
-        lowest = sla.eigh(op.stiffness.toarray(), op.mass_matrix.toarray(),
+        _shift_stiffness(op, -5.0)
+        lowest = sla.eigh(tridiagonal(op.stiffness).toarray(),
+                          tridiagonal(op.mass_matrix).toarray(),
                           eigvals_only=True)[0]
         assert lowest == pytest.approx(-5.0, abs=1e-3)
         with pytest.raises(EigenSolverFailure, match="dpttrf pivot"):
@@ -244,7 +267,8 @@ class TestBandedSolve:
         # SHIFT is a strict lower bound of every pencil spectrum the library
         # builds, so K = A - SHIFT B is positive definite for each of them
         for op in ops:
-            K = (op.stiffness - SHIFT * op.mass_matrix).toarray()
+            K = (tridiagonal(op.stiffness)
+                 - SHIFT * tridiagonal(op.mass_matrix)).toarray()
             assert np.linalg.eigvalsh(K)[0] > 0
             assert np.isfinite(lowest_eigenvalue(op)[0])
 
@@ -259,6 +283,26 @@ class TestBandedSolve:
                                       (5, 1.4)])
     def test_every_hardy_poincare_operator_factors(self, d, p):
         self._check_factors(_hardy_poincare_pencils(d, p, 400))
+
+
+class TestCertificate:
+    """The count behind the certificate: pencil eigenvalues below a shift."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: assemble(validate(3, 0.0, 2.0), 1, 2000),
+        # the Schur term c^T K^-1 c is about 1e-40 here: unscaled, it took
+        # the wrong sign, and a bisection on that count found -0.123
+        lambda: assemble(validate(3, 1.99, 1.002), 0, 2000),
+        # the constrained lambda sits within 1e-6 of the second
+        # unconstrained eigenvalue
+        lambda: _hardy_poincare_pencils(3, 1.7, 2000)[0],
+    ], ids=["unconstrained", "constrained-tiny-border", "constrained-near-pole"])
+    def test_count_brackets_reference(self, build):
+        op = build()
+        lam, _ = _reference_solve(op)
+        gap = CERT_GAP * max(1.0, abs(lam))
+        assert _count_below(op, lam - gap) == 0
+        assert _count_below(op, lam + gap) >= 1
 
 
 class TestSectorClosedForm:
