@@ -64,4 +64,3 @@ from cknlab import RadialProfile
 back = RadialProfile.from_json(text)
 print(f"  JSON round trip bit-exact: "
       f"{np.array_equal(back.values, prof.values)}")
-print(f"  CSV header: {prof.to_csv().splitlines()[0]}")

@@ -30,48 +30,34 @@ _SUBCOMMANDS = ("params", "profile", "shoot", "minimize", "spectrum", "flow",
 
 
 def _resolved_config(args: argparse.Namespace) -> dict:
-    # paths (--out, --initial, --per-point-dir) are echoed as strings
+    # paths (--out, --initial) are echoed as strings
     return {k: str(v) if isinstance(v, Path) else v
             for k, v in vars(args).items()
             if k not in ("func", "config") and v is not None}
 
 
-def _payload(args: argparse.Namespace, result: dict) -> dict:
-    return {
-        "schema": SCHEMA,
-        "version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "config": _resolved_config(args),
-        "result": result,
-    }
-
-
-def _json_text(args: argparse.Namespace, result: dict) -> str:
-    return json.dumps(_payload(args, result), sort_keys=True, indent=2,
-                      default=float) + "\n"
-
-
-def _emit_json(args: argparse.Namespace, result: dict) -> None:
-    _write(args, _json_text(args, result))
-
-
-def _emit_csv(args: argparse.Namespace, header: list[str],
-              rows: list[list], result_meta: dict | None = None) -> None:
-    lines = [f"# schema={SCHEMA}"]
-    cfg = _resolved_config(args)
-    lines.append("# config=" + json.dumps(cfg, sort_keys=True, default=float))
-    lines.append(f"# timestamp={time.strftime('%Y-%m-%dT%H:%M:%S', time.gmtime())}")
-    if result_meta:
-        lines.append("# meta=" + json.dumps(result_meta, sort_keys=True,
-                                            default=float))
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(repr(float(x)) if isinstance(x, (int, float, np.floating))
-                              else str(x) for x in row))
-    _write(args, "\n".join(lines) + "\n")
-
-
-def _write(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, result: dict, header: list[str], rows,
+          meta: dict | None = None) -> None:
+    """Write the JSON payload of result, or the CSV of header and rows with
+    the optional meta line; rows are read only for CSV."""
+    timestamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+    config = _resolved_config(args)
+    if args.format == "json":
+        text = json.dumps({"schema": SCHEMA, "version": __version__,
+                           "timestamp": timestamp, "config": config,
+                           "result": result},
+                          sort_keys=True, indent=2, default=float) + "\n"
+    else:
+        lines = [f"# schema={SCHEMA}",
+                 "# config=" + json.dumps(config, sort_keys=True, default=float),
+                 f"# timestamp={timestamp}"]
+        if meta:
+            lines.append("# meta=" + json.dumps(meta, sort_keys=True,
+                                                default=float))
+        lines.append(",".join(header))
+        lines += (",".join(repr(float(x)) if isinstance(x, (int, float, np.floating))
+                           else str(x) for x in row) for row in rows)
+        text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -97,11 +83,8 @@ def _cmd_params(args) -> None:
     result = {"d": pp.d, "gamma": pp.gamma, "p": pp.p, "p_max": pp.p_max,
               "kappa": kappa(pp)}
     result.update(dataclasses.asdict(ex))
-    if args.format == "json":
-        _emit_json(args, result)
-    else:
-        keys = sorted(result)
-        _emit_csv(args, keys, [[result[k] for k in keys]])
+    keys = sorted(result)
+    _emit(args, result, keys, [[result[k] for k in keys]])
 
 
 def _cmd_profile(args) -> None:
@@ -111,14 +94,10 @@ def _cmd_profile(args) -> None:
     prof_fn = w_star(pp) if args.kind == "wstar" else w_gamma_star(pp)
     grid = default_grid(args.r_min, args.r_max, args.points_per_decade)
     prof = prof_fn.sample(grid)
-    residual = el_residual(prof_fn, pp, radii=grid)
-    if args.format == "json":
-        _emit_json(args, {"kind": args.kind, "el_residual": residual,
-                          "profile": json.loads(prof.to_json())})
-    else:
-        rows = list(zip(prof.radii, prof.values, prof.derivs))
-        _emit_csv(args, ["r", "w", "dw"], rows,
-                  result_meta={"el_residual": residual, "kind": args.kind})
+    meta = {"el_residual": el_residual(prof_fn, pp, radii=grid),
+            "kind": args.kind}
+    _emit(args, dict(meta, profile=json.loads(prof.to_json())),
+          ["r", "w", "dw"], zip(prof.radii, prof.values, prof.derivs), meta)
 
 
 def _cmd_shoot(args) -> None:
@@ -134,12 +113,8 @@ def _cmd_shoot(args) -> None:
         "bisection_steps": len(res.bisection_history),
         "s_max": res.s_max,
     }
-    if args.format == "json":
-        _emit_json(args, result)
-    else:
-        prof = res.profile
-        rows = list(zip(prof.radii, prof.values))
-        _emit_csv(args, ["r", "v"], rows, result_meta=result)
+    _emit(args, result, ["r", "v"], zip(res.profile.radii, res.profile.values),
+          result)
 
 
 def _cmd_minimize(args) -> None:
@@ -166,12 +141,9 @@ def _cmd_minimize(args) -> None:
         "s_max": rep.s_max,
         "d_gamma": derive(pp).d_gamma,
     }
-    if args.format == "json":
-        _emit_json(args, result)
-    else:
-        header = ["d", "gamma", "p", "CStar", "J", "gridN", "errEst"]
-        row = [pp.d, pp.gamma, pp.p, c_star, rep.J, args.grid, rep.err_estimate]
-        _emit_csv(args, header, [row], result_meta=result)
+    _emit(args, result, ["d", "gamma", "p", "CStar", "J", "gridN", "errEst"],
+          [[pp.d, pp.gamma, pp.p, c_star, rep.J, args.grid, rep.err_estimate]],
+          result)
 
 
 def _cmd_spectrum(args) -> None:
@@ -183,11 +155,8 @@ def _cmd_spectrum(args) -> None:
     result = {"ell": args.ell, "lambda_min": lam, "n": args.n,
               "s_min": float(op.grid[0]), "s_max": float(op.grid[-1]),
               "d_gamma": derive(pp).d_gamma, "constrained": args.ell == 0}
-    if args.format == "json":
-        _emit_json(args, result)
-    else:
-        keys = sorted(result)
-        _emit_csv(args, keys, [[result[k] for k in keys]])
+    keys = sorted(result)
+    _emit(args, result, keys, [[result[k] for k in keys]])
 
 
 def _cmd_flow(args) -> None:
@@ -229,13 +198,10 @@ def _cmd_flow(args) -> None:
         meta["fitted_rate"] = fit_decay_rate(series)
     except DecayWindowTooShort:
         meta["fitted_rate"] = None
-    if args.format == "json":
-        result = dict(meta, t=series.t.tolist(), F=series.F.tolist(),
-                      I=series.I.tolist(), mass=series.mass.tolist())
-        _emit_json(args, result)
-    else:
-        rows = list(zip(series.t, series.F, series.I, series.mass, series.dt))
-        _emit_csv(args, ["t", "F", "I", "mass", "dt"], rows, result_meta=meta)
+    _emit(args, dict(meta, t=series.t.tolist(), F=series.F.tolist(),
+                     I=series.I.tolist(), mass=series.mass.tolist()),
+          ["t", "F", "I", "mass", "dt"],
+          zip(series.t, series.F, series.I, series.mass, series.dt), meta)
 
 
 def _cmd_selection(args) -> None:
@@ -276,13 +242,8 @@ def _cmd_selection(args) -> None:
         rows = [[float(y), F_selection(float(y), ctx)] for y in y_grid]
     else:
         raise ValueError(f"unknown curve {args.curve!r}")
-    if args.format == "json":
-        result["curve"] = args.curve
-        result["columns"] = header
-        result["rows"] = rows
-        _emit_json(args, result)
-    else:
-        _emit_csv(args, header, rows, result_meta=result)
+    _emit(args, dict(result, curve=args.curve, columns=header, rows=rows),
+          header, rows, result)
 
 
 def _cmd_sweep(args) -> None:
@@ -299,20 +260,10 @@ def _cmd_sweep(args) -> None:
                       for pt in chunk]
     else:
         points = sweep(gammas)
-    if args.per_point_dir is not None:
-        outdir = Path(args.per_point_dir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for g, lam in points:
-            (outdir / f"gamma_{g:.6f}.json").write_text(_json_text(
-                args, {"gamma": g, "lambda_min": lam, "ell": args.ell,
-                       "n": args.n}))
-    rows = [[g, args.ell, lam, args.n] for g, lam in points]
-    if args.format == "json":
-        _emit_json(args, {"points": [{"gamma": g, "lambda_min": lam}
-                                     for g, lam in points],
-                          "ell": args.ell, "n": args.n})
-    else:
-        _emit_csv(args, ["gamma", "ell", "lambdaMin", "gridN"], rows)
+    _emit(args, {"points": [{"gamma": g, "lambda_min": lam} for g, lam in points],
+                 "ell": args.ell, "n": args.n},
+          ["gamma", "ell", "lambdaMin", "gridN"],
+          ([g, args.ell, lam, args.n] for g, lam in points))
 
 
 # -- argument plumbing -------------------------------------------------------------
@@ -396,8 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", type=int, default=1)
     sp.add_argument("--n", type=int, default=2000)
     sp.add_argument("--workers", type=int, default=1)
-    sp.add_argument("--per-point-dir", type=Path, default=None,
-                    help="also write one JSON file per sweep point here")
     sp.set_defaults(func=_cmd_sweep)
 
     return ap

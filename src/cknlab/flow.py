@@ -79,7 +79,15 @@ class FlowMesh:
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "centers", 0.5 * (e[1:] + e[:-1]))
         object.__setattr__(self, "radii", self.centers ** (1.0 / self.alpha))
-        object.__setattr__(self, "vol_w", (e[1:] ** dg - e[:-1] ** dg) / dg)
+        vol_w = (e[1:] ** dg - e[:-1] ** dg) / dg
+        # a cell of volume 0 holds no mass and leaves the Newton system
+        # singular; a subnormal volume still holds its share
+        bad = np.count_nonzero(~((vol_w > 0.0) & (vol_w < math.inf)))
+        if bad:
+            raise AmplitudeOverflow(f"the weighted volumes of {bad} cells are 0 "
+                                    f"or not finite at d_gamma = {dg:g}: "
+                                    f"s^d_gamma leaves the float range")
+        object.__setattr__(self, "vol_w", vol_w)
         object.__setattr__(self, "face_area", self.alpha**2 * e[1:-1] ** (dg - 1.0))
         object.__setattr__(self, "dx_face", np.diff(self.centers))
         object.__setattr__(self, "potential", self.centers ** 2.0)

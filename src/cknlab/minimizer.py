@@ -310,22 +310,21 @@ def _solve(disc: _Discretization, start_fn, target_mass: float):
 
 
 def minimize_radial(params: ProblemParams, n: int = 1024,
-                    solver_tol: float = 1e-4, mass: float | None = None,
+                    solver_tol: float = 1e-4,
                     start: str = "warm") -> MinimizationReport:
     """Minimize the constrained energy over positive radial grid profiles.
 
     The flat problem is solved on n nodes at the mass of the unit-peak
-    optimizer; a mass in r ``mass`` maps its minimizer to the optimizer
-    family's member of that mass, amp w(s/lam), and changes no other
-    result.  start: 'warm' begins at the optimizer, 'cold' at the Gaussian
-    bump exp(-(s/scale)^2); both must reach the same minimum.  The report
-    carries, in r, the quotient of the discrete minimizer, an upper bound on
-    1/C*, and of the grid-sampled optimizer as reference.  Its J is not the
-    discrete minimum energy, whose h^2 error at (3, 0, 2) on 512 nodes is
-    1.4e-5, but the Richardson extrapolation from it and the minimum on the
-    ladder's second-finest level (n//2 + 1 nodes); err_estimate is the size
-    of that correction.  s_min and s_max are the grid ends, and
-    gradient_norm is the largest |dG/d phi_i| / G of the mass-normalized G.
+    optimizer, the report's mass.  start: 'warm' begins at the optimizer,
+    'cold' at the Gaussian bump exp(-(s/scale)^2); both must reach the same
+    minimum.  The report carries, in r, the quotient of the discrete
+    minimizer, an upper bound on 1/C*, and of the grid-sampled optimizer as
+    reference.  Its J is not the discrete minimum energy, whose h^2 error at
+    (3, 0, 2) on 512 nodes is 1.4e-5, but the Richardson extrapolation from
+    it and the minimum on the ladder's second-finest level (n//2 + 1 nodes);
+    err_estimate is the size of that correction.  s_min and s_max are the
+    grid ends, and gradient_norm is the largest |dG/d phi_i| / G of the
+    mass-normalized G.
 
     GridTooCoarse is raised where err_estimate exceeds solver_tol * J, or
     |dilation_balance| or its terms at the grid's ends DILATION_BALANCE_MAX,
@@ -337,8 +336,6 @@ def minimize_radial(params: ProblemParams, n: int = 1024,
     if not 0.0 < solver_tol < math.inf:
         raise ParameterError(f"solver_tol must be finite and > 0, "
                              f"got {solver_tol}")
-    if mass is not None and not 0.0 < mass < math.inf:
-        raise ParameterError(f"mass must be finite and > 0, got {mass}")
     if start not in ("warm", "cold"):
         raise ParameterError(f"start must be 'warm' or 'cold', got {start!r}")
     p, theta = params.p, derive(params).theta_gamma
@@ -393,29 +390,21 @@ def minimize_radial(params: ProblemParams, n: int = 1024,
             f" {flat.s_max:g}] in s does not hold the minimizer's profile"
         )
 
-    # the member amp w(s/lam) of mass `mass` in r: the mass scales as
-    # amp^(2p) lam^(d_gamma), and lam = amp^(-(p-1)/2) keeps it a minimizer
-    log_amp = 0.0 if mass is None else (math.log(mass) - flat.log_mass) \
-        / (2.0 * p - 0.5 * flat.d_gamma * (p - 1.0))
-    if abs(log_amp) > 700:
-        raise AmplitudeOverflow(f"the profile of mass {mass:g} peaks at "
-                                f"exp({log_amp:.1f})")
-    mass = math.exp(flat.log_mass) if mass is None else mass
-    s = disc.s * math.exp(-0.5 * (p - 1.0) * log_amp)
+    mass = math.exp(flat.log_mass)
     # radii past the float range are dropped
-    keep, radii, _ = radii_from_flat(params, s)
+    keep, radii, _ = radii_from_flat(params, disc.s)
     if np.count_nonzero(keep) < 2:
         raise AmplitudeOverflow("the radii of the grid leave the float range")
     profile = RadialProfile(
-        radii=radii[keep], values=np.exp(phi[keep] + log_amp),
+        radii=radii[keep], values=np.exp(phi[keep]),
         tail_exponent=(2.0 - params.gamma) / (p - 1.0),
         meta={"start": start, "mass": mass},
     )
     return MinimizationReport(
         best_quotient=quot, best_profile=profile, iterations=nit,
         gradient_norm=gnorm, reference=ref_quot, J=J, mass=mass,
-        dilation_balance=balance, err_estimate=err_est, s_min=s[0],
-        s_max=s[-1],
+        dilation_balance=balance, err_estimate=err_est, s_min=disc.s[0],
+        s_max=disc.s[-1],
     )
 
 

@@ -106,19 +106,6 @@ class RadialProfile:
             meta=obj.get("meta", {}),
         )
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        if self.derivs is None:
-            writer.writerow(["r", "w"])
-            for r, w in zip(self.radii, self.values):
-                writer.writerow([repr(float(r)), repr(float(w))])
-        else:
-            writer.writerow(["r", "w", "dw"])
-            for r, w, dw in zip(self.radii, self.values, self.derivs):
-                writer.writerow([repr(float(r)), repr(float(w)), repr(float(dw))])
-        return buf.getvalue()
-
     @classmethod
     def from_csv(cls, text: str) -> "RadialProfile":
         rows = list(csv.reader(io.StringIO(text)))

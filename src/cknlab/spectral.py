@@ -50,10 +50,10 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz
 
-from .errors import (DimensionTooSmall, EigenSolverFailure, ParameterError,
-                     POutOfRange, SingularMass)
+from .errors import (AmplitudeOverflow, DimensionTooSmall, EigenSolverFailure,
+                     ParameterError, POutOfRange, SingularMass)
 from .params import ProblemParams, derive, validate
-from .profiles import AnalyticProfile, RadialProfile, tail_bounds
+from .profiles import LOG_FLOAT_MAX, AnalyticProfile, RadialProfile, tail_bounds
 
 __all__ = ["SectorOperator", "assemble", "lowest_eigenvalue", "sector_min",
            "hardy_poincare_gap", "gamma_sweep"]
@@ -187,6 +187,13 @@ def _sector_pencils(r: np.ndarray, d: float, ells, rho, omega=None,
     """
     r_c = math.sqrt(r[0] * r[-1])
     x = _gauss_nodes(r) / r_c
+    # past the float range the measure makes B infinite, which the mass
+    # check below would report as singular; x^(d-3) stays below it past x = 1
+    log_top = (d - 1.0) * math.log(x.max())
+    if log_top > LOG_FLOAT_MAX:
+        raise AmplitudeOverflow(f"the measure (s/s_c)^(d_gamma-1) reaches "
+                                f"exp({log_top:.1f}) at the grid's outer end, "
+                                f"past the float range, at d_gamma = {d:g}")
     measure = x ** (d - 1.0)
 
     def measured(weight):

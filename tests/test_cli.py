@@ -35,6 +35,70 @@ class TestParams:
         assert main(["params", "--d", "2", "--gamma", "0.1", "--p", "1.5"]) == 2
 
 
+# per subcommand: small arguments, the JSON result keys, the CSV meta keys
+# (None: no meta line) and the CSV header, as the payloads lay them out
+_PARAMS_KEYS = ["a_gamma", "b_gamma", "d", "d_gamma", "eta", "gamma", "kappa",
+                "m_c", "m_diff", "m_one", "p", "p_max", "sphere_area",
+                "theta_gamma", "two_star_gamma", "vartheta"]
+_SHOOT_KEYS = ["bisection_steps", "classification", "d_gamma", "log_c_map",
+               "s_max", "v0"]
+_MINIMIZE_KEYS = ["C_star", "J", "J_closed_form", "best_quotient",
+                  "closed_form_quotient", "d_gamma", "dilation_balance",
+                  "err_estimate", "gradient_norm", "grid_n", "iterations",
+                  "mass", "reference_quotient", "s_max", "s_min"]
+_SPECTRUM_KEYS = ["constrained", "d_gamma", "ell", "lambda_min", "n", "s_max",
+                  "s_min"]
+_FLOW_META = ["fitted_rate", "max_identity_residual", "rate_bound",
+              "stationary_C"]
+_SELECTION_META = ["crossing_radius", "inverse_square_integral",
+                   "isotropy_diagonal_factor", "total_K_closed_form",
+                   "total_K_quadrature"]
+_LAYOUTS = {
+    "params": ([], _PARAMS_KEYS, None, _PARAMS_KEYS),
+    "profile": (["--r-min", "0.1", "--r-max", "10", "--points-per-decade", "4"],
+                ["el_residual", "kind", "profile"], ["el_residual", "kind"],
+                ["r", "w", "dw"]),
+    "shoot": (["--tol", "1e-3"], _SHOOT_KEYS, _SHOOT_KEYS, ["r", "v"]),
+    "minimize": (["--grid", "64", "--solver-tol", "1"], _MINIMIZE_KEYS,
+                 _MINIMIZE_KEYS, ["d", "gamma", "p", "CStar", "J", "gridN",
+                                  "errEst"]),
+    "spectrum": (["--n", "100"], _SPECTRUM_KEYS, None, _SPECTRUM_KEYS),
+    "flow": (["--T", "0.01", "--cells", "50"],
+             ["F", "I", "mass", "t"] + _FLOW_META, _FLOW_META,
+             ["t", "F", "I", "mass", "dt"]),
+    "selection": (["--s-points", "3"],
+                  ["columns", "curve", "rows"] + _SELECTION_META,
+                  _SELECTION_META, ["s", "ell", "m_d", "m3_closed"]),
+    "sweep": (["--n", "100", "--gamma-points", "2"], ["ell", "n", "points"],
+              None, ["gamma", "ell", "lambdaMin", "gridN"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("sub", sorted(_LAYOUTS))
+def test_payload_layout(sub, fmt, capsys):
+    args, result_keys, meta_keys, header = _LAYOUTS[sub]
+    code, out = run_cli([sub, *args, "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "json":
+        payload = json.loads(out)
+        assert sorted(payload) == ["config", "result", "schema", "timestamp",
+                                   "version"]
+        assert sorted(payload["result"]) == sorted(result_keys)
+        return
+    lines = out.splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    names = ["# schema", "# config", "# timestamp"]
+    if meta_keys is not None:
+        names.append("# meta")
+        assert sorted(json.loads(comments[-1][len("# meta="):])) == meta_keys
+    assert [line.split("=", 1)[0] for line in comments] == names
+    assert lines[:len(comments)] == comments
+    assert lines[len(comments)].split(",") == header
+    rows = lines[len(comments) + 1:]
+    assert rows and all(len(row.split(",")) == len(header) for row in rows)
+
+
 class TestReproducibility:
     def test_byte_identical_modulo_timestamp(self, tmp_path):
         target = tmp_path / "a.json"
@@ -445,6 +509,34 @@ class TestExitCodes:
         assert "EigenSolverFailure" in err
         assert "Traceback" not in err and "Warning" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spectrum_measure_overflow_near_gamma_two(self, capfd):
+        # d_gamma = 2002: the ell = 2 grid reaches far enough out that the
+        # measure (s/s_c)^(d_gamma-1) passes the float range; the error says
+        # so, where an infinite mass matrix was reported as singular
+        code = main(["spectrum", "--d", "3", "--gamma", "1.999",
+                     "--p", "1.0002", "--ell", "2"])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert "AmplitudeOverflow" in err and "measure" in err
+        assert "SingularMass" not in err and "RuntimeWarning" not in err
+        # the ell = 1 grid stays inside it
+        assert main(["spectrum", "--d", "3", "--gamma", "1.999",
+                     "--p", "1.0002", "--ell", "1"]) == 0
+        out = json.loads(capfd.readouterr().out)
+        assert out["result"]["lambda_min"] == 0.5461310313890739
+
+    def test_flow_mesh_underflow_near_gamma_two(self, capsys):
+        # d_gamma = 202: s^d_gamma underflows to 0 on the first two core
+        # cells, whose volume 0 left the Newton system singular at t = 0
+        assert main(["flow", "--d", "3", "--gamma", "1.99", "--m", "0.998",
+                     "--T", "1", "--cells", "400"]) == 3
+        err = capsys.readouterr().err
+        assert "AmplitudeOverflow" in err and "d_gamma = 202" in err
+        # a subnormal cell volume (d_gamma = 155.8) still holds its share
+        assert main(["flow", "--d", "3", "--gamma", "1.987", "--m", "0.997",
+                     "--T", "1", "--cells", "400"]) == 0
+
     def test_shoot_near_gamma_two(self, capfd):
         # the map back to r leaves the float range near the launch radius
         # here; the command still succeeds, with nothing on stderr
@@ -459,15 +551,6 @@ class TestExitCodes:
         err = capfd.readouterr().err
         assert "ClassificationAmbiguous" in err and "nsteps" in err
         assert "Traceback" not in err and "UserWarning" not in err
-
-    def test_sweep_per_point_dir(self, tmp_path):
-        outdir = tmp_path / "points"
-        assert main(["sweep", "--n", "100", "--gamma-points", "2",
-                     "--per-point-dir", str(outdir)]) == 0
-        files = sorted(outdir.glob("gamma_*.json"))
-        assert len(files) == 2
-        cfg = json.loads(files[0].read_text())["config"]
-        assert cfg["per_point_dir"] == str(outdir)
 
     def test_flow_from_profile_export(self, tmp_path):
         datum = tmp_path / "datum.json"

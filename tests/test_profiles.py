@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import betaln
 
+from cknlab.cli import main
 from cknlab.errors import AmplitudeOverflow, DivergentNorm
 from cknlab.minimizer import best_constant_radial
 from cknlab.params import derive, validate
@@ -385,12 +386,20 @@ class TestSerialization:
         assert back.tail_exponent == prof.tail_exponent
         assert back.to_json() == text
 
-    def test_csv_round_trip(self):
-        pp = validate(3, 0.0, 2.0)
-        prof = w_star(pp).sample(default_grid(1e-1, 1e1, 8))
-        back = RadialProfile.from_csv(prof.to_csv())
+    def test_csv_round_trip(self, tmp_path):
+        # the one profile CSV is the one ckn profile writes
+        out = tmp_path / "profile.csv"
+        assert main(["profile", "--d", "3", "--gamma", "0", "--p", "2",
+                     "--kind", "wstar", "--r-min", "0.1", "--r-max", "10",
+                     "--points-per-decade", "8", "--format", "csv",
+                     "--out", str(out)]) == 0
+        back = RadialProfile.from_csv("\n".join(
+            line for line in out.read_text().splitlines()
+            if not line.startswith("#")))
+        prof = w_star(validate(3, 0.0, 2.0)).sample(default_grid(1e-1, 1e1, 8))
         assert np.array_equal(back.radii, prof.radii)
         assert np.array_equal(back.values, prof.values)
+        assert np.array_equal(back.derivs, prof.derivs)
 
     def test_csv_without_header_rejected(self):
         # a headerless file would otherwise lose its first point as a header
