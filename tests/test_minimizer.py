@@ -214,7 +214,11 @@ class TestMinimizeRadial:
         assert warm.gradient_norm <= 1e-8
         assert cold.gradient_norm <= 1e-8
 
-    @pytest.mark.parametrize("kwargs", [{"solver_tol": math.inf},
+    @pytest.mark.parametrize("kwargs", [{"solver_tol": 0.0},
+                                        {"solver_tol": -1e-4},
+                                        {"solver_tol": math.nan},
+                                        {"start": "Warm"},
+                                        {"solver_tol": math.inf},
                                         {"start": "hot"}])
     def test_bad_input_raises_parameter_error(self, kwargs):
         with pytest.raises(ParameterError):
