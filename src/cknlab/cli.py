@@ -236,12 +236,10 @@ def _cmd_selection(args) -> None:
         t_grid = np.geomspace(args.s_min, args.s_max, args.s_points)
         header = ["t", "G_prime"]
         rows = [[float(t), G_prime(float(t), ctx)] for t in t_grid]
-    elif args.curve == "fmap":
+    else:  # fmap, the last of the parser's choices
         y_grid = np.linspace(0.0, args.s_max, args.s_points)
         header = ["y", "F"]
         rows = [[float(y), F_selection(float(y), ctx)] for y in y_grid]
-    else:
-        raise ValueError(f"unknown curve {args.curve!r}")
     _emit(args, dict(result, curve=args.curve, columns=header, rows=rows),
           header, rows, result)
 

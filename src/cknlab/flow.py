@@ -91,7 +91,7 @@ class FlowMesh:
         object.__setattr__(self, "face_area", self.alpha**2 * e[1:-1] ** (dg - 1.0))
         object.__setattr__(self, "dx_face", np.diff(self.centers))
         object.__setattr__(self, "potential", self.centers ** 2.0)
-        # 50x the largest drift speed 2 s_out, reached only next to vacuum
+        # 50x the largest drift speed 2 s_out; only a near-vacuum tail reaches it
         object.__setattr__(self, "cap", 50.0 * 2.0 * float(e[-1]))
 
     @classmethod
@@ -123,7 +123,7 @@ class FlowMesh:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Weighted density on a flow mesh at one time.
+    """Weighted density on a flow mesh at one time, positive in every cell.
 
     A state is never modified (``step`` returns a new one), so its face terms
     are computed once and shared by the time step and the Fisher information.
@@ -136,8 +136,8 @@ class FlowState:
 
     def __post_init__(self):
         object.__setattr__(self, "density", np.asarray(self.density, dtype=float))
-        if np.any(self.density < 0):
-            raise NegativeDensity("initial density has negative cells")
+        if not (self.density > 0.0).all():  # a NaN cell fails the test too
+            raise NegativeDensity("a flow density must be positive in every cell")
 
     @property
     def mass(self) -> float:
@@ -216,30 +216,23 @@ class _Faces(NamedTuple):
 def _face_terms(mesh: FlowMesh, v: np.ndarray, m: float) -> _Faces:
     """Face fluxes of a density and their derivatives in the two neighbors.
 
-    The harmonic mean vanishes whenever either neighbor is empty, so no flux
-    ever enters a vacuum cell and the infinite potential there never meets a
-    nonzero mobility.  make_state admits no empty cell, but a state built
-    directly may have some.  The velocity is capped at mesh.cap.  The
-    derivatives are those of mobility * u with d psi/dv = (m-1) v^(m-2); a
-    capped or vacuum face gets zero derivatives.
+    v is positive, as in every FlowState.  The velocity is capped at
+    mesh.cap.  The derivatives are those of mobility * u with d psi/dv =
+    (m-1) v^(m-2); a capped face gets zero derivatives.
     """
     cap = mesh.cap
     vl, vr = v[:-1], v[1:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vm = np.where(v > 0.0, v ** (m - 1.0), np.inf)
-        psi = vm - mesh.potential
-        raw = (psi[1:] - psi[:-1]) / mesh.dx_face
-        mobility = 2.0 * vl * vr / (vl + vr)
-        vacuum = ~(mobility > 0.0)
-        mobility[vacuum] = 0.0
-        u = np.clip(raw, -cap, cap)
-        u[vacuum] = 0.0
-        # d mobility / d vl = 2 vr^2 / (vl + vr)^2 = (mobility / vl)^2 / 2 and
-        # d u / d vl = (1 - m) vl^(m-2) / dx, and symmetrically in vr
-        d_u = (1.0 - m) * mobility / mesh.dx_face
-        d_left = 0.5 * (mobility / vl) ** 2 * u + d_u * vm[:-1] / vl
-        d_right = 0.5 * (mobility / vr) ** 2 * u - d_u * vm[1:] / vr
-    rough = vacuum | ~(np.abs(raw) < cap)
+    vm = v ** (m - 1.0)
+    psi = vm - mesh.potential
+    raw = (psi[1:] - psi[:-1]) / mesh.dx_face
+    mobility = 2.0 * vl * vr / (vl + vr)
+    u = np.clip(raw, -cap, cap)
+    # d mobility / d vl = 2 vr^2 / (vl + vr)^2 = (mobility / vl)^2 / 2 and
+    # d u / d vl = (1 - m) vl^(m-2) / dx, and symmetrically in vr
+    d_u = (1.0 - m) * mobility / mesh.dx_face
+    d_left = 0.5 * (mobility / vl) ** 2 * u + d_u * vm[:-1] / vl
+    d_right = 0.5 * (mobility / vr) ** 2 * u - d_u * vm[1:] / vr
+    rough = ~(np.abs(raw) < cap)
     d_left[rough] = 0.0
     d_right[rough] = 0.0
     return _Faces(u, mesh.face_area * mobility * u,
@@ -275,9 +268,9 @@ def _newton_iterate(state: FlowState, target: np.ndarray, c: float,
     The Jacobian vol + c d(div)/dv is tridiagonal, and each column of the
     Jacobian of div sums to zero, so the update moves no weighted mass
     beyond the mismatch sum(target) - sum(vol v), which every stage target
-    makes zero.  The update is halved until every occupied cell of ``state``
-    stays positive.  Returns the new iterate, its faces and the size of the
-    undamped update relative to the mass.
+    makes zero.  The update is halved until every cell stays positive.
+    Returns the new iterate, its faces and the size of the undamped update
+    relative to the mass.
     """
     vol = state.mesh.vol_w
     resid = vol * v + c * _divergence(faces.flux) - target
@@ -289,11 +282,10 @@ def _newton_iterate(state: FlowState, target: np.ndarray, c: float,
     *_, delta, info = dgtsv(-c_left, diag, upper, -resid, True, True, True, True)
     if info > 0:
         raise StepFailure(f"singular Newton system at t={state.time:.6g}")
-    live = state.density > 0.0
     lam = 1.0
     for _ in range(_MAX_HALVINGS):
         trial = v + lam * delta
-        if (trial[live] > 0.0).all():
+        if (trial > 0.0).all():
             break
         lam *= 0.5
     else:
@@ -373,9 +365,7 @@ def free_energy(state: FlowState, stationary: AnalyticProfile) -> float:
     """Relative entropy of the density against the stationary profile."""
     mesh, v, m = state.mesh, state.density, state.m
     B = stationary(mesh.radii)
-    with np.errstate(divide="ignore"):
-        vm = np.where(v > 0, v**m, 0.0)
-    integrand = vm - B**m - m * B ** (m - 1.0) * (v - B)
+    integrand = v**m - B**m - m * B ** (m - 1.0) * (v - B)
     return mesh.area / (m - 1.0) * float(np.sum(integrand * mesh.vol_w))
 
 

@@ -154,10 +154,6 @@ def integrate(f: Callable, d: int, gamma: float) -> float:
             scale = max(abs(vals[-1]), 1e-300)
             if err <= REL_TOL * scale:
                 return total
-            # stagnation at roundoff level counts as converged
-            if err <= 4.0 * np.finfo(float).eps * scale and \
-                    abs(vals[-2] - vals[-3]) <= 4.0 * np.finfo(float).eps * scale:
-                return total
     raise NonConvergent(
         f"tanh-sinh refinement exhausted at level {MAX_LEVEL}; "
         f"last error estimate {err:.3e} relative to {vals[-1]:.6e}"

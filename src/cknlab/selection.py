@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad as _quad
-from scipy.optimize import brentq
 from scipy.special import betaln, hyp2f1
 
 from .params import ProblemParams, validate
@@ -48,18 +47,13 @@ class SelectionContext:
     params: ProblemParams = field(init=False)
     w0: AnalyticProfile = field(init=False)
     mass: float = field(init=False)
-    _R: float | None = field(default=None, init=False, repr=False)
+    crossing_radius: float = field(init=False)
 
     def __post_init__(self):
         self.params = validate(self.d, 0.0, self.p)
         self.w0 = w_gamma_star(self.params)
         self.mass = barenblatt_mass(self.params)
-
-    @property
-    def crossing_radius(self) -> float:
-        if self._R is None:
-            self._R = crossing_radius(self)
-        return self._R
+        self.crossing_radius = crossing_radius(self)
 
 
 def K_profile(ctx: SelectionContext):
@@ -74,18 +68,13 @@ def K_profile(ctx: SelectionContext):
 
 
 def crossing_radius(ctx: SelectionContext) -> float:
-    """Unique sign change of K, located by bisection.
+    """Unique sign change R of K, in closed form.
 
-    K >= 0 exactly where w0^(p-1) >= 2p/(p+1), and w0 is strictly decreasing,
-    so a single root exists; bisection starts from a bracket found by scanning.
+    K >= 0 exactly where w0^(p-1) = a/(b + r^2) >= 2p/(p+1), so
+    R^2 = a (p+1)/(2p) - b = eta (d-1)/(p (p-1)), eta = d - p (d-2).
     """
-    K = K_profile(ctx)
-    lo, hi = 1e-8, 1.0
-    while K(hi) > 0:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e12:
-            raise RuntimeError("no sign change of K found")
-    return float(brentq(K, lo, hi, xtol=1e-12, rtol=4.0 * np.finfo(float).eps))
+    d, p = ctx.d, ctx.p
+    return math.sqrt((d - p * (d - 2)) * (d - 1) / (p * (p - 1.0)))
 
 
 def total_K_integral(ctx: SelectionContext):

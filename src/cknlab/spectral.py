@@ -36,8 +36,8 @@ tridiagonal kernels: inverse iteration on the positive definite
 A - SHIFT B (dpttrf, dpttrs), then Rayleigh-quotient iteration on
 A - lambda B (dgtsv).  A Sturm count (dstebz) on the equilibrated
 A - sigma B certifies, by Sylvester's law of inertia, that no eigenvalue
-lies below the one returned.  Constraints are imposed exactly, through
-bordered (KKT) systems, never by penalties.
+lies below the one returned.  The zero-mean constraint is imposed exactly,
+through bordered (KKT) systems, never by a penalty.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz
 
 from .errors import (AmplitudeOverflow, DimensionTooSmall, EigenSolverFailure,
@@ -164,7 +163,7 @@ class SectorOperator:
     grid: np.ndarray
     stiffness: tuple[np.ndarray, np.ndarray]
     mass_matrix: tuple[np.ndarray, np.ndarray]
-    constraints: list = field(default_factory=list)
+    constraints: list = field(default_factory=list)  # [] or [c], c^T f = 0
 
     def rayleigh(self, f: np.ndarray) -> float:
         """Rayleigh quotient of the pencil; 0 means marginal stability."""
@@ -287,23 +286,23 @@ def _scaled(op: SectorOperator, scale: np.ndarray,
             (a_off - sigma * b_off) * scale[:-1] * scale[1:])
 
 
-def _solve_shifted(op: SectorOperator, scale: np.ndarray, C, sigma: float,
+def _solve_shifted(op: SectorOperator, scale: np.ndarray, c, sigma: float,
                    z: np.ndarray) -> np.ndarray:
-    """y with (A - sigma B) y + C mu = z and C^T y = 0 (C None: no border).
+    """y with (A - sigma B) y + c mu = z and c^T y = 0 (c None: no border).
 
     LAPACK's dgtsv solves the scaled D (A - sigma B) D, which may be
-    indefinite, for z and the columns of C together; the border then costs
-    one small solve.
+    indefinite, for z and c together; the border then costs one division.
     """
     diag, off = _scaled(op, scale, sigma)
-    rhs = scale[:, None] * np.column_stack([z] if C is None else [z, C])
+    rhs = scale[:, None] * np.column_stack([z] if c is None else [z, c])
     *_, y, info = dgtsv(off, diag, off, rhs, False, True, False, True)
     if info > 0:
         raise EigenSolverFailure(f"A - lambda B is singular at lambda = {sigma!r}")
     y *= scale[:, None]
-    if C is None:
+    if c is None:
         return y[:, 0]
-    return y[:, 0] - y[:, 1:] @ np.linalg.solve(C.T @ y[:, 1:], C.T @ y[:, 0])
+    y0, y1 = y.T
+    return y0 - y1 * ((c @ y0) / (c @ y1))
 
 
 def _iterate(solve, quotient, mass, lam: float, x: np.ndarray, tol: float,
@@ -336,17 +335,16 @@ def _equilibration(op: SectorOperator) -> np.ndarray:
 
 
 def _count_below(op: SectorOperator, sigma: float) -> int:
-    """Number of pencil eigenvalues below sigma on C^T x = 0.
+    """Number of pencil eigenvalues below sigma on c^T x = 0.
 
     By Sylvester's law of inertia it is the number of negative eigenvalues
     of M = D (A - sigma B) D, D = _equilibration(op), which LAPACK's dstebz
     counts by Sturm sequences: on (-2 g, 0], g a Gershgorin bound, with a
     tolerance wider than the interval, so that it counts and does not
-    bisect.  Constraints add Haynsworth's term for the border
-    c_tilde = D C, its columns scaled to unit max: the positive eigenvalues
-    of c_tilde^T M^-1 c_tilde, less their number.  Unscaled, that term can
-    sit near 1e-40 and take the wrong sign.  A singular M counts as one
-    eigenvalue below sigma.
+    bisect.  A constraint adds Haynsworth's term for the border
+    c_tilde = D c, scaled to unit max: -1 unless c_tilde^T M^-1 c_tilde > 0.
+    Unscaled, that quantity can sit near 1e-40 and take the wrong sign.  A
+    singular M counts as one eigenvalue below sigma.
     """
     scale = _equilibration(op)
     diag, off = _scaled(op, scale, sigma)
@@ -357,13 +355,12 @@ def _count_below(op: SectorOperator, sigma: float) -> int:
         raise EigenSolverFailure(f"dstebz failed to count at sigma = {sigma!r}")
     if not op.constraints:
         return int(below)
-    c_tilde = scale[:, None] * np.column_stack(op.constraints)
-    c_tilde /= np.max(np.abs(c_tilde), axis=0)
+    c_tilde = scale * op.constraints[0]
+    c_tilde /= np.max(np.abs(c_tilde))
     *_, x, info = dgtsv(off, diag, off, c_tilde, False, True, False, False)
     if info > 0:
         return max(int(below), 1)
-    border = np.linalg.eigvalsh(c_tilde.T @ x)
-    return int(below) + int(np.count_nonzero(border > 0.0)) - c_tilde.shape[1]
+    return int(below) if float(c_tilde @ x) > 0.0 else int(below) - 1
 
 
 def _certificate_shift(lam: float) -> float:
@@ -373,7 +370,7 @@ def _certificate_shift(lam: float) -> float:
 
 
 def lowest_eigenvalue(op: SectorOperator):
-    """Smallest pencil eigenvalue on the subspace orthogonal to the constraints.
+    """Smallest pencil eigenvalue on the subspace orthogonal to the constraint.
 
     Returns (lambda_min, eigenprofile) with the eigenprofile normalized in
     the mass-matrix norm and stored on the operator grid (outer Dirichlet
@@ -384,11 +381,11 @@ def lowest_eigenvalue(op: SectorOperator):
        that is not positive means SHIFT is not below the pencil spectrum:
        EigenSolverFailure, not a wrong eigenvalue.  Inverse iteration with
        K from a fixed start vector runs until its Rayleigh quotient settles
-       (SETTLE).  Constraints C enter through the bordered system
-       [[K, C], [C^T, 0]], solved by its Schur complement,
-       x = K^-1 z - K^-1 C (C^T K^-1 C)^-1 C^T K^-1 z, so every iterate
-       satisfies C^T x = 0.
-    2. Rayleigh-quotient iteration solves A - lambda B, bordered by C, with
+       (SETTLE).  A constraint c enters through the bordered system
+       [[K, c], [c^T, 0]], solved by its scalar Schur complement
+       s = c^T K^-1 c, x = K^-1 z - (K^-1 c / s) c^T K^-1 z, so every
+       iterate satisfies c^T x = 0.
+    2. Rayleigh-quotient iteration solves A - lambda B, bordered by c, with
        LAPACK's dgtsv until lambda moves by at most RQI_TOL (lambda - SHIFT).
        Each Rayleigh quotient is summed through the factor of K.
     3. A certificate counts the pencil eigenvalues below
@@ -399,9 +396,13 @@ def lowest_eigenvalue(op: SectorOperator):
        the bracket's lower end find it, certified again.
 
     Every returned eigenvalue has passed its certificate; where none passes,
-    or an iterate is not finite, the solve raises EigenSolverFailure.  The
-    start vector is fixed, so repeated runs give the same digits.
+    s is not positive and finite or an iterate is not finite, the solve
+    raises EigenSolverFailure (ParameterError for two constraints or more).
+    The start vector is fixed, so repeated runs give the same digits.
     """
+    if len(op.constraints) > 1:
+        raise ParameterError(f"a sector operator carries at most one "
+                             f"constraint, got {len(op.constraints)}")
     mass = op.mass_matrix
     n = mass[0].size
     (a_diag, a_off), (b_diag, b_off) = op.stiffness, mass
@@ -421,48 +422,49 @@ def lowest_eigenvalue(op: SectorOperator):
         lx *= root
         return SHIFT + float(lx @ lx)
 
-    C = KCS = None
-    try:
-        if op.constraints:
-            C = np.column_stack(op.constraints)
-            if np.linalg.matrix_rank(C) < C.shape[1]:
-                raise EigenSolverFailure("constraint vectors are linearly dependent")
-            # K^-1 C (C^T K^-1 C)^-1, from the Schur complement once
-            KC = dpttrs(fac_diag, fac_off, C)[0]
-            KCS = sla.cho_solve(sla.cho_factor(C.T @ KC), KC.T).T
+    c = kcs = None
+    if op.constraints:
+        # K^-1 c / s once, with c as assembled: a rescaled c would hide an
+        # underflowed s behind a grid-limited eigenvalue
+        c = op.constraints[0]
+        kc = dpttrs(fac_diag, fac_off, c)[0]
+        schur = float(c @ kc)
+        if not 0.0 < schur < math.inf:
+            raise EigenSolverFailure(
+                f"the Schur complement c^T K^-1 c of the constraint is "
+                f"{schur!r}, not positive and finite")
+        kcs = kc / schur
 
-        def solve(_, z):
-            # K^-1 z, bordered by the constraints
-            x = dpttrs(fac_diag, fac_off, z)[0]
-            return x if C is None else x - KCS @ (C.T @ x)
+    def solve(_, z):
+        # K^-1 z, bordered by the constraint
+        x = dpttrs(fac_diag, fac_off, z)[0]
+        return x if c is None else x - kcs * (c @ x)
 
-        shifted = partial(_solve_shifted, op, scale, C)
-        start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    shifted = partial(_solve_shifted, op, scale, c)
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
 
-        def iterate(settle):
-            # inverse iteration by settle, then Rayleigh-quotient iteration
-            lam, x = _iterate(settle, quotient, mass, math.inf, start, SETTLE,
-                              INVERSE_MAX_STEPS)
-            return _iterate(shifted, quotient, mass, lam, x, RQI_TOL,
-                            RQI_MAX_STEPS)
+    def iterate(settle):
+        # inverse iteration by settle, then Rayleigh-quotient iteration
+        lam, x = _iterate(settle, quotient, mass, math.inf, start, SETTLE,
+                          INVERSE_MAX_STEPS)
+        return _iterate(shifted, quotient, mass, lam, x, RQI_TOL,
+                        RQI_MAX_STEPS)
 
-        lam, x = iterate(solve)
+    lam, x = iterate(solve)
+    if _count_below(op, _certificate_shift(lam)):
+        # a higher eigenvalue: bracket the lowest by the same count
+        lo, hi = SHIFT, _certificate_shift(lam)
+        while hi - lo > BISECT_TOL * (hi - SHIFT):
+            mid = 0.5 * (lo + hi)
+            if _count_below(op, mid):
+                hi = mid
+            else:
+                lo = mid
+        lam, x = iterate(lambda _, z: shifted(lo, z))
         if _count_below(op, _certificate_shift(lam)):
-            # a higher eigenvalue: bracket the lowest by the same count
-            lo, hi = SHIFT, _certificate_shift(lam)
-            while hi - lo > BISECT_TOL * (hi - SHIFT):
-                mid = 0.5 * (lo + hi)
-                if _count_below(op, mid):
-                    hi = mid
-                else:
-                    lo = mid
-            lam, x = iterate(lambda _, z: shifted(lo, z))
-            if _count_below(op, _certificate_shift(lam)):
-                raise EigenSolverFailure(
-                    f"no certified lowest eigenvalue: pencil eigenvalues lie "
-                    f"below {lam!r} also after bisection")
-    except sla.LinAlgError as exc:
-        raise EigenSolverFailure(str(exc)) from exc
+            raise EigenSolverFailure(
+                f"no certified lowest eigenvalue: pencil eigenvalues lie "
+                f"below {lam!r} also after bisection")
     vec = np.append(x, 0.0)
     return lam, RadialProfile(radii=op.grid, values=vec,
                               meta={"ell": op.ell, "eigenvalue": lam})

@@ -500,13 +500,13 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_radial_spectrum_near_gamma_two_exit_code(self, capfd):
         # d_gamma = 2002: the zero-mean load vector holds entries of 5e-280
-        # to 3e-187, so the Schur complement C^T K^-1 C of the solve
-        # underflows; the solve keeps C as assembled and fails by name
+        # to 3e-187, so the Schur complement c^T K^-1 c of the solve
+        # underflows; the solve keeps c as assembled and fails by name
         code = main(["spectrum", "--d", "3", "--gamma", "1.999",
                      "--p", "1.0002", "--ell", "0"])
         err = capfd.readouterr().err
         assert code == 3
-        assert "EigenSolverFailure" in err
+        assert "EigenSolverFailure" in err and "Schur complement" in err
         assert "Traceback" not in err and "Warning" not in err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -56,6 +56,12 @@ class TestKernel:
         signs = np.sign(K(r))
         assert np.all(signs[r < R * 0.999] >= 0)
         assert np.all(signs[r > R * 1.001] < 0)
+        # where R is not a round number, K itself checks it: positive just
+        # inside, negative just outside
+        for d, p in [(3, 2.9), (5, 1.3), (3, 1.02)]:
+            c = SelectionContext(d, p)
+            R, K = crossing_radius(c), K_profile(c)
+            assert K(R * (1.0 - 1e-8)) > 0.0 > K(R * (1.0 + 1e-8)), (d, p)
 
     def test_tail_approaches_zero_from_below(self, ctx):
         K = K_profile(ctx)
