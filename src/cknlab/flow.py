@@ -71,8 +71,11 @@ class FlowMesh:
     vol_w: np.ndarray = field(init=False)      # int_cell s^(d_gamma-1) ds
     face_area: np.ndarray = field(init=False)  # alpha^2 s^(d_gamma-1) at faces
     dx_face: np.ndarray = field(init=False)    # center-to-center spacing
+    inv_dx_face: np.ndarray = field(init=False)  # 1 / dx_face
     potential: np.ndarray = field(init=False)  # s^2 at the centers
     cap: float = field(init=False)             # face velocity cap
+    # B, B^m and m B^(m-1) at the centers by stationary parameters and m
+    stationary_terms: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         e, dg = np.asarray(self.edges, dtype=float), self.d_gamma
@@ -90,6 +93,7 @@ class FlowMesh:
         object.__setattr__(self, "vol_w", vol_w)
         object.__setattr__(self, "face_area", self.alpha**2 * e[1:-1] ** (dg - 1.0))
         object.__setattr__(self, "dx_face", np.diff(self.centers))
+        object.__setattr__(self, "inv_dx_face", 1.0 / self.dx_face)
         object.__setattr__(self, "potential", self.centers ** 2.0)
         # 50x the largest drift speed 2 s_out; only a near-vacuum tail reaches it
         object.__setattr__(self, "cap", 50.0 * 2.0 * float(e[-1]))
@@ -220,23 +224,27 @@ def _face_terms(mesh: FlowMesh, v: np.ndarray, m: float) -> _Faces:
     mesh.cap.  The derivatives are those of mobility * u with d psi/dv =
     (m-1) v^(m-2); a capped face gets zero derivatives.
     """
-    cap = mesh.cap
     vl, vr = v[:-1], v[1:]
     vm = v ** (m - 1.0)
     psi = vm - mesh.potential
-    raw = (psi[1:] - psi[:-1]) / mesh.dx_face
-    mobility = 2.0 * vl * vr / (vl + vr)
-    u = np.clip(raw, -cap, cap)
-    # d mobility / d vl = 2 vr^2 / (vl + vr)^2 = (mobility / vl)^2 / 2 and
-    # d u / d vl = (1 - m) vl^(m-2) / dx, and symmetrically in vr
-    d_u = (1.0 - m) * mobility / mesh.dx_face
-    d_left = 0.5 * (mobility / vl) ** 2 * u + d_u * vm[:-1] / vl
-    d_right = 0.5 * (mobility / vr) ** 2 * u - d_u * vm[1:] / vr
-    rough = ~(np.abs(raw) < cap)
-    d_left[rough] = 0.0
-    d_right[rough] = 0.0
-    return _Faces(u, mesh.face_area * mobility * u,
-                  mesh.face_area * d_left, mesh.face_area * d_right)
+    u = (psi[1:] - psi[:-1]) * mesh.inv_dx_face
+    rough = None
+    if not np.abs(u).max() < mesh.cap:
+        rough = ~(np.abs(u) < mesh.cap)
+        u = np.clip(u, -mesh.cap, mesh.cap)
+    # mobility / vl and mobility / vr of the harmonic mean 2 vl vr / (vl + vr)
+    mean = 0.5 * (vl + vr)
+    ml, mr = vr / mean, vl / mean
+    # d mobility / d vl = (mobility / vl)^2 / 2 and d u / d vl =
+    # (1 - m) vl^(m-2) / dx, and symmetrically in vr
+    au = mesh.face_area * u
+    k = (1.0 - m) * mesh.face_area * mesh.inv_dx_face
+    d_left = ml * (0.5 * ml * au + k * vm[:-1])
+    d_right = mr * (0.5 * mr * au - k * vm[1:])
+    if rough is not None:
+        d_left[rough] = 0.0
+        d_right[rough] = 0.0
+    return _Faces(u, au * (ml * vl), d_left, d_right)
 
 
 def _divergence(flux: np.ndarray) -> np.ndarray:
@@ -261,16 +269,14 @@ _MAX_SPLITS = 8
 _GAMMA = 2.0 - math.sqrt(2.0)
 
 
-def _newton_iterate(state: FlowState, target: np.ndarray, c: float,
-                    v: np.ndarray, faces: _Faces) -> tuple[np.ndarray, _Faces, float]:
-    """One damped Newton update of the implicit stage vol v + c div(v) = target.
+def _newton_update(state: FlowState, target: np.ndarray, c: float,
+                   v: np.ndarray, faces: _Faces) -> tuple[np.ndarray, float]:
+    """Undamped Newton update of the implicit stage vol v + c div(v) = target.
 
     The Jacobian vol + c d(div)/dv is tridiagonal, and each column of the
     Jacobian of div sums to zero, so the update moves no weighted mass
     beyond the mismatch sum(target) - sum(vol v), which every stage target
-    makes zero.  The update is halved until every cell stays positive.
-    Returns the new iterate, its faces and the size of the undamped update
-    relative to the mass.
+    makes zero.  Returns the update and its size relative to the mass.
     """
     vol = state.mesh.vol_w
     resid = vol * v + c * _divergence(faces.flux) - target
@@ -282,33 +288,34 @@ def _newton_iterate(state: FlowState, target: np.ndarray, c: float,
     *_, delta, info = dgtsv(-c_left, diag, upper, -resid, True, True, True, True)
     if info > 0:
         raise StepFailure(f"singular Newton system at t={state.time:.6g}")
-    lam = 1.0
-    for _ in range(_MAX_HALVINGS):
-        trial = v + lam * delta
-        if (trial > 0.0).all():
-            break
-        lam *= 0.5
-    else:
-        raise StepFailure(f"Newton update keeps the density positive only when "
-                          f"damped below 2^-{_MAX_HALVINGS}, t={state.time:.6g}")
     # array methods skip the np.sum wrapper, which at this size costs more
     # than the sum itself
-    size = float((vol * np.abs(delta)).sum() / (vol * v).sum())
-    return trial, _face_terms(state.mesh, trial, state.m), size
+    return delta, float((vol * np.abs(delta)).sum() / (vol * v).sum())
 
 
 def _solve_stage(state: FlowState, target: np.ndarray, c: float,
                  v: np.ndarray, faces: _Faces) -> tuple[np.ndarray, _Faces]:
     """Newton's method for vol v + c div(v) = target, from v with its faces.
 
-    Stops once the update is below _NEWTON_TOL of the mass and returns the
-    last iterate with its faces.  Raises StepFailure when it does not
-    converge within _NEWTON_ITERS iterations.
+    Returns the first iterate whose own update is below _NEWTON_TOL of the
+    mass, with its faces; that update is not applied, so it costs no face
+    evaluation.  Other updates are halved until every cell stays positive.
+    Raises StepFailure when none of _NEWTON_ITERS updates is that small.
     """
     for _ in range(_NEWTON_ITERS):
-        v, faces, size = _newton_iterate(state, target, c, v, faces)
+        delta, size = _newton_update(state, target, c, v, faces)
         if size <= _NEWTON_TOL:
             return v, faces
+        lam = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = v + lam * delta
+            if (trial > 0.0).all():
+                break
+            lam *= 0.5
+        else:
+            raise StepFailure(f"Newton update keeps the density positive only when "
+                              f"damped below 2^-{_MAX_HALVINGS}, t={state.time:.6g}")
+        v, faces = trial, _face_terms(state.mesh, trial, state.m)
     raise StepFailure(f"Newton did not converge in {_NEWTON_ITERS} iterations "
                       f"at t={state.time:.6g}")
 
@@ -321,7 +328,7 @@ def _tr_bdf2(state: FlowState, dt: float) -> FlowState:
     the BDF2 stage solves v + h/vol div(v) = w v_g + (1 - w) v_n at t + dt.
     Both targets carry the mass of v_n, and at a stationary state both
     residuals vanish, so the stationary state stays a fixed point.  The
-    faces of the last Newton iterate become the faces of the new state.
+    faces of the returned Newton iterate become the faces of the new state.
     """
     vol, v_n = state.mesh.vol_w, state.density
     h = 0.5 * _GAMMA * dt
@@ -362,10 +369,16 @@ def step(state: FlowState, dt: float) -> FlowState:
 
 
 def free_energy(state: FlowState, stationary: AnalyticProfile) -> float:
-    """Relative entropy of the density against the stationary profile."""
+    """Relative entropy of the density against the stationary profile, whose
+    terms at the cell centers are sampled once per mesh, profile and m."""
     mesh, v, m = state.mesh, state.density, state.m
-    B = stationary(mesh.radii)
-    integrand = v**m - B**m - m * B ** (m - 1.0) * (v - B)
+    key = (stationary.log_peak, stationary.b, stationary.c, stationary.k, m)
+    terms = mesh.stationary_terms.get(key)
+    if terms is None:
+        B = stationary(mesh.radii)
+        terms = mesh.stationary_terms[key] = (B, B**m, m * B ** (m - 1.0))
+    B, B_m, dB_m = terms
+    integrand = v**m - B_m - dB_m * (v - B)
     return mesh.area / (m - 1.0) * float(np.sum(integrand * mesh.vol_w))
 
 

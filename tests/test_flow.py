@@ -102,6 +102,36 @@ class TestStep:
         assert abs(state.mass - m0) / m0 < 1e-10
         assert np.all(state.density >= 0)
 
+    @pytest.mark.parametrize("capped", [False, True], ids=["smooth", "capped"])
+    def test_face_derivatives_match_finite_differences(self, stat, capped):
+        # central differences of the flux in each neighbor, with a step of
+        # 1e-6 of the cell's density; the capped state is the Gaussian above,
+        # whose 44 capped faces carry exactly zero derivatives
+        if capped:
+            state = make_state(lambda r: np.exp(-(r**2)), 0.75, 0.0, 3,
+                               n_cells=150, r_out=15.0)
+        else:
+            state = make_state(lambda r: stat(r) * (1.0 + 0.3 * np.exp(-((r - 2) ** 2))),
+                               0.75, 0.0, 3, n_cells=200)
+        mesh, v, faces = state.mesh, state.density, state.faces
+        rough = np.abs(faces.u) >= mesh.cap
+        assert np.count_nonzero(rough) == (44 if capped else 0)
+        assert np.all(faces.d_left[rough] == 0.0)
+        assert np.all(faces.d_right[rough] == 0.0)
+        # perturbing every other cell moves exactly one neighbor of each face
+        k = np.arange(v.size - 1)
+        fd_left, fd_right = np.empty(k.size), np.empty(k.size)
+        for parity in (0, 1):
+            h = 1e-6 * v * (np.arange(v.size) % 2 == parity)
+            diff = (flow_module._face_terms(mesh, v + h, state.m).flux
+                    - flow_module._face_terms(mesh, v - h, state.m).flux)
+            left = k % 2 == parity
+            fd_left[left] = diff[left] / (2.0 * h[:-1][left])
+            fd_right[~left] = diff[~left] / (2.0 * h[1:][~left])
+        smooth = ~rough
+        np.testing.assert_allclose(fd_left[smooth], faces.d_left[smooth], rtol=1e-7)
+        np.testing.assert_allclose(fd_right[smooth], faces.d_right[smooth], rtol=1e-7)
+
     def test_free_energy_decreases_for_perturbation(self, stat):
         state = make_state(_coslog(stat, 0.1), 0.75, 0.0, 3, n_cells=200)
         from cknlab.flow import _stationary_for_state
@@ -156,8 +186,9 @@ class TestStep:
         vol, h = state.mesh.vol_w, 0.5 * BIG_DT
         target = vol * state.density \
             - h * flow_module._divergence(state.faces.flux)
-        v, _, size = flow_module._newton_iterate(state, target, h,
+        delta, size = flow_module._newton_update(state, target, h,
                                                  state.density, state.faces)
+        v = state.density + delta
         assert size > 1e-6
         m0 = np.sum(vol * state.density)
         assert abs(np.sum(vol * v) - m0) <= 1e-14 * m0
@@ -170,7 +201,7 @@ class TestStep:
                            0.75, 0.0, 3, n_cells=200)
         vol, h, v, faces = state.mesh.vol_w, 0.5 * BIG_DT, state.density, state.faces
         target = vol * v - h * flow_module._divergence(faces.flux)
-        v_new, _, _ = flow_module._newton_iterate(state, target, h, v, faces)
+        v_new = v + flow_module._newton_update(state, target, h, v, faces)[0]
         k = np.arange(v.size - 1)
         jac = np.diag(vol)
         jac[k, k] += h * faces.d_left
@@ -210,35 +241,61 @@ class TestStep:
 class TestFaceCache:
     def test_one_face_evaluation_per_state(self, stat, monkeypatch):
         # the faces are evaluated once for the initial state and once per
-        # Newton iterate; an accepted state takes over the faces of its last
-        # iterate, so the step size rule, the next step and the Fisher
-        # information never evaluate them again
-        evaluations, iterates, accepted = [], [], []
-        face_terms = flow_module._face_terms
-        newton_iterate, step_fn = flow_module._newton_iterate, flow_module.step
+        # applied Newton update; the last update of a stage falls under
+        # _NEWTON_TOL and is not applied, so it costs none.  An accepted state
+        # takes over the faces of its last iterate, so the step size rule,
+        # the next step and the Fisher information never evaluate them again
+        evaluations, updates, stages, accepted = [], [], [], []
+        face_terms, step_fn = flow_module._face_terms, flow_module.step
+        newton_update = flow_module._newton_update
+        solve_stage = flow_module._solve_stage
 
         def counting_faces(*args):
             evaluations.append(face_terms(*args))
             return evaluations[-1]
 
-        def counting_iterate(*args):
-            iterates.append(None)
-            return newton_iterate(*args)
+        def counting_update(*args):
+            updates.append(None)
+            return newton_update(*args)
+
+        def counting_stage(*args):
+            stages.append(None)
+            return solve_stage(*args)
 
         def recording_step(state, dt):
             accepted.append(step_fn(state, dt))
             return accepted[-1]
 
         monkeypatch.setattr(flow_module, "_face_terms", counting_faces)
-        monkeypatch.setattr(flow_module, "_newton_iterate", counting_iterate)
+        monkeypatch.setattr(flow_module, "_newton_update", counting_update)
+        monkeypatch.setattr(flow_module, "_solve_stage", counting_stage)
         monkeypatch.setattr(flow_module, "step", recording_step)
         series = run_decay(_coslog(stat, 0.1), 0.75, 0.0, T=0.01, n_cells=60,
                            record_every=3)
         assert len(accepted) > 10
-        assert len(evaluations) == len(iterates) + 1
+        assert len(stages) == 2 * len(accepted)
+        assert len(updates) > len(stages)
+        assert len(evaluations) == 1 + len(updates) - len(stages)
         evaluated = {id(f) for f in evaluations}
         assert all(id(s.faces) in evaluated for s in accepted)
         assert series.final is accepted[-1]
+
+    @pytest.mark.parametrize("amp", [0.0, 0.3])
+    def test_stage_returns_converged_iterate(self, stat, amp):
+        # the returned iterate's own Newton update is under _NEWTON_TOL, and
+        # its faces are those of the iterate; amp = 0 starts converged
+        state = make_state(lambda r: stat(r) * (1.0 + amp * np.exp(-((r - 2) ** 2))),
+                           0.75, 0.0, 3, n_cells=200)
+        vol, h = state.mesh.vol_w, 0.5 * BIG_DT
+        target = vol * state.density \
+            - h * flow_module._divergence(state.faces.flux)
+        v, faces = flow_module._solve_stage(state, target, h, state.density,
+                                            state.faces)
+        assert (v is state.density) == (amp == 0.0)
+        _, size = flow_module._newton_update(state, target, h, v, faces)
+        assert size <= flow_module._NEWTON_TOL
+        fresh = flow_module._face_terms(state.mesh, v, state.m)
+        assert all(np.array_equal(a, b) for a, b in zip(faces, fresh))
 
     def test_state_is_frozen(self, stat):
         # the cached faces stay valid only because a state never changes
@@ -319,6 +376,27 @@ class TestRunDecay:
         assert np.all(series.F <= series.F[0] * np.exp(-4.0 * series.t) * 1.01)
         drift = np.max(np.abs(series.mass - series.mass[0])) / series.mass[0]
         assert drift < 1e-10
+
+    def test_last_row_is_free_energy_of_final_state(self, stat):
+        series = run_decay(_coslog(stat, 0.1), 0.75, 0.0, T=0.05, n_cells=60)
+        assert series.F[-1] == free_energy(series.final, series.stationary)
+
+    def test_energy_reference_follows_each_run(self):
+        # two runs on meshes of the same size, at masses whose stationary
+        # profiles differ; each last F must be the free energy of its own
+        # final state, written out here with nothing sampled beforehand
+        runs = []
+        for mass in (50.0, 5.0):
+            datum = _coslog(stationary_profile(0.75, 0.0, 3, mass), 0.1)
+            runs.append(run_decay(datum, 0.75, 0.0, T=0.05, n_cells=60))
+        assert runs[0].stationary.b != runs[1].stationary.b
+        for series in runs:
+            mesh, v, m = series.final.mesh, series.final.density, 0.75
+            B = series.stationary(mesh.radii)
+            direct = mesh.area / (m - 1.0) * np.sum(
+                (v**m - B**m - m * B ** (m - 1.0) * (v - B)) * mesh.vol_w)
+            assert series.F[-1] == pytest.approx(direct, rel=1e-13, abs=0.0)
+            assert series.F[-1] == free_energy(series.final, series.stationary)
 
     def test_time_refinement_cuts_residual(self, stat, monkeypatch):
         # past the initial transient the steps follow the decay-time rule, so
