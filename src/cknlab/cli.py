@@ -14,7 +14,7 @@ import dataclasses
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -277,7 +277,9 @@ def _add_common(sp, *, need_p=True):
                     help="key=value file; command-line flags take precedence")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ckn parser, built on first use and shared by every later call."""
     ap = argparse.ArgumentParser(
         prog="ckn",
         description="numerical laboratory for weighted interpolation "

@@ -58,7 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowMesh:
     """Cell mesh on s = r^alpha in [0, s_out] with exact weighted cell volumes."""
 
@@ -125,7 +125,7 @@ class FlowMesh:
                    np.concatenate([core, tail]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowState:
     """Weighted density on a flow mesh at one time, positive in every cell.
 

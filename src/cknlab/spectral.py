@@ -31,13 +31,15 @@ float range in any real dimension d; it scales both forms alike.
 Discretization is piecewise-linear finite elements with per-cell Gauss
 quadrature: the forms stay symmetric and tridiagonal, and the discrete
 eigenvalues are variational upper bounds.  An operator holds each form as
-its two bands, and every eigensolve works on the bands alone with LAPACK's
-tridiagonal kernels: inverse iteration on the positive definite
-A - SHIFT B (dpttrf, dpttrs), then Rayleigh-quotient iteration on
-A - lambda B (dgtsv).  A Sturm count (dstebz) on the equilibrated
-A - sigma B certifies, by Sylvester's law of inertia, that no eigenvalue
-lies below the one returned.  The zero-mean constraint is imposed exactly,
-through bordered (KKT) systems, never by a penalty.
+its two bands, and its start: the model eigenfunction its builder sized the
+grid for, on the interior nodes.  Every eigensolve works on the bands alone
+with LAPACK's tridiagonal kernels: inverse iteration on the positive
+definite A - SHIFT B (dpttrf, dpttrs) from the start, then
+Rayleigh-quotient iteration on A - lambda B (dgtsv).  A Sturm count
+(dstebz) on the equilibrated A - sigma B certifies, by Sylvester's law of
+inertia, that no eigenvalue lies below the one returned.  The zero-mean
+constraint is imposed exactly, through bordered (KKT) systems, never by a
+penalty.
 """
 
 from __future__ import annotations
@@ -86,10 +88,12 @@ SETTLE = 1e-3
 # share of lambda - SHIFT; it converges cubically, so the step before moved
 # lambda to rounding level
 RQI_TOL = 1e-10
-# step caps: over 1008 solves (d = 3..8, gamma up to 1.98, ell = 0..3 and
-# Hardy-Poincare operators, n = 400, 2000 and 8000) inverse iteration took
-# at most 86 steps, and Rayleigh-quotient iteration, which can wander
-# through a dense spectrum before it converges, at most 10
+# step caps: over 1620 solves (d = 3..8, gamma up to 1.98, p at 5, 50 and
+# 95% of its range, ell = 0..3 and Hardy-Poincare operators, n = 400, 2000
+# and 8000) inverse iteration from the model start took at most 5 steps and
+# Rayleigh-quotient iteration at most 4; from a random start, which an
+# operator built by hand may carry, they took up to 122 and 10, since
+# Rayleigh-quotient iteration can wander through a dense spectrum
 INVERSE_MAX_STEPS = 200
 RQI_MAX_STEPS = 50
 # a lambda is certified when no pencil eigenvalue lies below
@@ -150,19 +154,21 @@ def _apply(bands, x: np.ndarray) -> np.ndarray:
     return y
 
 
-@dataclass
+@dataclass(eq=False)
 class SectorOperator:
     """Discretized linearization in one spherical-harmonic sector.
 
     stiffness and mass_matrix hold the symmetric tridiagonal forms A and B
     on the interior nodes (the outer Dirichlet node dropped) as their
-    (diagonal, off-diagonal) bands.
+    (diagonal, off-diagonal) bands; start holds the first iterate of the
+    eigensolve on the same nodes.
     """
 
     ell: float  # sector of the gamma = 0 problem, ell/alpha
     grid: np.ndarray
     stiffness: tuple[np.ndarray, np.ndarray]
     mass_matrix: tuple[np.ndarray, np.ndarray]
+    start: np.ndarray  # the model eigenfunction, scaled to unit max
     constraints: list = field(default_factory=list)  # [] or [c], c^T f = 0
 
     def rayleigh(self, f: np.ndarray) -> float:
@@ -171,12 +177,16 @@ class SectorOperator:
                 / float(f @ _apply(self.mass_matrix, f)))
 
 
-def _sector_pencils(r: np.ndarray, d: float, ells, rho, omega=None,
-                    potential=None, constraint=None) -> list[SectorOperator]:
+def _sector_pencils(r: np.ndarray, d: float, ells, log_starts, rho,
+                    omega=None, potential=None,
+                    constraint=None) -> list[SectorOperator]:
     """The pencils (A, B) of the module docstring on grid r (its s), one per ell.
 
-    ell >= 0 may be real.  The weights are their values at _gauss_nodes(r);
-    omega None means 1, potential None means 0.  The measure is
+    ell >= 0 may be real.  log_starts holds, per ell, the log of the model
+    eigenfunction at the nodes r, which is scaled to unit max before its
+    exp: a model such as t^2000 leaves the float range, its start does not.
+    The weights are their values at _gauss_nodes(r); omega None means 1,
+    potential None means 0.  The measure is
     (r/r_c)^(d-1), r_c the geometric centre of the grid, so the centrifugal
     band carries 1/r_c^2.  The ell = 0 operator carries the load vector of
     the constraint weight (rho, from its own bands, when None), the discrete
@@ -214,12 +224,14 @@ def _sector_pencils(r: np.ndarray, d: float, ells, rho, omega=None,
                        _tri_mass(r, measured(constraint))))
     mass = (diag_b[:-1], off_b[:-1])
     ops = []
-    for ell in ells:
+    for ell, log_start in zip(ells, log_starts):
         diag, off, lam = diag_a, off_a, ell * (ell + d - 2.0) / (r_c * r_c)
         if ell:
             diag, off = diag + lam * diag_c, off + lam * off_c
+        log_start = log_start[:-1]
         ops.append(SectorOperator(ell=ell, grid=r, mass_matrix=mass,
                                   stiffness=(diag[:-1], off[:-1]),
+                                  start=np.exp(log_start - log_start.max()),
                                   constraints=[] if ell else [load]))
     return ops
 
@@ -241,7 +253,8 @@ def assemble(params: ProblemParams, ell: int, n: int = 2000) -> SectorOperator:
     optimizer and those of an eigenfunction that goes like s^ell' at 0 and
     like s^(-nu) at infinity, nu (nu - (D-2)) = p a + ell' (ell' + D - 2),
     where the potential is p a/s^2 and rho decays faster.  Raises
-    ParameterError for ell < 0 and for n < MIN_NODES.
+    ParameterError for ell < 0 and for n < MIN_NODES.  The solve starts from
+    that eigenfunction, t^ell' (1 + t^2)^(-sigma) below.
     """
     if ell < 0:
         raise ParameterError(f"sector index ell must be >= 0, got {ell}")
@@ -265,8 +278,10 @@ def assemble(params: ProblemParams, ell: int, n: int = 2000) -> SectorOperator:
     # the constraint
     log_u, ab = _unit_optimizer(flat, _gauss_nodes(s))
     u_2p2 = np.exp((2.0 * p - 2.0) * log_u)
+    log_t = np.log(s / math.sqrt(ex.b_gamma))
     (op,) = _sector_pencils(
         s, d_g, [ell_f],
+        [ell_f * log_t - sigma * np.logaddexp(0.0, 2.0 * log_t)],
         potential=(p * ab * np.exp((p - 1.0) * log_u)
                    - (2.0 * p - 1.0) * ab * ab * u_2p2),
         rho=(2.0 * p - 1.0) * ab * ab * u_2p2,
@@ -380,9 +395,10 @@ def lowest_eigenvalue(op: SectorOperator):
     1. LAPACK's dpttrf factors K = A - SHIFT B as L D L^T.  A pivot of D
        that is not positive means SHIFT is not below the pencil spectrum:
        EigenSolverFailure, not a wrong eigenvalue.  Inverse iteration with
-       K from a fixed start vector runs until its Rayleigh quotient settles
-       (SETTLE).  A constraint c enters through the bordered system
-       [[K, c], [c^T, 0]], solved by its scalar Schur complement
+       K from op.start, the model eigenfunction the grid was sized for,
+       runs until its Rayleigh quotient settles (SETTLE).  A constraint c
+       enters through the bordered system [[K, c], [c^T, 0]], solved by
+       its scalar Schur complement
        s = c^T K^-1 c, x = K^-1 z - (K^-1 c / s) c^T K^-1 z, so every
        iterate satisfies c^T x = 0.
     2. Rayleigh-quotient iteration solves A - lambda B, bordered by c, with
@@ -398,7 +414,7 @@ def lowest_eigenvalue(op: SectorOperator):
     Every returned eigenvalue has passed its certificate; where none passes,
     s is not positive and finite or an iterate is not finite, the solve
     raises EigenSolverFailure (ParameterError for two constraints or more).
-    The start vector is fixed, so repeated runs give the same digits.
+    The start is part of the operator, so repeated runs give the same digits.
     """
     if len(op.constraints) > 1:
         raise ParameterError(f"a sector operator carries at most one "
@@ -441,11 +457,10 @@ def lowest_eigenvalue(op: SectorOperator):
         return x if c is None else x - kcs * (c @ x)
 
     shifted = partial(_solve_shifted, op, scale, c)
-    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
 
     def iterate(settle):
         # inverse iteration by settle, then Rayleigh-quotient iteration
-        lam, x = _iterate(settle, quotient, mass, math.inf, start, SETTLE,
+        lam, x = _iterate(settle, quotient, mass, math.inf, op.start, SETTLE,
                           INVERSE_MAX_STEPS)
         return _iterate(shifted, quotient, mass, lam, x, RQI_TOL,
                         RQI_MAX_STEPS)
@@ -484,8 +499,9 @@ def _hardy_poincare_pencils(d: float, p: float, n: int) -> list[SectorOperator]:
 
     One grid serves both, since coordinate_correlation reads sector 0's B.
     It holds the gradient and B integrands of the coordinate s (sector 1) and
-    of s^2 (sector 0).  d is real: d > 2 and 1 < p < d/(d-2), else
-    ParameterError.
+    of s^2 (sector 0), the polynomial eigenfunctions of the quotient
+    (Denzler-McCann, ARMA 175, 2005) that start the solves.  d is real:
+    d > 2 and 1 < p < d/(d-2), else ParameterError.
     """
     if not d > 2.0:
         raise DimensionTooSmall(f"d must be > 2, got {d}")
@@ -498,7 +514,9 @@ def _hardy_poincare_pencils(d: float, p: float, n: int) -> list[SectorOperator]:
         (d, 2.0 * p * k), (d + 2.0, (3.0 * p - 1.0) * k),
         (d + 4.0, (3.0 * p - 1.0) * k), (d + 2.0, 2.0 * p * k)], n)
     log_u, ab = _unit_optimizer(flat, _gauss_nodes(s))
-    return _sector_pencils(s, d, (0, 1), omega=np.exp(2.0 * p * log_u),
+    log_s = np.log(s)
+    return _sector_pencils(s, d, (0, 1), (2.0 * log_s, log_s),
+                           omega=np.exp(2.0 * p * log_u),
                            rho=ab * np.exp((3.0 * p - 1.0) * log_u))
 
 

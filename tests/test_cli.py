@@ -7,7 +7,7 @@ import pytest
 from scipy.special import betaln
 
 from cknlab import shooting
-from cknlab.cli import main, parse_config_echo
+from cknlab.cli import build_parser, main, parse_config_echo
 from sector_oracle import sector_closed_form
 
 
@@ -112,8 +112,8 @@ class TestReproducibility:
         assert strip(first) == strip(second)
 
     def test_sweep_byte_identical_modulo_timestamp(self, tmp_path):
-        # the eigensolver starts from a fixed vector, so repeated sweeps
-        # print the same digits
+        # each eigensolve starts from its operator's model eigenfunction, so
+        # repeated sweeps print the same digits
         target = tmp_path / "s.csv"
         args = ["sweep", "--n", "1000", "--gamma-points", "4",
                 "--format", "csv", "--out", str(target)]
@@ -122,6 +122,31 @@ class TestReproducibility:
             assert main(args) == 0
             texts.append(re.sub(r"# timestamp=.*", "", target.read_text()))
         assert texts[0] == texts[1] == texts[2]
+
+    def test_shared_parser_prints_as_single_calls(self, tmp_path, capsys):
+        # one parser serves every call of a process: calls of different
+        # subcommands, one of them reading --config, print the bytes each
+        # prints with a parser of its own
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma=0.5\np=2.2\n")
+        calls = [["spectrum", "--n", "400"], ["params", "--config", str(cfg)],
+                 ["sweep", "--n", "400", "--gamma-points", "3",
+                  "--format", "csv"],
+                 ["params", "--d", "4", "--p", "1.5"]]
+
+        def outputs(fresh):
+            texts = []
+            for args in calls:
+                if fresh:
+                    build_parser.cache_clear()
+                assert main(args) == 0
+                texts.append(re.sub(r'"timestamp": "[^"]*"|# timestamp=.*', "",
+                                    capsys.readouterr().out))
+            return texts
+
+        shared = outputs(fresh=False)
+        assert build_parser() is build_parser()
+        assert outputs(fresh=True) == shared
 
     def test_config_echo_round_trip(self, tmp_path):
         out = tmp_path / "o.json"
@@ -520,11 +545,12 @@ class TestExitCodes:
         assert code == 3
         assert "AmplitudeOverflow" in err and "measure" in err
         assert "SingularMass" not in err and "RuntimeWarning" not in err
-        # the ell = 1 grid stays inside it
+        # the ell = 1 grid stays inside it, and so does its start, the model
+        # t^2000 (1 + t^2)^(-sigma) scaled to unit max before its exp
         assert main(["spectrum", "--d", "3", "--gamma", "1.999",
                      "--p", "1.0002", "--ell", "1"]) == 0
         out = json.loads(capfd.readouterr().out)
-        assert out["result"]["lambda_min"] == 0.5461310313890739
+        assert out["result"]["lambda_min"] == 0.5461310313890737
 
     def test_flow_mesh_underflow_near_gamma_two(self, capsys):
         # d_gamma = 202: s^d_gamma underflows to 0 on the first two core

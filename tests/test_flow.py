@@ -453,6 +453,15 @@ class TestMesh:
     # dimension d_gamma = 2 (3 - 0.5)/(2 - 0.5) = 10/3
     ALPHA, D_GAMMA = 0.75, 10.0 / 3.0
 
+    def test_mesh_and_state_compare_by_identity(self, stat):
+        # their array fields have no truth value: == is identity, and
+        # comparing two meshes or states of equal values does not raise
+        mesh, twin = FlowMesh.graded(3, 0.0, 50), FlowMesh.graded(3, 0.0, 50)
+        assert mesh == mesh and mesh != twin
+        state, other = (make_state(stat, 0.75, 0.0, 3, n_cells=50)
+                        for _ in range(2))
+        assert state == state and state != other
+
     def test_graded_mesh_structure(self):
         mesh = FlowMesh.graded(3, 0.5, n_cells=100, r_out=20.0)
         assert mesh.edges[0] == 0.0

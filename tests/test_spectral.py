@@ -4,6 +4,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cknlab import spectral
 from cknlab.errors import EigenSolverFailure, ParameterError
 from cknlab.params import validate
 from cknlab.profiles import w_gamma_star
@@ -45,6 +46,23 @@ def _reference_solve(op):
     return float(vals[0]), vec / np.sqrt(vec @ B @ vec)
 
 
+def _count_calls(monkeypatch):
+    """Count the solver's _count_below calls: [count], updated in place."""
+    counts, count_below = [0], spectral._count_below
+
+    def counting(*args):
+        counts[0] += 1
+        return count_below(*args)
+
+    monkeypatch.setattr(spectral, "_count_below", counting)
+    return counts
+
+
+# operators whose spectra are dense, at d_gamma = 82-202
+DENSE_SPECTRA = [(6, 1.9, 1.0175, 1), (3, 1.98, 1.005, 0), (3, 1.98, 1.005, 1),
+                 (3, 1.98, 1.005, 2), (3, 1.99, 1.002, 0)]
+
+
 @pytest.fixture(scope="module")
 def pp0():
     return validate(3, 0.0, 2.0)
@@ -67,7 +85,9 @@ class TestAssemble:
         # term, in the measure (s/s_c)^(d-1) of the grid's centre s_c = 10
         d, grid, s_c = 3, np.geomspace(0.1, 1e3, 300), 10.0
         x = _gauss_nodes(grid)
-        op0, op1 = _sector_pencils(grid, d, (0, 1), rho=np.ones_like(x))
+        # the bands do not depend on the start
+        op0, op1 = _sector_pencils(grid, d, (0, 1), [np.zeros(grid.size)] * 2,
+                                   rho=np.ones_like(x))
         dgc, offc = _tri_mass(grid, (x / s_c) ** (d - 3.0))
         n = grid.size - 1
         cent = (d - 1.0) / s_c**2 * tridiagonal((dgc[:n], offc[: n - 1])).toarray()
@@ -88,6 +108,11 @@ class TestAssemble:
         assert op0.constraints[0].shape == (299,)
         assert np.all(op0.constraints[0] > 0)
         assert op_ell1.constraints == []
+
+    def test_operators_compare_by_identity(self, pp0, op_ell1):
+        # the bands have no truth value: == is identity and does not raise
+        twin = assemble(pp0, ell=1, n=2000)
+        assert op_ell1 == op_ell1 and op_ell1 != twin
 
     def test_rejects_negative_ell(self, pp0):
         with pytest.raises(ParameterError):
@@ -175,8 +200,9 @@ class TestLowestEigenvalue:
         def weight(q):
             return np.exp(q * w.log(r) - gamma * np.log(r))
 
+        # the solve starts from the optimizer, the radial shape the grid holds
         (op,) = _sector_pencils(
-            grid, d, [0], constraint=weight(2 * p - 1),
+            grid, d, [0], [w.log(grid)], constraint=weight(2 * p - 1),
             potential=p * weight(p - 1) - (2 * p - 1) * weight(2 * p - 2),
             rho=(2 * p - 1) * weight(2 * p - 2))
         weighted = lowest_eigenvalue(op)[0]
@@ -228,15 +254,29 @@ class TestBandedSolve:
     def test_matches_sparse_reference(self, d, gamma, p, ell):
         self._check(assemble(validate(d, gamma, p), ell, 2000))
 
-    @pytest.mark.parametrize("d, gamma, p, ell", [
-        (6, 1.9, 1.0175, 1), (3, 1.98, 1.005, 0), (3, 1.98, 1.005, 1),
-        (3, 1.98, 1.005, 2), (3, 1.99, 1.002, 0)])
-    def test_lands_above_lowest_then_certified(self, d, gamma, p, ell):
-        # at d_gamma = 82-202 the spectra are dense, and the Rayleigh-quotient
-        # iteration from the settled inverse iteration lands on a higher
-        # eigenvalue; the certificate's count sees it, and the bisection on
-        # that count finds the lowest one
-        self._check(assemble(validate(d, gamma, p), ell, 2000))
+    @pytest.mark.parametrize("d, gamma, p, ell", DENSE_SPECTRA)
+    def test_lands_above_lowest_then_certified(self, d, gamma, p, ell,
+                                               monkeypatch):
+        # at d_gamma = 82-202 the spectra are dense: from a random start the
+        # Rayleigh-quotient iteration after the settled inverse iteration
+        # lands on a higher eigenvalue; the certificate's count sees it, and
+        # the bisection on that count finds the lowest one
+        op = assemble(validate(d, gamma, p), ell, 2000)
+        op.start = np.random.default_rng(0).uniform(-1.0, 1.0, op.start.size)
+        counts = _count_calls(monkeypatch)
+        self._check(op)
+        # 47 here: the failed certificate, 45 bisection counts, the passed one
+        assert counts[0] > 2
+
+    @pytest.mark.parametrize("d, gamma, p, ell", DENSE_SPECTRA)
+    def test_model_start_certified_by_one_count(self, d, gamma, p, ell,
+                                                monkeypatch):
+        # from the model eigenfunction the same solves land on the lowest
+        # eigenvalue, and one count certifies it
+        op = assemble(validate(d, gamma, p), ell, 2000)
+        counts = _count_calls(monkeypatch)
+        self._check(op)
+        assert counts[0] == 1
 
     @pytest.mark.parametrize("sector", [0, 1])
     def test_hardy_poincare_matches_sparse_reference(self, sector):
