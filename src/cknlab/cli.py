@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config_file(argv: list[str], ap: argparse.ArgumentParser) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Insert key=value pairs from --config as defaults before the flags."""
     if "--config" not in argv:
         return argv
@@ -379,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     try:
         if argv and argv[0] in _SUBCOMMANDS:
-            argv = _apply_config_file(argv, ap)
+            argv = _apply_config_file(argv)
         args = ap.parse_args(argv)
         args.func(args)
     except ParameterError as exc:

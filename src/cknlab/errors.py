@@ -34,11 +34,7 @@ class NaNEncountered(CknError):
 
 
 class DivergentNorm(CknError):
-    """Tail decay too slow for the requested weighted norm."""
-
-
-class ZeroDenominator(CknError):
-    """A quotient was requested for a profile with vanishing norm."""
+    """A norm or moment whose integral diverges: the tail decays too slowly."""
 
 
 class AmplitudeOverflow(CknError):

@@ -172,7 +172,7 @@ def stationary_profile(m: float, gamma: float, d: int, M: float) -> AnalyticProf
     alpha = 1.0 - gamma / 2.0
     expo = (d - gamma) / (2.0 * alpha) - 1.0 / (1.0 - m)
     log_C = (math.log(M)
-             - math.log(_stationary(1.0, m, alpha).moment(1.0, d, gamma))) / expo
+             - _stationary(1.0, m, alpha).log_moment(1.0, d, gamma)) / expo
     if not abs(log_C) < LOG_FLOAT_MAX:
         raise AmplitudeOverflow(f"the stationary constant C = exp({log_C:.1f}) "
                                 f"leaves the float range")

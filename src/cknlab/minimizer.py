@@ -31,7 +31,8 @@ from scipy.linalg.lapack import dgtsv
 from .errors import AmplitudeOverflow, GridTooCoarse, NoDescent, ParameterError
 from .params import (ProblemParams, derive, kappa, radii_from_flat,
                      scaling_exponents)
-from .profiles import RadialProfile, tail_bounds, w_star
+from .profiles import (RadialProfile, quotient, quotient_from_logs, tail_bounds,
+                       w_star)
 from .quadrature import log_beta_integral, sphere_area
 
 __all__ = [
@@ -168,16 +169,6 @@ class _Discretization:
         cells[0] *= ((phi[1:] - phi[:-1]) / self.h) ** 2
         X, Y, mass = cells.sum(axis=1) + ends.sum(axis=1)
         return X, Y, mass
-
-
-def _quotient(params: ProblemParams, X: float, Y: float, mass: float,
-              log_K: float = 0.0) -> float:
-    """Interpolation quotient from X = |w'|_2^2, Y = |w|_(p+1,gamma)^(p+1) and
-    mass = |w|_(2p,gamma)^(2p) of one profile, discrete or exact, each the
-    given value times K = exp(log_K)."""
-    p, vt = params.p, derive(params).vartheta
-    a, b, c = vt / 2.0, (1.0 - vt) / (p + 1.0), 0.5 / p
-    return math.exp(log_K * (a + b - c)) * X**a * Y**b / mass**c
 
 
 def _at_mass(disc: _Discretization, phi: np.ndarray, target_mass: float):
@@ -348,11 +339,12 @@ def minimize_radial(params: ProblemParams, n: int = 1024,
     phi, G, gnorm, nit, G_c = _solve(disc, start_fn, M)
 
     X, Y, mass_h = disc.functionals(phi)
-    quot = _quotient(params, X, Y, mass_h, flat.log_K)
+    quot = quotient_from_logs(params, *(np.log([X, Y, mass_h]) + flat.log_K))
 
     # reference: the optimizer on the same grid, its energy shifted as in _at_mass
     Xc, Yc, mass_c = disc.functionals(flat.log_candidate(disc.s))
-    ref_quot = _quotient(params, Xc, Yc, mass_c, flat.log_K)
+    ref_quot = quotient_from_logs(params,
+                                  *(np.log([Xc, Yc, mass_c]) + flat.log_K))
     c = math.log(M / mass_c) / (2.0 * p)
     G_ref = 0.5 * math.exp(2.0 * c) * Xc + math.exp((p + 1.0) * c) * Yc / (p + 1.0)
 
@@ -414,12 +406,8 @@ def best_constant_radial(params: ProblemParams) -> tuple[float, float]:
     Returns (C_star, J) with C_star the reciprocal of the quotient at the
     explicit profile, from its exact moments, and J = kappa * C_star^(-2 p theta).
     """
-    ex = derive(params)
-    d, g, p = params.d, params.gamma, params.p
-    w = w_star(params)
-    c_star = 1.0 / _quotient(params, w.gradient_moment(d),
-                             w.moment(p + 1.0, d, g), w.moment(2.0 * p, d, g))
-    J = kappa(params) * c_star ** (-2.0 * p * ex.theta_gamma)
+    c_star = 1.0 / quotient(w_star(params), params)
+    J = kappa(params) * c_star ** (-2.0 * params.p * derive(params).theta_gamma)
     return c_star, J
 
 
@@ -437,8 +425,8 @@ def critical_constant(d: int, gamma: float) -> float:
         return 2.0 / (d - 2.0)
     p_crit = (d - gamma) / (d - 2.0)
     w = w_star(ProblemParams(d, gamma, p_crit))
-    return w.moment(2.0 * p_crit, d, gamma) ** (1.0 / (2.0 * p_crit)) \
-        / math.sqrt(w.gradient_moment(d))
+    return math.exp(w.log_moment(2.0 * p_crit, d, gamma) / (2.0 * p_crit)
+                    - 0.5 * w.log_gradient_moment(d))
 
 
 def hs_upper_bound(params: ProblemParams) -> float:

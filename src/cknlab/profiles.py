@@ -4,11 +4,11 @@
 exp(log_peak) (1 + r^c/b)^(-k) together with its exact derivatives and exact
 Beta-integral moments, all taken in log form: near p = 1 the optimizer's
 amplitude a^(1/(p-1)) leaves the float range where its peak does not.  The
-norms, quotients, energies and optimality residuals take such a profile (the
-weighted norm also takes a bare callable) and integrate it by tanh-sinh
-quadrature, with no truncation radius.  ``RadialProfile`` is the sampled
-export of any profile, a graded grid with values and optional derivatives,
-read and written as JSON or CSV; the norm functions reject it.
+norms, quotients, energies and optimality residuals take such a profile and
+read its exact moments; the quotient is formed from their logs, so it stays
+finite where the moments leave the float range.  ``RadialProfile`` is the
+sampled export of any profile, a graded grid with values and optional
+derivatives, read and written as JSON or CSV; the norm functions reject it.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betaincinv, xlogy
 
-from . import quadrature as quad
-from .errors import (AmplitudeOverflow, DivergentNorm, ParameterError,
-                     ZeroDenominator)
+from .errors import AmplitudeOverflow, ParameterError
 from .params import ProblemParams, check_radial_bounds, derive
+from .quadrature import log_beta_integral, sphere_area
 
 __all__ = [
     "RadialProfile",
@@ -37,6 +36,7 @@ __all__ = [
     "weighted_norm",
     "gradient_norm",
     "quotient",
+    "quotient_from_logs",
     "energy",
     "el_residual",
 ]
@@ -185,27 +185,37 @@ class AnalyticProfile:
             meta={"derivatives": "analytic"},
         )
 
-    def moment(self, q: float, d: float, gamma: float) -> float:
-        """|S^(d-1)| int_0^inf w^q r^(d-1-gamma) dr, exactly (Beta integral).
+    def log_moment(self, q: float, d: float, gamma: float) -> float:
+        """log of |S^(d-1)| int_0^inf w^q r^(d-1-gamma) dr (Beta integral).
 
         d may be real, so the same closed form serves the flattened radial
-        dimension d_gamma = 2 (d - gamma)/(2 - gamma).
+        dimension d_gamma = 2 (d - gamma)/(2 - gamma).  DivergentNorm is
+        raised where the integral diverges, q k c <= d - gamma.
         """
-        return _exp(math.log(quad.sphere_area(d)) + q * self.log_peak
-                    + quad.log_beta_integral(d - gamma, self.b, self.c,
-                                             q * self.k), "the moment")
+        return math.log(sphere_area(d)) + q * self.log_peak \
+            + log_beta_integral(d - gamma, self.b, self.c, q * self.k)
 
-    def gradient_moment(self, d: float) -> float:
-        """|S^(d-1)| int_0^inf w'(r)^2 r^(d-1) dr, exactly (Beta integral).
+    def log_gradient_moment(self, d: float) -> float:
+        """log of |S^(d-1)| int_0^inf w'(r)^2 r^(d-1) dr (Beta integral).
 
         w'^2 = (c k/b)^2 w(0)^2 r^(2c-2) (1 + r^c/b)^(-2(k+1)), a Beta
-        integral with mu = d + 2c - 2; d may be real.
+        integral with mu = d + 2c - 2; d may be real.  It diverges for every
+        k < 0; for a constant, k = 0, it is 0 and its log -inf.
         """
-        return _exp(math.log(quad.sphere_area(d)) + 2.0 * self.log_peak
-                    + 2.0 * math.log(self.c * self.k / self.b)
-                    + quad.log_beta_integral(d + 2.0 * self.c - 2.0, self.b,
-                                             self.c, 2.0 * (self.k + 1.0)),
-                    "the gradient moment")
+        if self.k == 0.0:
+            return -math.inf
+        log_beta = log_beta_integral(d + 2.0 * self.c - 2.0, self.b, self.c,
+                                     2.0 * (self.k + 1.0))
+        return math.log(sphere_area(d)) + 2.0 * self.log_peak \
+            + 2.0 * math.log(self.c * self.k / self.b) + log_beta
+
+    def moment(self, q: float, d: float, gamma: float) -> float:
+        """exp(log_moment); AmplitudeOverflow past the float range."""
+        return _exp(self.log_moment(q, d, gamma), "the moment")
+
+    def gradient_moment(self, d: float) -> float:
+        """exp(log_gradient_moment); AmplitudeOverflow past the float range."""
+        return _exp(self.log_gradient_moment(d), "the gradient moment")
 
     def scaled(self, amp_factor: float, dilation: float) -> "AnalyticProfile":
         """Profile amp_factor * w(dilation * r): (lam r)^c/b = r^c/(b lam^(-c))."""
@@ -219,8 +229,9 @@ LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _exp(log_value: float, what: str) -> float:
-    """exp(log_value) of a peak or a moment; AmplitudeOverflow past the float
-    range, as for the optimizer's peak exp(1116.7) at (3, 1.999, 1.0002)."""
+    """exp(log_value) of a peak, moment, norm or quotient; AmplitudeOverflow
+    past the float range, as for the optimizer's peak exp(1116.7) at
+    (3, 1.999, 1.0002)."""
     try:
         return math.exp(log_value)
     except OverflowError:
@@ -271,46 +282,50 @@ def barenblatt_mass(params: ProblemParams) -> float:
     return w_gamma_star(params).moment(2.0 * params.p, params.d, params.gamma)
 
 
-def weighted_norm(w, q: float, gamma: float, params: ProblemParams) -> float:
-    """Weighted Lebesgue norm (|S^(d-1)| int |w|^q r^(d-1-gamma) dr)^(1/q).
+def _analytic(w) -> AnalyticProfile:
+    if not isinstance(w, AnalyticProfile):
+        raise TypeError(f"expected an AnalyticProfile, got {type(w).__name__}")
+    return w
 
-    w is an AnalyticProfile or a bare callable of r, whose integrability is
-    left to the quadrature.
-    """
+
+def weighted_norm(w, q: float, gamma: float, params: ProblemParams) -> float:
+    """Weighted Lebesgue norm (|S^(d-1)| int |w|^q r^(d-1-gamma) dr)^(1/q)."""
     if q < 1:
         raise ValueError(f"norm exponent must satisfy q >= 1, got {q}")
-    if isinstance(w, RadialProfile):
-        raise TypeError("weighted_norm expects an AnalyticProfile or a callable "
-                        "of r, not a sampled RadialProfile")
-    d = params.d
-    if isinstance(w, AnalyticProfile) and w.tail_exponent * q <= d - gamma:
-        raise DivergentNorm(
-            f"q * tail_exponent = {q * w.tail_exponent} must exceed "
-            f"d - gamma = {d - gamma}"
-        )
-    integral = quad.integrate(lambda r: np.abs(w(r)) ** q, d, gamma)
-    return (quad.sphere_area(d) * integral) ** (1.0 / q)
+    return _exp(_analytic(w).log_moment(q, params.d, gamma) / q, "the norm")
 
 
 def gradient_norm(w, params: ProblemParams) -> float:
     """Unweighted gradient norm (|S^(d-1)| int w'(r)^2 r^(d-1) dr)^(1/2)."""
-    if not isinstance(w, AnalyticProfile):
-        raise TypeError("gradient_norm expects an AnalyticProfile")
-    d = params.d
-    integral = quad.integrate(lambda r: w.deriv(r) ** 2, d, 0.0)
-    return math.sqrt(quad.sphere_area(d) * integral)
+    return _exp(0.5 * _analytic(w).log_gradient_moment(params.d),
+                "the gradient norm")
+
+
+def _log_moments(w, params: ProblemParams):
+    """logs of X = |w'|_2^2, Y = |w|_(p+1,gamma)^(p+1), mass = |w|_(2p,gamma)^(2p)."""
+    w = _analytic(w)
+    d, g, p = params.d, params.gamma, params.p
+    return (w.log_gradient_moment(d), w.log_moment(p + 1.0, d, g),
+            w.log_moment(2.0 * p, d, g))
+
+
+def quotient_from_logs(params: ProblemParams, log_X: float, log_Y: float,
+                       log_mass: float) -> float:
+    """Interpolation quotient |w'|_2^vartheta |w|_(p+1,gamma)^(1-vartheta)
+    / |w|_(2p,gamma) from the logs of X = |w'|_2^2, Y = |w|_(p+1,gamma)^(p+1)
+    and mass = |w|_(2p,gamma)^(2p) of one profile, exact or discrete.
+
+    The quotient is invariant under scaling and dilation, so it is finite
+    where X, Y and the mass leave the float range.
+    """
+    p, vt = params.p, derive(params).vartheta
+    return _exp(0.5 * vt * log_X + (1.0 - vt) / (p + 1.0) * log_Y
+                - 0.5 / p * log_mass, "the quotient")
 
 
 def quotient(w, params: ProblemParams) -> float:
     """Scale- and dilation-invariant quotient whose infimum is 1/C."""
-    ex = derive(params)
-    p, g = params.p, params.gamma
-    n2p = weighted_norm(w, 2 * p, g, params)
-    if n2p == 0.0:
-        raise ZeroDenominator("profile has vanishing weighted L^(2p) norm")
-    grad = gradient_norm(w, params)
-    np1 = weighted_norm(w, p + 1, g, params)
-    return grad**ex.vartheta * np1 ** (1.0 - ex.vartheta) / n2p
+    return quotient_from_logs(params, *_log_moments(w, params))
 
 
 def energy(w, params: ProblemParams, J: float) -> tuple[float, float]:
@@ -320,13 +335,10 @@ def energy(w, params: ProblemParams, J: float) -> tuple[float, float]:
     E = G - J |w|_(2p,gamma)^(2 p theta).  E is nonnegative only when J is the
     optimal constant; for other J the sign carries no meaning.
     """
-    ex = derive(params)
-    p, g = params.p, params.gamma
-    grad = gradient_norm(w, params)
-    np1 = weighted_norm(w, p + 1, g, params)
-    n2p = weighted_norm(w, 2 * p, g, params)
-    G = 0.5 * grad**2 + np1 ** (p + 1) / (p + 1)
-    E = G - J * n2p ** (2.0 * p * ex.theta_gamma)
+    p = params.p
+    X, Y, mass = (_exp(v, "a moment") for v in _log_moments(w, params))
+    G = 0.5 * X + Y / (p + 1)
+    E = G - J * mass ** derive(params).theta_gamma
     return E, G
 
 
@@ -338,8 +350,7 @@ def el_residual(w, params: ProblemParams,
     (default_grid() unless given) from w's exact derivatives and normalizes pointwise by the largest of the three term
     magnitudes, so that the residual is meaningful across many decades.
     """
-    if not isinstance(w, AnalyticProfile):
-        raise TypeError("el_residual expects an AnalyticProfile")
+    _analytic(w)
     d, g, p = params.d, params.gamma, params.p
     r = default_grid() if radii is None else np.asarray(radii, dtype=float)
     v, dv, ddv = w(r), w.deriv(r), w.second_deriv(r)

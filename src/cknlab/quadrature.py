@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import betaln
 
-from .errors import NaNEncountered, NonConvergent
+from .errors import DivergentNorm, NaNEncountered, NonConvergent
 
 __all__ = ["integrate", "sphere_area", "log_beta_integral"]
 
@@ -165,10 +165,12 @@ def log_beta_integral(mu: float, b: float, c: float, q: float) -> float:
 
     Substituting x = r^c/b turns the integral into a Beta function, so its
     log is (mu/c) log b + log B(mu/c, q - mu/c) - log c, valid for
-    0 < mu/c < q.  This is the oracle for every moment of a Barenblatt-type
+    0 < mu/c < q; elsewhere the integral diverges and DivergentNorm is
+    raised.  This is the oracle for every moment of a Barenblatt-type
     profile; the log stays in the float range where the integral does not.
     """
     nu = mu / c
     if not (0.0 < nu < q):
-        raise ValueError(f"Beta integral requires 0 < mu/c < q, got mu/c={nu}, q={q}")
+        raise DivergentNorm(f"the Beta integral diverges unless 0 < mu/c < q, "
+                            f"got mu/c={nu}, q={q}")
     return nu * math.log(b) + betaln(nu, q - nu) - math.log(c)

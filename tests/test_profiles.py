@@ -24,15 +24,33 @@ def beta_oracle(mu, b, c, q):
     return b ** (nu - q) * math.exp(betaln(nu, q - nu)) / c
 
 
-def log_mass_oracle(d, gamma, p):
-    """log of the weighted L^(2p) mass of (a/(b + r^c))^k, c = 2 - gamma,
-    k = 1/(p-1), in peak form: |S^(d-1)| (a/b)^(2pk) int r^(d-gamma-1)
-    (1 + r^c/b)^(-2pk) dr, with a/b = p c/eta and b = eta^2/(p (p-1)^2)."""
+def log_norm_oracle(d, gamma, p, q):
+    """log of |S^(d-1)| int |w|^q r^(d-gamma-1) dr for w = (a/(b + r^c))^k,
+    c = 2 - gamma, k = 1/(p-1), in peak form: |S^(d-1)| (a/b)^(qk)
+    int r^(d-gamma-1) (1 + r^c/b)^(-qk) dr, with a/b = p c/eta and
+    b = eta^2/(p (p-1)^2)."""
     eta = d - gamma - p * (d - 2.0)
     c, k = 2.0 - gamma, 1.0 / (p - 1.0)
     b = eta**2 / (p * (p - 1.0) ** 2)
-    nu, q = (d - gamma) / c, 2.0 * p * k
-    return (math.log(sphere_area(d)) + q * math.log(p * c / eta)
+    nu, qk = (d - gamma) / c, q * k
+    return (math.log(sphere_area(d)) + qk * math.log(p * c / eta)
+            + nu * math.log(b) + betaln(nu, qk - nu) - math.log(c))
+
+
+def log_mass_oracle(d, gamma, p):
+    """log of the weighted L^(2p) mass of the normalized optimizer."""
+    return log_norm_oracle(d, gamma, p, 2.0 * p)
+
+
+def log_gradient_oracle(d, gamma, p):
+    """log of |S^(d-1)| int w'^2 r^(d-1) dr for the same w, in peak form:
+    w'^2 = (c k/b)^2 (a/b)^(2k) r^(2c-2) (1 + r^c/b)^(-2k-2)."""
+    eta = d - gamma - p * (d - 2.0)
+    c, k = 2.0 - gamma, 1.0 / (p - 1.0)
+    b = eta**2 / (p * (p - 1.0) ** 2)
+    nu, q = (d + 2.0 * c - 2.0) / c, 2.0 * k + 2.0
+    return (math.log(sphere_area(d)) + 2.0 * k * math.log(p * c / eta)
+            + 2.0 * math.log(c * k / b)
             + nu * math.log(b) + betaln(nu, q - nu) - math.log(c))
 
 
@@ -119,17 +137,24 @@ class TestNorms:
         assert weighted_norm(scaled, 2.0 * pp.p, pp.gamma, pp) == pytest.approx(
             3.7 * weighted_norm(w, 2.0 * pp.p, pp.gamma, pp), rel=1e-11)
 
-    def test_indicator_delegation(self):
-        pp = validate(3, 0.5, 2.0)
-        val = weighted_norm(lambda r: np.where(r <= 1.0, 1.0, 0.0),
-                            1.0, pp.gamma, pp)
-        assert val == pytest.approx(sphere_area(3) * 0.4, rel=1e-11)
-
     def test_divergent_norm_detected(self):
         pp = validate(3, 0.0, 2.0)
         slow = AnalyticProfile(0.0, 1.0, 2.0, 0.5)  # decays like r^{-1}
         with pytest.raises(DivergentNorm):
             weighted_norm(slow, 2.0, 0.0, pp)
+        # w ~ r^(-1/2): w'^2 r^2 decays only like r^(-1), and |w|^3 r^2 and
+        # |w|^4 r^2 do not decay; each of the four names the divergence
+        slower = AnalyticProfile(0.0, 1.0, 2.0, 0.25)
+        for call in (lambda: weighted_norm(slower, 2.0 * pp.p, 0.0, pp),
+                     lambda: gradient_norm(slower, pp),
+                     lambda: quotient(slower, pp),
+                     lambda: energy(slower, pp, 1.0)):
+            with pytest.raises(DivergentNorm):
+                call()
+        # a growing profile diverges too; a constant has no gradient
+        with pytest.raises(DivergentNorm):
+            gradient_norm(AnalyticProfile(0.0, 1.0, 2.0, -0.5), pp)
+        assert gradient_norm(AnalyticProfile(0.0, 1.0, 2.0, 0.0), pp) == 0.0
 
     @pytest.mark.parametrize("call", [
         lambda w, pp: weighted_norm(w, 2.0 * pp.p, pp.gamma, pp),
@@ -140,8 +165,8 @@ class TestNorms:
     ], ids=["weighted_norm", "gradient_norm", "el_residual", "quotient",
             "energy"])
     def test_sampled_profile_rejected(self, call):
-        # norms integrate closed forms without truncation; a sampled profile
-        # is an export, not an input
+        # norms read the closed forms' exact moments; a sampled profile is
+        # an export, not an input
         pp = validate(3, 0.0, 2.0)
         prof = w_star(pp).sample(default_grid(1e-2, 1e2, 16))
         with pytest.raises(TypeError, match="AnalyticProfile"):
@@ -151,8 +176,7 @@ class TestNorms:
 class TestGradientNorm:
     def test_matches_analytic_derivative_oracle(self):
         # oracle: |w'|^2 = (A k c)^2 r^(2c-2) (b + r^c)^(-2k-2) against
-        # r^(d-1) dr, A = w(0) b^k; at (3, 0, 2) this is 4 r^2 (1+r^2)^(-4).
-        # Near p = 1 the tail nodes take r^c far past the float range.
+        # r^(d-1) dr, A = w(0) b^k; at (3, 0, 2) this is 4 r^2 (1+r^2)^(-4)
         for family, pp in ((w_star, validate(3, 0.0, 2.0)),
                            (w_gamma_star, validate(3, 0.0, 1.04))):
             w = family(pp)
@@ -282,12 +306,28 @@ class TestNearPOne:
         assert got == pytest.approx(math.exp(log_mass_oracle(d, gamma, p)),
                                     rel=1e-12)
 
-    @pytest.mark.parametrize("d,gamma,p", NEAR_P_ONE[:3])
+    # at (12, 1.95, 1.001) the moments themselves leave the float range
+    # (the mass is about exp(1283)), while the quotient is 1.19863
+    @pytest.mark.parametrize("d,gamma,p", NEAR_P_ONE + [(12, 1.95, 1.001)])
     def test_quotient_is_reciprocal_constant(self, d, gamma, p):
         pp = validate(d, gamma, p)
         c_star, _ = best_constant_radial(pp)
         assert quotient(w_gamma_star(pp), pp) == pytest.approx(1.0 / c_star,
                                                                 rel=1e-12)
+
+    def test_norms_vs_log_beta_oracle(self):
+        # at (8, 1.95, 1.0015) w'^2 overflows near r = 0, where the peak
+        # exp(133) meets r^(-1.9); the norms read the closed forms
+        d, gamma, p = 8, 1.95, 1.0015
+        pp = validate(d, gamma, p)
+        w = w_gamma_star(pp)
+        for q in (2.0 * p, p + 1.0):
+            assert weighted_norm(w, q, gamma, pp) == pytest.approx(
+                math.exp(log_norm_oracle(d, gamma, p, q) / q), rel=1e-12)
+        got = gradient_norm(w, pp)
+        assert math.isfinite(got)
+        assert got == pytest.approx(
+            math.exp(0.5 * log_gradient_oracle(d, gamma, p)), rel=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("w", [

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import betaln, gamma as gamma_fn
 
 from cknlab import quadrature
-from cknlab.errors import NaNEncountered, NonConvergent
+from cknlab.errors import DivergentNorm, NaNEncountered, NonConvergent
 from cknlab.quadrature import integrate, log_beta_integral, sphere_area
 
 
@@ -48,6 +48,10 @@ class TestIntegrate:
     @pytest.mark.parametrize("d,gamma,b,q", [
         (3, 0.0, 0.5, 4.0), (3, 0.5, 0.7, 5.0), (5, 0.25, 1.3, 7.5),
         (3, 0.0, 1.0, 2.01), (3, 0.5, 0.9, 1.8),
+        # w'^2 r^2 of the optimizer at (3, 0, 1.04), up to a constant:
+        # b = eta^2/(p (p-1)^2), q = 2/(p-1) + 2; the tail nodes take r^2
+        # far past the float range
+        (5, 0.0, 1.96**2 / (1.04 * 0.04**2), 52.0),
     ])
     def test_barenblatt_integrand_vs_beta_oracle(self, d, gamma, b, q):
         c = 2.0 - gamma
@@ -58,6 +62,9 @@ class TestIntegrate:
         # (1 + r^c/b)^(-q) = b^q (b + r^c)^(-q)
         assert math.exp(log_beta_integral(2.5, 0.7, 1.5, 4.0)) == pytest.approx(
             0.7**4.0 * beta_oracle(2.5, 0.7, 1.5, 4.0), rel=1e-14)
+        # r^2 (1 + r^2)^(-1.5) decays like r^(-1)
+        with pytest.raises(DivergentNorm):
+            log_beta_integral(3.0, 1.0, 2.0, 1.5)
 
     def test_linearity(self):
         f = lambda r: np.exp(-r)
