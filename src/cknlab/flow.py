@@ -259,8 +259,6 @@ def _divergence(flux: np.ndarray) -> np.ndarray:
 # Newton update measured in the weighted L1 norm relative to the mass
 _NEWTON_ITERS = 12
 _NEWTON_TOL = 1e-12
-# positivity damping halves the Newton update at most this often
-_MAX_HALVINGS = 40
 # a step whose Newton solve fails is split in two halves, at most this deep
 _MAX_SPLITS = 8
 # TR-BDF2 stage fraction: the trapezoidal stage ends at t + _GAMMA dt.  This
@@ -299,23 +297,18 @@ def _solve_stage(state: FlowState, target: np.ndarray, c: float,
 
     Returns the first iterate whose own update is below _NEWTON_TOL of the
     mass, with its faces; that update is not applied, so it costs no face
-    evaluation.  Other updates are halved until every cell stays positive.
-    Raises StepFailure when none of _NEWTON_ITERS updates is that small.
+    evaluation.  Raises StepFailure when an update leaves a cell
+    non-positive, or when none of _NEWTON_ITERS updates is that small.
     """
     for _ in range(_NEWTON_ITERS):
         delta, size = _newton_update(state, target, c, v, faces)
         if size <= _NEWTON_TOL:
             return v, faces
-        lam = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = v + lam * delta
-            if (trial > 0.0).all():
-                break
-            lam *= 0.5
-        else:
-            raise StepFailure(f"Newton update keeps the density positive only when "
-                              f"damped below 2^-{_MAX_HALVINGS}, t={state.time:.6g}")
-        v, faces = trial, _face_terms(state.mesh, trial, state.m)
+        v = v + delta
+        if not (v > 0.0).all():
+            raise StepFailure(f"a Newton update leaves the density non-positive "
+                              f"at t={state.time:.6g}")
+        faces = _face_terms(state.mesh, v, state.m)
     raise StepFailure(f"Newton did not converge in {_NEWTON_ITERS} iterations "
                       f"at t={state.time:.6g}")
 
@@ -360,9 +353,9 @@ def step(state: FlowState, dt: float) -> FlowState:
     TR-BDF2 (Bank et al., IEEE Trans. CAD 4, 1985) is second order like
     Crank-Nicolson, and L-stable: Crank-Nicolson alone leaves the stiff
     modes of rough data ringing at steps far above their decay time, and
-    they then swamp the Fisher information.  Where a Newton solve fails, as
-    when a near-vacuum tail fills faster than one step can follow, the step
-    is taken as two half steps, recursively, down to dt / 2^_MAX_SPLITS.
+    they then swamp the Fisher information.  Where a Newton stage fails (a
+    singular system, a non-positive update, no convergence), the step is
+    taken as two half steps, recursively, down to dt / 2^_MAX_SPLITS.
     Raises StepFailure when even those fail.
     """
     return _advance(state, dt, _MAX_SPLITS)

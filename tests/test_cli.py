@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.special import betaln
 
-from cknlab import shooting
+from cknlab import minimizer, shooting
 from cknlab.cli import build_parser, main, parse_config_echo
+from cknlab.selection import F_selection, SelectionContext
 from sector_oracle import sector_closed_form
 
 
@@ -122,6 +123,18 @@ class TestReproducibility:
             assert main(args) == 0
             texts.append(re.sub(r"# timestamp=.*", "", target.read_text()))
         assert texts[0] == texts[1] == texts[2]
+
+    def test_sweep_workers_print_as_serial(self, capsys):
+        # the pool path spreads the points over two processes and prints the
+        # bytes of the serial path, apart from the timestamp and the echo of
+        # --workers in the config
+        texts = []
+        for workers in ("1", "2"):
+            assert main(["sweep", "--d", "3", "--p", "2", "--gamma-points", "4",
+                         "--n", "200", "--workers", workers]) == 0
+            texts.append(re.sub(r'"timestamp": "[^"]*"|"workers": \d+', "",
+                                capsys.readouterr().out))
+        assert texts[0] == texts[1]
 
     def test_shared_parser_prints_as_single_calls(self, tmp_path, capsys):
         # one parser serves every call of a process: calls of different
@@ -312,6 +325,20 @@ class TestCompute:
         assert abs(res["total_K_quadrature"] - res["total_K_closed_form"]) \
             < 1e-8 * abs(res["total_K_closed_form"])
 
+    def test_selection_fmap(self, capsys):
+        # F(y) of the translate at distance y: the first row is y = 0, and F
+        # rises strictly along y (-12.53 to 5.96 on [0, 2])
+        code, out = run_cli(["selection", "--d", "3", "--p", "2", "--curve",
+                             "fmap", "--s-max", "2", "--s-points", "5",
+                             "--format", "json"], capsys)
+        assert code == 0
+        res = json.loads(out)["result"]
+        assert res["columns"] == ["y", "F"]
+        y, F = np.array(res["rows"]).T
+        assert y[0] == 0.0
+        assert F[0] == F_selection(0.0, SelectionContext(3, 2.0))
+        assert np.all(np.diff(F) > 0)
+
     def test_selection_near_p_one(self, capsys):
         # the amplitude a^(2p/(p-1)) of the mass is exp(938) at p = 1.02, the
         # mass M only 1.09e5; the closed form of the total is
@@ -361,6 +388,17 @@ class TestExitCodes:
         monkeypatch.setattr(cknlab.flow, "_NEWTON_ITERS", 1)
         assert main(["flow", "--T", "0.01", "--cells", "50"]) == 3
         assert "StepFailure: Newton did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("NEWTON_MAX_STEPS", 1, "no convergence in 1 Newton steps"),
+        ("NEWTON_LAM_MAX", 1e-3, "the damping passed")])
+    def test_minimize_no_descent(self, name, value, message, monkeypatch,
+                                 capsys):
+        monkeypatch.setattr(minimizer, name, value)
+        assert main(["minimize", "--d", "3", "--gamma", "0", "--p", "2",
+                     "--grid", "64", "--start", "cold"]) == 3
+        err = capsys.readouterr().err
+        assert "NoDescent" in err and message in err
 
     def test_spectrum_negative_ell(self):
         assert main(["spectrum", "--ell", "-1", "--n", "100"]) == 2

@@ -232,6 +232,16 @@ class TestStep:
         with pytest.raises(StepFailure, match="Newton did not converge"):
             step(state, BIG_DT)
 
+    def test_non_positive_update_raises(self, monkeypatch):
+        # from the Gaussian's 4e-96 tail the third Newton update of the first
+        # stage overshoots below zero; the stage fails, and with no split
+        # left so does the step
+        monkeypatch.setattr(flow_module, "_MAX_SPLITS", 0)
+        state = make_state(lambda r: np.exp(-(r**2)), 0.75, 0.0, 3,
+                           n_cells=150, r_out=15.0)
+        with pytest.raises(StepFailure, match="leaves the density non-positive"):
+            step(state, BIG_DT)
+
     def test_step_budget_raises(self, stat, monkeypatch):
         monkeypatch.setattr(flow_module, "_MAX_STEPS", 3)
         with pytest.raises(StepFailure, match="exceeded 3 steps"):

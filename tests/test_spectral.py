@@ -278,6 +278,16 @@ class TestBandedSolve:
         self._check(op)
         assert counts[0] == 1
 
+    def test_model_start_bisects_on_a_coarse_grid(self, monkeypatch):
+        # the bisection is live for operators the builder makes: at
+        # (3, 1.98, 1.0002), d_gamma = 102, on 400 nodes, the solve from the
+        # model eigenfunction fails its first certificate and bisects (47
+        # counts here)
+        op = assemble(validate(3, 1.98, 1.0002), 0, 400)
+        counts = _count_calls(monkeypatch)
+        self._check(op)
+        assert counts[0] > 2
+
     @pytest.mark.parametrize("sector", [0, 1])
     def test_hardy_poincare_matches_sparse_reference(self, sector):
         self._check(_hardy_poincare_pencils(3, 2.0, 2000)[sector])
