@@ -100,29 +100,23 @@ class FlowMesh:
 
     @classmethod
     def graded(cls, d: int, gamma: float, n_cells: int = 400,
-               r_out: float = 25.0) -> "FlowMesh":
-        """Uniform core patch continued by a geometric tail.
+               r_out: float = 25.0, C: float = 1.0) -> "FlowMesh":
+        """Cells uniform in z = log(1 + s^2/C) on s in [0, s_out = r_out^alpha].
 
-        A quarter of the cells, at least 8, resolve the core s in [0, 1]
-        uniformly; beyond it the cell width grows geometrically up to
-        s_out = r_out^alpha.  The mobility of the thin outer tail grows like
-        s^2, so cells must widen at least linearly with s or the stiffness of
-        the tail outgrows that of the core.
+        The edges s = sqrt(C expm1(z)) are uniform in s^2 inside the scale
+        sqrt(C) of the stationary state (C + s^2)^(1/(m-1)), where it holds
+        its mass, and geometric beyond it.  The mobility of the thin outer
+        tail grows like s^2, so cells must widen at least linearly with s or
+        the stiffness of the tail outgrows that of the core.
         """
-        n_core = max(8, int(round(0.25 * n_cells)))
-        n_tail = n_cells - n_core
-        if n_tail < 1:
-            raise ParameterError(f"a graded mesh needs more cells than its "
-                                 f"{n_core} core cells, got n_cells={n_cells}")
-        if not 1.0 < r_out < math.inf:
-            raise ParameterError(f"r_out must lie in (1.0, inf), beyond the "
-                                 f"core radius, got r_out={r_out}")
+        if n_cells < 2 or not 0.0 < r_out < math.inf:
+            raise ParameterError(f"a flow mesh needs n_cells >= 2 and r_out in "
+                                 f"(0, inf), got n_cells={n_cells}, r_out={r_out}")
         alpha = 1.0 - gamma / 2.0
-        core = np.linspace(0.0, 1.0, n_core + 1)
-        ratio = (r_out ** alpha) ** (1.0 / n_tail)
-        tail = ratio ** np.arange(1, n_tail + 1)
+        s_out = r_out ** alpha
+        z = np.linspace(0.0, math.log1p(s_out * s_out / C), n_cells + 1)
         return cls((d - gamma) / alpha, alpha, sphere_area(d) / alpha,
-                   np.concatenate([core, tail]))
+                   np.sqrt(C * np.expm1(z)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,8 +161,8 @@ def stationary_profile(m: float, gamma: float, d: int, M: float) -> AnalyticProf
     so C is explicit; AmplitudeOverflow if C or its peak leaves the float range.
     """
     validate_m(d, gamma, m)
-    if M <= 0:
-        raise ParameterError(f"target mass must be positive, got {M}")
+    if not 0.0 < M < math.inf:
+        raise ParameterError(f"target mass must be finite and positive, got {M}")
     alpha = 1.0 - gamma / 2.0
     expo = (d - gamma) / (2.0 * alpha) - 1.0 / (1.0 - m)
     log_C = (math.log(M)
@@ -181,33 +175,39 @@ def stationary_profile(m: float, gamma: float, d: int, M: float) -> AnalyticProf
 
 def make_state(u0, m: float, gamma: float, d: int, n_cells: int = 400,
                r_out: float = 25.0) -> FlowState:
-    """Sample an initial datum onto a graded flow mesh.
+    """Sample an initial datum onto a flow mesh sized from its stationary state.
 
     u0, a callable of r or a RadialProfile (interpolated linearly), is
-    sampled at the radii of the cell centers.  Raises ParameterError unless
-    a RadialProfile spans them and every cell is finite and positive.
+    sampled at the cell centers of the mesh at C = 1, and then of the mesh at
+    the stationary C of the mass held there (within 1% of the fixed point at
+    mass 50).  Raises ParameterError unless every cell is finite and
+    positive and a RadialProfile spans the centers of the second mesh.
     """
     validate_m(d, gamma, m)
-    mesh = FlowMesh.graded(d, gamma, n_cells=n_cells, r_out=r_out)
-    r = mesh.radii
-    if isinstance(u0, RadialProfile):
-        if not u0.radii[0] <= r[0] <= r[-1] <= u0.radii[-1]:
-            raise ParameterError(f"the initial datum spans r in [{u0.radii[0]:.6g}, "
-                                 f"{u0.radii[-1]:.6g}], which must cover the cell "
-                                 f"centers at r in [{r[0]:.6g}, {r[-1]:.6g}]")
-        v = np.interp(r, u0.radii, u0.values)
-    else:
-        v = np.asarray(u0(r), dtype=float)
-    bad = ~(np.isfinite(v) & (v > 0.0))
-    if np.any(bad):
-        first = int(np.argmax(bad))
-        raise ParameterError(
-            f"the initial datum must be finite and positive in every cell, "
-            f"since the scheme moves no mass into an empty cell while the "
-            f"flow fills all space at once: {int(bad.sum())} of {v.size} "
-            f"cells are not, the first at r={r[first]:.6g} "
-            f"holding {float(v[first])!r}")
-    return FlowState(time=0.0, mesh=mesh, density=v, m=m)
+    C = 1.0
+    for sized in (False, True):
+        mesh = FlowMesh.graded(d, gamma, n_cells, r_out, C)
+        r = mesh.radii
+        if isinstance(u0, RadialProfile):
+            if sized and not u0.radii[0] <= r[0] <= r[-1] <= u0.radii[-1]:
+                raise ParameterError(
+                    f"the initial datum spans r in [{u0.radii[0]:.6g}, "
+                    f"{u0.radii[-1]:.6g}], which must cover the cell "
+                    f"centers at r in [{r[0]:.6g}, {r[-1]:.6g}]")
+            v = np.interp(r, u0.radii, u0.values)
+        else:
+            v = np.asarray(u0(r), dtype=float)
+        bad = ~(np.isfinite(v) & (v > 0.0))
+        if np.any(bad):
+            first = int(np.argmax(bad))
+            raise ParameterError(
+                f"the initial datum must be finite and positive in every cell, "
+                f"since no mass enters an empty cell while the flow fills all "
+                f"space at once: {int(bad.sum())} of {v.size} cells are not, "
+                f"the first at r={r[first]:.6g} holding {float(v[first])!r}")
+        state = FlowState(time=0.0, mesh=mesh, density=v, m=m)
+        C = stationary_profile(m, gamma, d, state.mass).b
+    return state
 
 
 class _Faces(NamedTuple):
@@ -466,7 +466,8 @@ def run_decay(u0, m: float, gamma: float, T: float, d: int = 3,
     A step spans at most _DECAY_FRACTION of the current decay time F/I, grows
     by at most _GROWTH over the previous step, starting from _DT0, and never
     exceeds T/64, so even a stationary start (F = I = 0) produces a resolved
-    series.  The step follows accuracy, not stability: ten steps stay well
+    series.  F/I counts only where F is above roundoff, _F_ROUNDOFF of the
+    mass.  The step follows accuracy, not stability: ten steps stay well
     under the decay time, so a series sampled every ten steps still resolves
     dF/dt = -I.
     """
@@ -478,9 +479,9 @@ def run_decay(u0, m: float, gamma: float, T: float, d: int = 3,
     stat = _stationary_for_state(state)
     F, I = free_energy(state, stat), fisher_information(state)
     rows = [(state.time, F, I, state.mass, 0.0)]  # t, F, I, mass, dt
-    steps, h_grow = 0, _DT0
+    steps, h_grow, floor = 0, _DT0, _F_ROUNDOFF * state.mass
     while state.time < T:
-        decay_time = F / I if F > 0.0 and I > 0.0 else math.inf
+        decay_time = F / I if F > floor and I > 0.0 else math.inf
         h = min(_DECAY_FRACTION * decay_time, h_grow, T / 64.0, T - state.time)
         state = step(state, h)
         F, I = free_energy(state, stat), fisher_information(state)
@@ -494,11 +495,10 @@ def run_decay(u0, m: float, gamma: float, T: float, d: int = 3,
 
 
 def fit_decay_rate(series: DecaySeries) -> float:
-    """Least-squares slope of -log F over the window F/F(0) in [1e-3, 1e-1]."""
-    F0 = series.F[0]
-    mask = (series.F > 0) & (series.F <= 1e-1 * F0) & (series.F >= 1e-3 * F0)
+    """Least-squares slope of -log F over the window F/F(0) in [1e-3, 1e-1],
+    without the rows at roundoff, where F is within _F_ROUNDOFF of the mass."""
+    F, F0 = series.F, series.F[0]
+    mask = (F > _F_ROUNDOFF * series.mass[0]) & (F <= 1e-1 * F0) & (F >= 1e-3 * F0)
     if mask.sum() < 8:
         raise DecayWindowTooShort(f"{mask.sum()} rows in the fit window, 8 needed")
-    t, logF = series.t[mask], np.log(series.F[mask])
-    slope = np.polyfit(t, logF, 1)[0]
-    return -float(slope)
+    return -float(np.polyfit(series.t[mask], np.log(F[mask]), 1)[0])

@@ -478,8 +478,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args", [["--record-every", "0"], ["--T", "0"],
                                       ["--T", "-1"], ["--r-out", "0"],
-                                      ["--cells", "0"], ["--cells", "7"],
-                                      ["--cells", "8"]])
+                                      ["--cells", "0"], ["--cells", "1"],
+                                      ["--mass", "nan"], ["--mass", "inf"],
+                                      ["--mass", "0"]])
     def test_flow_bad_run_input(self, args, capsys):
         assert main(["flow", "--cells", "50", *args]) == 2
         assert "parameter error" in capsys.readouterr().err
@@ -591,15 +592,25 @@ class TestExitCodes:
         assert out["result"]["lambda_min"] == 0.5461310313890737
 
     def test_flow_mesh_underflow_near_gamma_two(self, capsys):
-        # d_gamma = 202: s^d_gamma underflows to 0 on the first two core
-        # cells, whose volume 0 left the Newton system singular at t = 0
-        assert main(["flow", "--d", "3", "--gamma", "1.99", "--m", "0.998",
+        # d_gamma = 402: s^d_gamma underflows to 0 on the first cells, whose
+        # volume 0 would leave the Newton system singular at t = 0
+        assert main(["flow", "--d", "3", "--gamma", "1.995", "--m", "0.999",
                      "--T", "1", "--cells", "400"]) == 3
         err = capsys.readouterr().err
-        assert "AmplitudeOverflow" in err and "d_gamma = 202" in err
-        # a subnormal cell volume (d_gamma = 155.8) still holds its share
-        assert main(["flow", "--d", "3", "--gamma", "1.987", "--m", "0.997",
-                     "--T", "1", "--cells", "400"]) == 0
+        assert "AmplitudeOverflow" in err and "d_gamma = 402" in err
+
+    @pytest.mark.parametrize("gamma, m, cells, gate", [
+        ("1.987", "0.997", "200", 0.02), ("1.99", "0.998", "400", 0.05)],
+        ids=["d_gamma155.8", "d_gamma202"])
+    def test_flow_identity_near_gamma_two(self, gamma, m, cells, gate, tmp_path):
+        # a mesh with a uniform core on s in [0, 1] put 16 of 200 cells on the
+        # stationary mass at d_gamma = 155.8 and read a residual of 1.0, and
+        # at d_gamma = 202 left its first cells with volume 0; the mesh that
+        # follows sqrt(C) holds the mass, and dF/dt = -I holds within the gate
+        out = tmp_path / "f.json"
+        assert main(["flow", "--d", "3", "--gamma", gamma, "--m", m, "--T", "1",
+                     "--cells", cells, "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["result"]["max_identity_residual"] < gate
 
     def test_shoot_near_gamma_two(self, capfd):
         # the map back to r leaves the float range near the launch radius
@@ -630,7 +641,7 @@ class TestExitCodes:
         assert abs(mass[-1] - mass[0]) < 1e-10 * mass[0]
 
     def test_flow_rejects_datum_short_of_cell_centers(self, tmp_path, capsys):
-        # the first of 50 cell centers lies at r = 0.042, inside the datum's
+        # the first of 50 cell centers lies at r = 0.064, inside the datum's
         # gap below r = 0.1: no silent constant extension there
         datum = tmp_path / "datum.json"
         assert main(["profile", "--r-min", "0.1", "--r-max", "100",

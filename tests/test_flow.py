@@ -12,7 +12,7 @@ from cknlab.flow import (FlowMesh, fisher_information,
                          fit_decay_rate, free_energy, make_state, run_decay,
                          stationary_profile, step)
 from cknlab.params import validate
-from cknlab.profiles import w_star
+from cknlab.profiles import RadialProfile, w_star
 from cknlab.quadrature import log_beta_integral, sphere_area
 
 # a face term that divides by zero or overflows fails the suite
@@ -75,9 +75,10 @@ def _coslog(stat, a):
 
 # (gamma, m) from the flat mesh's gamma = 0 case to large gamma; m = 0.95 at
 # gamma = 1.8, where m must exceed 11/12
-OVER_GAMMA = pytest.mark.parametrize("gamma, m", [
+GAMMA_M = [
     pytest.param(0.0, 0.75, id="gamma0"), pytest.param(0.5, 0.75, id="gamma0.5"),
-    pytest.param(1.8, 0.95, id="gamma1.8")])
+    pytest.param(1.8, 0.95, id="gamma1.8")]
+OVER_GAMMA = pytest.mark.parametrize("gamma, m", GAMMA_M)
 
 
 class TestStep:
@@ -93,8 +94,8 @@ class TestStep:
     def test_mass_conserved_from_gaussian(self):
         state = make_state(lambda r: np.exp(-(r**2)), 0.75, 0.0, 3,
                            n_cells=150, r_out=15.0)
-        # the tail falls to 4e-96, where v^(m-1) is steep enough for the
-        # velocity cap to hold 44 of the 149 faces: the capped path runs
+        # the tail falls to 2e-96, where v^(m-1) is steep enough for the
+        # velocity cap to hold some of the 149 faces: the capped path runs
         assert np.count_nonzero(np.abs(state.faces.u) >= state.mesh.cap) > 0
         m0 = state.mass
         for _ in range(100):
@@ -106,7 +107,7 @@ class TestStep:
     def test_face_derivatives_match_finite_differences(self, stat, capped):
         # central differences of the flux in each neighbor, with a step of
         # 1e-6 of the cell's density; the capped state is the Gaussian above,
-        # whose 44 capped faces carry exactly zero derivatives
+        # whose capped faces carry exactly zero derivatives
         if capped:
             state = make_state(lambda r: np.exp(-(r**2)), 0.75, 0.0, 3,
                                n_cells=150, r_out=15.0)
@@ -115,7 +116,11 @@ class TestStep:
                                0.75, 0.0, 3, n_cells=200)
         mesh, v, faces = state.mesh, state.density, state.faces
         rough = np.abs(faces.u) >= mesh.cap
-        assert np.count_nonzero(rough) == (44 if capped else 0)
+        # the faces whose potential drop over the center spacing reaches the cap
+        psi = v ** (state.m - 1.0) - mesh.centers ** 2
+        assert np.array_equal(rough, np.abs(np.diff(psi) / np.diff(mesh.centers))
+                              >= mesh.cap)
+        assert np.any(rough) == capped
         assert np.all(faces.d_left[rough] == 0.0)
         assert np.all(faces.d_right[rough] == 0.0)
         # perturbing every other cell moves exactly one neighbor of each face
@@ -233,7 +238,7 @@ class TestStep:
             step(state, BIG_DT)
 
     def test_non_positive_update_raises(self, monkeypatch):
-        # from the Gaussian's 4e-96 tail the third Newton update of the first
+        # from the Gaussian's 2e-96 tail the third Newton update of the first
         # stage overshoots below zero; the stage fails, and with no split
         # left so does the step
         monkeypatch.setattr(flow_module, "_MAX_SPLITS", 0)
@@ -369,14 +374,28 @@ class TestRunDecay:
     @pytest.mark.parametrize("fill", [0.0, np.nan, np.inf, -1e-3])
     def test_datum_with_bad_cells_rejected(self, stat, fill):
         # no mass enters an empty cell, so a datum vanishing beyond r = 5
-        # (the last 75 of 200 cells) would stay frozen there instead of
-        # filling all space
+        # would stay frozen there instead of filling all space; the datum is
+        # first sampled on the mesh at C = 1, whose cells beyond r = 5 fail
         def truncated(r):
             return np.where(r < 5.0, stat(r), fill)
 
-        with pytest.raises(ParameterError, match="75 of 200 cells") as exc:
+        empty = np.count_nonzero(FlowMesh.graded(3, 0.0, 200).radii >= 5.0)
+        assert 0 < empty < 200
+        with pytest.raises(ParameterError, match=f" {empty} of 200 cells") as exc:
             run_decay(truncated, 0.75, 0.0, T=1.0, n_cells=200)
         assert "finite and positive in every cell" in str(exc.value)
+
+    def test_sampled_datum_spans_the_sized_mesh(self):
+        # at mass 1e-6 (C = 280) the mesh the state runs on starts at
+        # r = 1.29, while the mesh at C = 1 that sizes it starts at r = 0.19:
+        # a sampled datum must span the first, not the second
+        small = stationary_profile(0.75, 0.0, 3, 1e-6)
+        r = np.geomspace(0.74, 25.0, 400)
+        state = make_state(RadialProfile(r, small(r)), 0.75, 0.0, 3, n_cells=50)
+        assert r[0] <= state.mesh.radii[0] and state.mesh.radii[-1] <= r[-1]
+        short = np.geomspace(1.5, 25.0, 400)
+        with pytest.raises(ParameterError, match="must cover the cell centers"):
+            make_state(RadialProfile(short, small(short)), 0.75, 0.0, 3, n_cells=50)
 
     def test_energy_identity_and_bound(self, stat):
         pert = lambda r: stat(r) * (1.0 + 0.1 * np.cos(np.log(np.maximum(r, 1e-10))))
@@ -449,6 +468,34 @@ class TestRunDecay:
         radial_gap = info["by_sector"][0]
         assert rate == pytest.approx(radial_gap, rel=0.05)
 
+    def test_free_energy_at_roundoff_sets_no_step(self, monkeypatch):
+        # a bump out at s = 2^0.05, where the stationary state holds next to
+        # nothing: F(0) = 2e-57 and I(0) = 2e-28 are roundoff at mass 61, and
+        # steps of 0.02 F/I = 2e-31 would need over 1e30 steps to T; below
+        # _F_ROUNDOFF of the mass the rule takes no F/I step, and the run
+        # ends well inside a budget of 1000 steps
+        monkeypatch.setattr(flow_module, "_MAX_STEPS", 1000)
+        gamma, m = 1.9, 0.99545  # m at 90% of its range
+        B = stationary_profile(m, gamma, 3, 50.0)
+        series = run_decay(lambda r: B(r) * (1.0 + 5.0 * np.exp(-(r - 2.0) ** 2 / 0.1)),
+                           m, gamma, T=0.5, n_cells=100, r_out=15.0)
+        assert series.t[-1] == 0.5
+        assert np.all(np.abs(series.F) <= flow_module._F_ROUNDOFF * series.mass[0])
+        with pytest.raises(DecayWindowTooShort):
+            fit_decay_rate(series)
+
+    def test_fit_reads_no_row_at_roundoff(self, stat):
+        # F(0) is 1e-10 of the mass, so the lower part of the fit window lies
+        # under the roundoff floor, where F is noise; the fit reads the rows
+        # above it only, which decay at rate 5 exactly
+        t = np.linspace(0.0, 2.0, 201)
+        floor = flow_module._F_ROUNDOFF * 50.0
+        F = 1e-10 * 50.0 * np.exp(-5.0 * t)
+        F = np.where(F > floor, F, floor * (0.5 + 0.4 * np.sin(37.0 * t)))
+        series = flow_module.DecaySeries(t, F, 5.0 * F, np.full(t.size, 50.0),
+                                         np.zeros(t.size), stat, None)
+        assert fit_decay_rate(series) == pytest.approx(5.0, rel=1e-10)
+
     def test_short_window_is_a_named_error(self, stat):
         # a run too short for F to fall below F(0)/10 leaves the fit window
         # empty, which ckn flow reports as a fitted_rate of null
@@ -473,13 +520,21 @@ class TestMesh:
         assert state == state and state != other
 
     def test_graded_mesh_structure(self):
-        mesh = FlowMesh.graded(3, 0.5, n_cells=100, r_out=20.0)
+        # edges uniform in z = log(1 + s^2/C) from s = 0 to s_out = r_out^alpha
+        C = 0.3
+        mesh = FlowMesh.graded(3, 0.5, n_cells=100, r_out=20.0, C=C)
+        s_out = 20.0 ** self.ALPHA
         assert mesh.edges[0] == 0.0
-        assert mesh.edges[-1] == pytest.approx(20.0 ** self.ALPHA, rel=1e-14)
+        assert mesh.edges[-1] == pytest.approx(s_out, rel=1e-14)
         assert np.all(np.diff(mesh.edges) > 0)
-        # a uniform core of 25 cells on s in [0, 1]
-        assert np.allclose(mesh.edges[:26], np.linspace(0.0, 1.0, 26),
-                           rtol=0.0, atol=1e-15)
+        z = np.log1p(mesh.edges ** 2 / C)
+        np.testing.assert_allclose(z, np.linspace(0.0, np.log1p(s_out**2 / C), 101),
+                                   rtol=1e-13, atol=0.0)
+        # so the steps in s^2 grow by e^dz per cell: nearly uniform inside
+        # sqrt(C), and beyond it the cells widen geometrically, by e^(dz/2)
+        dz = z[1]
+        tail = mesh.edges[-10:]
+        assert np.allclose(tail[1:] / tail[:-1], math.exp(0.5 * dz), rtol=1e-3)
         assert np.allclose(mesh.radii, mesh.centers ** (1.0 / self.ALPHA),
                            rtol=1e-14)
         # exact weighted volumes: the cell integrals of s^(d_gamma-1)
@@ -488,14 +543,26 @@ class TestMesh:
                for a, b in zip(mesh.edges[:-1], mesh.edges[1:])]
         assert np.allclose(mesh.vol_w, vol, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("kwargs", [{"n_cells": 0}, {"n_cells": 7},
-                                        {"n_cells": 8}, {"r_out": 0.0},
-                                        {"r_out": 1.0}])
+    @pytest.mark.parametrize("kwargs", [{"n_cells": 0}, {"n_cells": 1},
+                                        {"n_cells": -3}, {"r_out": 0.0},
+                                        {"r_out": -1.0}, {"r_out": math.inf},
+                                        {"r_out": math.nan}])
     def test_graded_mesh_rejects_bad_input(self, kwargs):
-        # the core patch holds 8 cells on [0, 1]; the tail needs at least one
-        # more cell and an outer radius beyond the core
+        # a mesh needs two cells for a face, and an outer radius in (0, inf)
         with pytest.raises(ParameterError):
             FlowMesh.graded(3, 0.0, **({"n_cells": 100, "r_out": 20.0} | kwargs))
+
+    # up to d_gamma = 155.8 at (3, 1.987), where m must exceed 0.9936
+    @pytest.mark.parametrize("gamma, m", [
+        *GAMMA_M, pytest.param(1.987, 0.997, id="gamma1.987")])
+    def test_mesh_spreads_the_stationary_mass(self, gamma, m):
+        # the mesh follows sqrt(C), where the stationary state holds its
+        # mass: no cell of 200 holds a tenth of it, up to (3, 1.987, 0.997),
+        # where a uniform core on s in [0, 1] put 30% in one cell
+        stat = stationary_profile(m, gamma, 3, 50.0)
+        state = make_state(stat, m, gamma, 3, n_cells=200)
+        share = state.mesh.area * state.mesh.vol_w * state.density / state.mass
+        assert share.max() < 0.1
 
     def test_mesh_constants(self):
         # the potential r^(2-gamma) is s^2, whose drift 2 s is largest at
@@ -509,8 +576,8 @@ class TestMesh:
                            ** (self.D_GAMMA - 1.0), rtol=1e-14, atol=0.0)
 
     def test_graded_mesh_smallest(self):
-        mesh = FlowMesh.graded(3, 0.0, n_cells=9, r_out=20.0)
-        assert mesh.centers.size == 9
+        mesh = FlowMesh.graded(3, 0.0, n_cells=2, r_out=20.0)
+        assert mesh.centers.size == 2
         assert np.all(np.diff(mesh.edges) > 0)
 
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan],
