@@ -11,8 +11,14 @@ The energy E = v'^2/2 + v^(2p)/(2p) - v^(p+1)/(p+1) only decreases along a
 trajectory and is >= 0 wherever v = 0, so each shot is classed exactly: it
 crosses zero when it reaches v = 0, and is plateau-bound once E < 0.  Each
 shot integrates the unit-peak form u = v/v0, whose one parameter is
-lam = v0^(p-1); the bisection on lam keeps a certified bracket
+lam = v0^(p-1); the search on lam keeps a certified bracket
 [plateau start, crossing start] around the ground state.
+
+Near the ground state a shot leaves the separatrix at a radius sigma_event
+with sigma_event^-mu linear in lam - lam*, mu the unstable exponent of the
+saddle the separatrix tends to.  So the search places each start at the
+zero of a secant through two shots on one side, pushed just across, and
+needs far fewer shots than bisection.
 """
 
 import numpy as np
@@ -32,13 +38,31 @@ for v0 in (1.01, 2.0, 4.0, 6.0, 6.5, 8.0):
     res = integrate_ode(d_gamma, pp.p, v0)
     print(f"  v0 = {v0:5.2f} -> {res.classification.value}")
 
-print("\n== bisection to the separatrix ==")
+print("\n== departure radii near the separatrix ==")
+# positive root of mu^2 + (d_gamma - 2 - 2a) mu - (p-1) a (a + 2 - d_gamma),
+# a = 2/(p-1), and the ground state's lam* = v0*^(p-1) = p(2-gamma)/eta
+a = 2.0 / (pp.p - 1.0)
+b = d_gamma - 2.0 - 2.0 * a
+mu = 0.5 * (np.sqrt(b * b + 4.0 * (pp.p - 1.0) * a * (a + 2.0 - d_gamma)) - b)
+lam_star = pp.p * (2.0 - pp.gamma) / ex.eta
+print(f"  unstable exponent mu = {mu:.6f}")
+for rel in (1e-3, 1e-5, 1e-7):
+    for side in (1.0, -1.0):
+        lam = lam_star * (1.0 + side * rel)
+        res = integrate_ode(d_gamma, pp.p, lam ** (1.0 / (pp.p - 1.0)))
+        print(f"  lam - lam* = {lam - lam_star:+.1e}: {res.classification.value:17s}"
+              f" sigma_event = {res.sigma_event:8.2f},"
+              f" sigma_event^-mu / |lam - lam*| = "
+              f"{res.sigma_event ** -mu / abs(lam - lam_star):.4e}")
+
+print("\n== search for the separatrix ==")
 res = find_ground_state(pp, tol=1e-8)
 exact = (pp.p * (2.0 - pp.gamma) / ex.eta) ** (1.0 / (pp.p - 1.0))
 print(f"  found  v0 = {res.v0:.10f}")
 print(f"  closed form (p(2-gamma)/eta)^(1/(p-1)) = {exact:.10f}")
 print(f"  relative difference = {abs(res.v0 - exact) / exact:.2e}")
-print(f"  bisection evaluations: {len(res.bisection_history)}")
+print(f"  shots: {len(res.bisection_history)}, {res.model_picks} placed by the "
+      f"departure law, {res.midpoint_picks} at a midpoint")
 lo, hi = res.bracket
 print(f"  certified bracket [{lo:.10f}, {hi:.10f}], width {(hi - lo) / hi:.1e}")
 

@@ -40,14 +40,21 @@ def launch(d_gamma, p, v0, s0=1e-6):
 
 
 def reference_class(d_gamma, p, v0, stop_on_decay=False):
-    """Class of a shot by solve_ivp's event detection.
+    """Class of a shot by solve_ivp's event detection."""
+    return reference_shot(d_gamma, p, v0, stop_on_decay)[0]
+
+
+def reference_shot(d_gamma, p, v0, stop_on_decay=False):
+    """Class of a shot and the radius s of its terminal event, by solve_ivp.
 
     The events, their order and the E(v0) <= 0 shortcut are the module's,
     in v and s in place of the module's unit-peak variables; solve_ivp also
-    detects an event only by a sign change between step ends.
+    detects an event only by a sign change between step ends, and then
+    locates it on its dense output.  The radius is None where no event ends
+    the shot.
     """
     if v0 ** (p - 1.0) <= 2.0 * p / (p + 1.0):
-        return Classification.DIVERGES_TO_PLATEAU
+        return Classification.DIVERGES_TO_PLATEAU, None
 
     def crossed(s, y):
         return y[0]
@@ -70,8 +77,43 @@ def reference_class(d_gamma, p, v0, stop_on_decay=False):
                     rtol=1e-12, atol=1e-14, events=[e for e, _ in events])
     assert sol.success, sol.message
     # solve_ivp records only the first terminal event it meets
-    return next((c for (_, c), t in zip(events, sol.t_events) if t.size),
-                Classification.GROUND_STATE)
+    return next(((c, t[0]) for (_, c), t in zip(events, sol.t_events) if t.size),
+                (Classification.GROUND_STATE, None))
+
+
+def unstable_exponent(d_gamma, p):
+    """Positive root of mu^2 + (d_gamma - 2 - 2a) mu - (p-1) a (a + 2 - d_gamma),
+    a = 2/(p-1): the exponent of the saddle the separatrix tends to in
+    w = sigma^a u over log sigma."""
+    a = 2.0 / (p - 1.0)
+    roots = np.roots([1.0, d_gamma - 2.0 - 2.0 * a,
+                      -(p - 1.0) * a * (a + 2.0 - d_gamma)])
+    return float(np.max(roots.real))
+
+
+# shots that bisection on lam took at each point of
+# TestFindGroundState.test_recovers_closed_form_peak and test_near_p_max_solves;
+# the departure law may take at most two more anywhere, and at most 20 at the
+# corners of the benchmark's shoot box
+BISECTION_SHOTS = {
+    (3, 0.0, 2.0, 1e-6): 45, (3, 0.5, 2.0, 1e-6): 44, (4, 0.25, 1.5, 1e-4): 37,
+    (3, 0.0, 2.0, 1e-8): 59, (3, 0.5, 2.0, 1e-8): 57, (4, 0.25, 1.5, 1e-8): 37,
+    (3, 1.5, 1.49, 1e-8): 43, (3, 1.9, 1.05, 1e-8): 41,
+    (3, 0.2, 1.95, 1e-8): 38, (3, 0.2, 2.05, 1e-8): 35,
+    (3, 0.3, 1.95, 1e-8): 38, (3, 0.3, 2.05, 1e-8): 33,
+    # a search in v0, not lam, took 105 shots here
+    (3, 1.98, 1.005, 1e-8): 48,
+    (3, 0.0, 2.5, 1e-8): 54, (3, 0.0, 2.8, 1e-8): 51, (3, 0.0, 2.9, 1e-8): 63,
+    (3, 0.0, 2.96, 1e-8): 67, (3, 0.0, 2.99, 1e-8): 71,
+}
+SHOOT_BOX_CORNERS = {(3, 0.2, 1.95), (3, 0.2, 2.05), (3, 0.3, 1.95), (3, 0.3, 2.05)}
+
+
+def assert_shot_count(res, d, gamma, p, tol):
+    shots = len(res.bisection_history)
+    assert shots <= BISECTION_SHOTS[d, gamma, p, tol] + 2, shots
+    if (d, gamma, p) in SHOOT_BOX_CORNERS:
+        assert shots <= 20, shots
 
 
 class TestFlatVariables:
@@ -113,6 +155,7 @@ class TestIntegrateOde:
         d_gamma, _ = to_flat_variables(pp)
         res = integrate_ode(d_gamma, pp.p, 4.0)
         assert res.classification is Classification.GROUND_STATE
+        assert res.sigma_event is None  # no event before s_max
         s = res.profile.radii
         exact = (ex.a_gamma / (ex.b_gamma + ((2.0 - pp.gamma) / 2.0) ** 2 * s**2)) \
             ** (1.0 / (pp.p - 1.0))
@@ -135,7 +178,7 @@ class TestIntegrateOde:
         d_gamma, _ = to_flat_variables(validate(3, 0.0, 2.0))
         res = integrate_ode(d_gamma, 2.0, 0.5)
         assert res.classification is Classification.DIVERGES_TO_PLATEAU
-        assert res.profile is None
+        assert res.profile is None and res.sigma_event is None
 
     def test_classify_only_shot_has_no_profile(self):
         d_gamma, _ = to_flat_variables(validate(3, 0.0, 2.0))
@@ -183,6 +226,46 @@ class TestIntegrateOde:
         s, v = res.profile.radii, res.profile.values
         assert s[0] == 1e-6 and 1e-5 < v[-1] < 1e-4
         assert 100 < s.size < 1000
+
+    def test_event_radius_matches_reference(self):
+        # sigma_event, in sigma = s sqrt(lam), is where solve_ivp locates the
+        # terminal event in s: the zero crossing or E = 0
+        for d, gamma, p in [(3, 0.0, 2.0), (3, 0.5, 2.0), (4, 0.25, 1.5)]:
+            d_gamma, _ = to_flat_variables(validate(d, gamma, p))
+            peak = closed_form_peak(d, gamma, p)
+            classes = set()
+            for v0 in peak * np.array([0.5, 0.9, 0.999, 1.001, 1.1, 2.0]):
+                res = integrate_ode(d_gamma, p, v0)
+                cls, s_event = reference_shot(d_gamma, p, v0)
+                assert res.classification is cls, (d, gamma, p, v0)
+                s_got = res.sigma_event / v0 ** (0.5 * (p - 1.0))
+                assert s_got == pytest.approx(s_event, rel=1e-6), (d, gamma, p, v0)
+                classes.add(cls)
+            assert classes == {Classification.CROSSES_ZERO,
+                               Classification.DIVERGES_TO_PLATEAU}
+
+    def test_departure_law(self):
+        # a shot started dlam off lam* leaves the separatrix where
+        # sigma_event^-mu is linear in |dlam|, with one slope on each side:
+        # the ratio tends to a constant, to within 2% from |dlam|/lam* = 1e-3
+        # and 0.5% from 1e-4 down to 1e-7 (lam = v0 at p = 2)
+        rel = np.geomspace(1e-3, 1e-7, 9)
+        for gamma in (0.5, 0.25):
+            d_gamma, _ = to_flat_variables(validate(3, gamma, 2.0))
+            mu = unstable_exponent(d_gamma, 2.0)
+            assert shooting._departure_exponent(d_gamma, 2.0) == pytest.approx(
+                mu, rel=1e-12)
+            lam_star = closed_form_peak(3, gamma, 2.0)
+            for side, cls in [(1.0, Classification.CROSSES_ZERO),
+                              (-1.0, Classification.DIVERGES_TO_PLATEAU)]:
+                lam = lam_star * (1.0 + side * rel)
+                shots = [integrate_ode(d_gamma, 2.0, x) for x in lam]
+                assert all(r.classification is cls for r in shots)
+                ratio = np.array([r.sigma_event ** -mu for r in shots]) \
+                    / np.abs(lam - lam_star)
+                assert ratio.max() / ratio.min() - 1.0 <= 0.02, (gamma, side)
+                near = ratio[rel <= 1e-4]
+                assert near.max() / near.min() - 1.0 <= 0.005, (gamma, side)
 
     def test_integrator_failure_raises(self, monkeypatch):
         monkeypatch.setattr(shooting, "_MAX_STEPS", 5)
@@ -271,9 +354,9 @@ class TestFindGroundState:
         lo, hi = res.bracket
         assert lo < res.v0 < hi and (hi - lo) / hi <= tol
         assert lo <= expected <= hi
-        if p < 1.01:
-            # lam is bisected, not v0: a search in v0 took 105 shots here
-            assert len(res.bisection_history) <= 60
+        # the departure law places the starts in lam, not v0, and ITP's bound
+        # keeps each search close to bisection's count
+        assert_shot_count(res, d, gamma, p, tol)
 
     def test_undecided_span_wider_than_tol_raises(self, monkeypatch):
         # at (3, 0, 2.5) the starts that reach s_max = 2e3 undecided span more
@@ -299,6 +382,7 @@ class TestFindGroundState:
         lo, hi = res.bracket
         assert lo <= expected <= hi
         assert res.s_max > shooting._S_MAX
+        assert_shot_count(res, 3, 0.0, p, 1e-8)
 
     def test_start_beyond_float_range_raises(self, monkeypatch):
         # a start whose peak passes the end, here moved down to 3 at
@@ -400,6 +484,17 @@ class TestFindGroundState:
                    for v0 in np.geomspace(1.0001, 40.0, 25)]
         flips = sum(1 for a, b in zip(classes, classes[1:]) if a is not b)
         assert flips == 1
+
+    def test_picks_counted(self):
+        # at (3, 0.5, 2) the departure law places most starts; at (3, 0, 2)
+        # the doubling's start 4 is the ground state itself, undecided, so
+        # every start after the three of the doubling is a midpoint, but the
+        # last, which re-runs the undecided one
+        res = find_ground_state(validate(3, 0.5, 2.0), tol=1e-8)
+        assert res.model_picks > 2 * res.midpoint_picks
+        res = find_ground_state(validate(3, 0.0, 2.0), tol=1e-8)
+        assert res.model_picks == 0
+        assert res.midpoint_picks == len(res.bisection_history) - 4
 
     def test_history_recorded(self):
         res = find_ground_state(validate(3, 0.0, 2.0), tol=1e-4)
