@@ -145,8 +145,8 @@ class AnalyticProfile:
 
     def _log1p_x(self, r):
         """log(1 + x), x = r^c/b, as softplus(log x): finite where x is not."""
-        z = xlogy(self.c, np.asarray(r, dtype=float)) - math.log(self.b)
-        return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        return _softplus(xlogy(self.c, np.asarray(r, dtype=float))
+                         - math.log(self.b))
 
     def __call__(self, r):
         return np.exp(self.log(r))
@@ -158,6 +158,12 @@ class AnalyticProfile:
         itself underflows to 0.
         """
         return self.log_peak - self.k * self._log1p_x(r)
+
+    def log_of_log(self, log_r):
+        """log w at r = exp(log_r), read from log_r: log x = c log_r - log b
+        takes no log, so a grid held in log form costs none."""
+        return self.log_peak - self.k * _softplus(self.c * log_r
+                                                  - math.log(self.b))
 
     def _w_and_t(self, r):
         """w(r) and t = r^c/(b + r^c) = 1 - exp(-log(1 + r^c/b))."""
@@ -222,6 +228,11 @@ class AnalyticProfile:
         return AnalyticProfile(log_peak=self.log_peak + math.log(amp_factor),
                                b=self.b * dilation ** (-self.c), c=self.c,
                                k=self.k)
+
+
+def _softplus(z):
+    """log(1 + exp(z)), finite where exp(z) is not."""
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 #: log of the largest float

@@ -30,14 +30,18 @@ The measure is (s/s_c)^(d-1), s_c = sqrt(s_min s_max), which stays in the
 float range in any real dimension d; it scales both forms alike.
 Discretization is piecewise-linear finite elements with per-cell Gauss
 quadrature: the forms stay symmetric and tridiagonal, and the discrete
-eigenvalues are variational upper bounds.  An operator holds each form as
+eigenvalues are variational upper bounds.  The grid is held in log form:
+the logs of its Gauss nodes are formed once from log s, and every weight is
+the exp of a sum of logs, read from them.  An operator holds each form as
 its two bands, and its start: the model eigenfunction its builder sized the
 grid for, on the interior nodes.  Every eigensolve works on the bands alone
 with LAPACK's tridiagonal kernels: inverse iteration on the positive
 definite A - SHIFT B (dpttrf, dpttrs) from the start, then
-Rayleigh-quotient iteration on A - lambda B (dgtsv).  A Sturm count
-(dstebz) on the equilibrated A - sigma B certifies, by Sylvester's law of
-inertia, that no eigenvalue lies below the one returned.  The zero-mean
+Rayleigh-quotient iteration on A - lambda B (dgtsv).  The equilibrated
+A - sigma B certifies, by Sylvester's law of inertia, that no eigenvalue
+lies below the one returned: a factorization (dpttrf) with positive pivots
+does, and only past a pivot that is not positive does a Sturm count
+(dstebz) count the eigenvalues below sigma.  The zero-mean
 constraint is imposed exactly, through bordered (KKT) systems, never by a
 penalty.
 """
@@ -47,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs, dstebz
@@ -65,8 +70,8 @@ _GL_X = 0.5 * (1.0 + np.array([-0.8611363115940526, -0.3399810435848563,
 _GL_W = 0.5 * np.array([0.3478548451374538, 0.6521451548625461,
                         0.6521451548625461, 0.3478548451374538])
 # products of a cell's falling and rising hats at the Gauss nodes, weighted:
-# the columns give the left diagonal, right diagonal and off-diagonal entry
-_GL_HATS = _GL_W[:, None] * np.column_stack(
+# the rows give the left diagonal, right diagonal and off-diagonal entry
+_GL_HATS = _GL_W * np.vstack(
     [(1.0 - _GL_X) ** 2, _GL_X ** 2, (1.0 - _GL_X) * _GL_X])
 
 # shift of the inverse iteration, a strict lower bound of every pencil
@@ -104,37 +109,53 @@ CERT_GAP = 1e-9
 BISECT_TOL = 4e-14
 
 
-def _grid(scale: float, pairs, n: int) -> np.ndarray:
+class _Mesh(NamedTuple):
+    """A grid r in log form: its nodes, their logs, the cell widths h and the
+    logs of the Gauss nodes, where weights are sampled: one row per Gauss
+    point, one column per cell."""
+
+    r: np.ndarray
+    log_r: np.ndarray
+    h: np.ndarray
+    log_nodes: np.ndarray
+
+
+def _mesh(log_r: np.ndarray) -> _Mesh:
+    """The grid r = exp(log_r).  A cell's Gauss node r_i + h_i X is
+    r_i (1 + expm1(Delta_i) X), Delta_i the cell's width in log r, so its log
+    is exact on any grid and takes no log of a node."""
+    r = np.exp(log_r)
+    rise = np.expm1(np.diff(log_r))
+    return _Mesh(r, log_r, r[:-1] * rise,
+                 log_r[:-1] + np.log1p(_GL_X[:, None] * rise))
+
+
+def _grid(scale: float, pairs, n: int) -> _Mesh:
     """n geometric nodes between the tail_bounds of the integrand pairs."""
     if n < MIN_NODES:
         raise ParameterError(f"a sector solve needs a grid of at least "
                              f"{MIN_NODES} nodes, got {n}")
-    return np.geomspace(*tail_bounds(scale, pairs), n)
+    lo, hi = tail_bounds(scale, pairs)
+    return _mesh(np.linspace(math.log(lo), math.log(hi), n))
 
 
-def _gauss_nodes(r: np.ndarray) -> np.ndarray:
-    """The Gauss nodes of grid r, one row per cell: where weights are sampled."""
-    h = np.diff(r)
-    return r[:-1, None] + h[:, None] * _GL_X[None, :]
-
-
-def _tri_mass(r: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tri_mass(h: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal FE mass matrix for int f g weight(r) dr: (diag, off).
 
-    weight holds the weight's values at _gauss_nodes(r).
+    h holds the cell widths, weight the weight's values at the Gauss nodes.
     """
-    h = np.diff(r)
-    d_l, d_r, off = ((weight @ _GL_HATS) * h[:, None]).T
-    diag = np.zeros(r.size)
+    d_l, d_r, off = (_GL_HATS @ weight) * h
+    diag = np.zeros(h.size + 1)
     diag[:-1] += d_l
     diag[1:] += d_r
     return diag, off
 
 
-def _tri_grad(r: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal FE stiffness for int f' g' weight(r) dr, weight at _gauss_nodes(r)."""
-    coeff = (weight @ _GL_W) / np.diff(r)
-    diag = np.zeros(r.size)
+def _tri_grad(h: np.ndarray, weight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal FE stiffness for int f' g' weight(r) dr, on cells of width
+    h, weight at the Gauss nodes."""
+    coeff = (_GL_W @ weight) / h
+    diag = np.zeros(h.size + 1)
     diag[:-1] += coeff
     diag[1:] += coeff
     return diag, -coeff
@@ -177,16 +198,17 @@ class SectorOperator:
                 / float(f @ _apply(self.mass_matrix, f)))
 
 
-def _sector_pencils(r: np.ndarray, d: float, ells, log_starts, rho,
+def _sector_pencils(mesh: _Mesh, d: float, ells, log_starts, rho,
                     omega=None, potential=None,
                     constraint=None) -> list[SectorOperator]:
-    """The pencils (A, B) of the module docstring on grid r (its s), one per ell.
+    """The pencils (A, B) of the module docstring on the mesh (its r is s),
+    one per ell.
 
     ell >= 0 may be real.  log_starts holds, per ell, the log of the model
     eigenfunction at the nodes r, which is scaled to unit max before its
     exp: a model such as t^2000 leaves the float range, its start does not.
-    The weights are their values at _gauss_nodes(r); omega None means 1,
-    potential None means 0.  The measure is
+    The weights are their values at the mesh's Gauss nodes; omega None
+    means 1, potential None means 0.  The measure is
     (r/r_c)^(d-1), r_c the geometric centre of the grid, so the centrifugal
     band carries 1/r_c^2.  The ell = 0 operator carries the load vector of
     the constraint weight (rho, from its own bands, when None), the discrete
@@ -194,34 +216,37 @@ def _sector_pencils(r: np.ndarray, d: float, ells, log_starts, rho,
     assembled once for all sectors.  The outer boundary is Dirichlet (its
     node is dropped), the inner one natural.
     """
-    r_c = math.sqrt(r[0] * r[-1])
-    x = _gauss_nodes(r) / r_c
+    r, h = mesh.r, mesh.h
+    log_r_c = 0.5 * (mesh.log_r[0] + mesh.log_r[-1])
+    r_c = math.exp(log_r_c)
+    log_x = mesh.log_nodes - log_r_c
     # past the float range the measure makes B infinite, which the mass
-    # check below would report as singular; x^(d-3) stays below it past x = 1
-    log_top = (d - 1.0) * math.log(x.max())
+    # check below would report as singular; x^(d-3) stays below it past x = 1.
+    # The last Gauss node is the outermost
+    log_top = (d - 1.0) * float(log_x[-1, -1])
     if log_top > LOG_FLOAT_MAX:
         raise AmplitudeOverflow(f"the measure (s/s_c)^(d_gamma-1) reaches "
                                 f"exp({log_top:.1f}) at the grid's outer end, "
                                 f"past the float range, at d_gamma = {d:g}")
-    measure = x ** (d - 1.0)
+    measure = np.exp((d - 1.0) * log_x)
 
     def measured(weight):
         return measure if weight is None else weight * measure
 
-    diag_a, off_a = _tri_grad(r, measured(omega))
+    diag_a, off_a = _tri_grad(h, measured(omega))
     if potential is not None:
-        diag_v, off_v = _tri_mass(r, measured(potential))
+        diag_v, off_v = _tri_mass(h, measured(potential))
         diag_a, off_a = diag_a + diag_v, off_a + off_v
     if max(ells) > 0:
-        centrifugal = x ** (d - 3.0)
-        diag_c, off_c = _tri_mass(r, centrifugal if omega is None
+        centrifugal = np.exp((d - 3.0) * log_x)
+        diag_c, off_c = _tri_mass(h, centrifugal if omega is None
                                   else omega * centrifugal)
-    diag_b, off_b = _tri_mass(r, measured(rho))
+    diag_b, off_b = _tri_mass(h, measured(rho))
     if np.any(diag_b <= 0.0) or not np.all(np.isfinite(diag_b)):
         raise SingularMass("weight underflow produced a singular mass matrix")
     if 0 in ells:
         load = _load(*((diag_b, off_b) if constraint is None else
-                       _tri_mass(r, measured(constraint))))
+                       _tri_mass(h, measured(constraint))))
     mass = (diag_b[:-1], off_b[:-1])
     ops = []
     for ell, log_start in zip(ells, log_starts):
@@ -236,12 +261,12 @@ def _sector_pencils(r: np.ndarray, d: float, ells, log_starts, rho,
     return ops
 
 
-def _unit_optimizer(flat: ProblemParams, x: np.ndarray):
-    """(log u(x), a/b) for the optimizer w of a gamma = 0 triple, u = w/w(0)
-    its unit-peak form and a/b = w(0)^(p-1)."""
+def _unit_optimizer(flat: ProblemParams):
+    """(u, a/b) for the optimizer w of a gamma = 0 triple, u = w/w(0) its
+    unit-peak form and a/b = w(0)^(p-1)."""
     ex = derive(flat)
     u = AnalyticProfile(log_peak=0.0, b=ex.b_gamma, c=2.0, k=1.0 / (flat.p - 1.0))
-    return u.log(x), ex.a_gamma / ex.b_gamma
+    return u, ex.a_gamma / ex.b_gamma
 
 
 def assemble(params: ProblemParams, ell: int, n: int = 2000) -> SectorOperator:
@@ -270,21 +295,22 @@ def assemble(params: ProblemParams, ell: int, n: int = 2000) -> SectorOperator:
     sigma = 0.5 * (nu + ell_f)
     grad = ((2.0 * ell_f + d_g - 2.0, 2.0 * sigma) if ell_f > 0
             else (d_g + 2.0, 2.0 * sigma + 2.0))
-    s = _grid(math.sqrt(ex.b_gamma), [
+    mesh = _grid(math.sqrt(ex.b_gamma), [
         (d_g + 2.0, 2.0 * k + 2.0), (d_g, (p + 1.0) * k), (d_g, 2.0 * p * k),
         (2.0 * ell_f + d_g, 2.0 * sigma + 2.0), grad], n)
     # log u once for every weight: w^(p-1) = (a/b) u^(p-1); the zero-mean
     # weight is u^(2p-1), w^(2p-1) over its peak: a constant factor keeps
     # the constraint
-    log_u, ab = _unit_optimizer(flat, _gauss_nodes(s))
-    u_2p2 = np.exp((2.0 * p - 2.0) * log_u)
-    log_t = np.log(s / math.sqrt(ex.b_gamma))
+    u, ab = _unit_optimizer(flat)
+    log_u = u.log_of_log(mesh.log_nodes)
+    u_p1 = np.exp((p - 1.0) * log_u)
+    rho = (2.0 * p - 1.0) * ab * ab * (u_p1 * u_p1)
+    # the start, with (1 + t^2)^(-sigma) = u^(sigma (p-1)) at the nodes
+    log_t = mesh.log_r - 0.5 * math.log(ex.b_gamma)
     (op,) = _sector_pencils(
-        s, d_g, [ell_f],
-        [ell_f * log_t - sigma * np.logaddexp(0.0, 2.0 * log_t)],
-        potential=(p * ab * np.exp((p - 1.0) * log_u)
-                   - (2.0 * p - 1.0) * ab * ab * u_2p2),
-        rho=(2.0 * p - 1.0) * ab * ab * u_2p2,
+        mesh, d_g, [ell_f],
+        [ell_f * log_t + sigma * (p - 1.0) * u.log_of_log(mesh.log_r)],
+        potential=p * ab * u_p1 - rho, rho=rho,
         constraint=np.exp((2.0 * p - 1.0) * log_u) if ell == 0 else None)
     return op
 
@@ -349,20 +375,27 @@ def _equilibration(op: SectorOperator) -> np.ndarray:
     return 1.0 / np.sqrt(a_diag - SHIFT * b_diag)
 
 
-def _count_below(op: SectorOperator, sigma: float) -> int:
+def _count_below(op: SectorOperator, sigma: float,
+                 scale: np.ndarray | None = None) -> int:
     """Number of pencil eigenvalues below sigma on c^T x = 0.
 
     By Sylvester's law of inertia it is the number of negative eigenvalues
-    of M = D (A - sigma B) D, D = _equilibration(op), which LAPACK's dstebz
-    counts by Sturm sequences: on (-2 g, 0], g a Gershgorin bound, with a
-    tolerance wider than the interval, so that it counts and does not
+    of M = D (A - sigma B) D, D = scale, _equilibration(op) when None.
+    LAPACK's dpttrf factors M first: if every pivot is positive, M is
+    positive definite, so it is on c^T x = 0 too, and the count is 0.
+    Past a pivot that is not positive, LAPACK's dstebz counts the negative
+    eigenvalues by Sturm sequences: on (-2 g, 0], g a Gershgorin bound, with
+    a tolerance wider than the interval, so that it counts and does not
     bisect.  A constraint adds Haynsworth's term for the border
     c_tilde = D c, scaled to unit max: -1 unless c_tilde^T M^-1 c_tilde > 0.
     Unscaled, that quantity can sit near 1e-40 and take the wrong sign.  A
     singular M counts as one eigenvalue below sigma.
     """
-    scale = _equilibration(op)
+    if scale is None:
+        scale = _equilibration(op)
     diag, off = _scaled(op, scale, sigma)
+    if dpttrf(diag, off)[2] == 0:
+        return 0
     ring = np.abs(off)
     g = float(np.max(np.abs(diag) + np.append(ring, 0.0) + np.append(0.0, ring)))
     below, *_, info = dstebz(diag, off, 1, -2.0 * g, 0.0, 0, 0, 4.0 * g, b"E")
@@ -405,8 +438,11 @@ def lowest_eigenvalue(op: SectorOperator):
        LAPACK's dgtsv until lambda moves by at most RQI_TOL (lambda - SHIFT).
        Each Rayleigh quotient is summed through the factor of K.
     3. A certificate counts the pencil eigenvalues below
-       lambda - CERT_GAP max(1, |lambda|) by Sturm sequences
-       (``_count_below``).  If any lies there, the iteration has found a
+       lambda - CERT_GAP max(1, |lambda|) (``_count_below``, with the
+       equilibration of the solves): a positive definite dpttrf
+       factorization of the equilibrated A - sigma B certifies at once,
+       and dstebz counts by Sturm sequences only past a pivot that is not
+       positive.  If any lies there, the iteration has found a
        higher eigenvalue: bisection on the same count brackets the lowest
        one to BISECT_TOL, and inverse and Rayleigh-quotient iteration from
        the bracket's lower end find it, certified again.
@@ -466,17 +502,17 @@ def lowest_eigenvalue(op: SectorOperator):
                         RQI_MAX_STEPS)
 
     lam, x = iterate(solve)
-    if _count_below(op, _certificate_shift(lam)):
+    if _count_below(op, _certificate_shift(lam), scale):
         # a higher eigenvalue: bracket the lowest by the same count
         lo, hi = SHIFT, _certificate_shift(lam)
         while hi - lo > BISECT_TOL * (hi - SHIFT):
             mid = 0.5 * (lo + hi)
-            if _count_below(op, mid):
+            if _count_below(op, mid, scale):
                 hi = mid
             else:
                 lo = mid
         lam, x = iterate(lambda _, z: shifted(lo, z))
-        if _count_below(op, _certificate_shift(lam)):
+        if _count_below(op, _certificate_shift(lam), scale):
             raise EigenSolverFailure(
                 f"no certified lowest eigenvalue: pencil eigenvalues lie "
                 f"below {lam!r} also after bisection")
@@ -510,12 +546,12 @@ def _hardy_poincare_pencils(d: float, p: float, n: int) -> list[SectorOperator]:
                           f"= (1, d/(d - 2)) for d={d}; got {p}")
     flat = ProblemParams(float(d), 0.0, float(p))
     k = 1.0 / (p - 1.0)
-    s = _grid(math.sqrt(derive(flat).b_gamma), [
+    mesh = _grid(math.sqrt(derive(flat).b_gamma), [
         (d, 2.0 * p * k), (d + 2.0, (3.0 * p - 1.0) * k),
         (d + 4.0, (3.0 * p - 1.0) * k), (d + 2.0, 2.0 * p * k)], n)
-    log_u, ab = _unit_optimizer(flat, _gauss_nodes(s))
-    log_s = np.log(s)
-    return _sector_pencils(s, d, (0, 1), (2.0 * log_s, log_s),
+    u, ab = _unit_optimizer(flat)
+    log_u = u.log_of_log(mesh.log_nodes)
+    return _sector_pencils(mesh, d, (0, 1), (2.0 * mesh.log_r, mesh.log_r),
                            omega=np.exp(2.0 * p * log_u),
                            rho=ab * np.exp((3.0 * p - 1.0) * log_u))
 

@@ -589,7 +589,7 @@ class TestExitCodes:
         assert main(["spectrum", "--d", "3", "--gamma", "1.999",
                      "--p", "1.0002", "--ell", "1"]) == 0
         out = json.loads(capfd.readouterr().out)
-        assert out["result"]["lambda_min"] == 0.5461310313890737
+        assert out["result"]["lambda_min"] == 0.5461310313890697
 
     def test_flow_mesh_underflow_near_gamma_two(self, capsys):
         # d_gamma = 402: s^d_gamma underflows to 0 on the first cells, whose

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -6,13 +8,16 @@ import scipy.sparse.linalg as spla
 
 from cknlab import spectral
 from cknlab.errors import EigenSolverFailure, ParameterError
-from cknlab.params import validate
-from cknlab.profiles import w_gamma_star
-from cknlab.spectral import (CERT_GAP, MIN_NODES, SHIFT, _count_below,
-                             _gauss_nodes, _hardy_poincare_pencils,
+from cknlab.params import ProblemParams, derive, validate
+from cknlab.profiles import AnalyticProfile, w_gamma_star
+from cknlab.spectral import (_GL_W, _GL_X, CERT_GAP, MIN_NODES, SHIFT,
+                             _count_below, _hardy_poincare_pencils, _mesh,
                              _sector_pencils, _tri_mass, assemble, gamma_sweep,
                              hardy_poincare_gap, lowest_eigenvalue, sector_min)
 from sector_oracle import ABS_TOL, REL_TOL, sector_closed_form, tridiagonal
+
+# a weight whose exp of a log sum overflows or underflows fails its test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _shift_stiffness(op, t):
@@ -46,16 +51,129 @@ def _reference_solve(op):
     return float(vals[0]), vec / np.sqrt(vec @ B @ vec)
 
 
-def _count_calls(monkeypatch):
-    """Count the solver's _count_below calls: [count], updated in place."""
-    counts, count_below = [0], spectral._count_below
+def _count_calls(monkeypatch, name="_count_below"):
+    """Count the solver's calls of spectral.<name>: [count], updated in place."""
+    counts, wrapped = [0], getattr(spectral, name)
 
     def counting(*args):
         counts[0] += 1
-        return count_below(*args)
+        return wrapped(*args)
 
-    monkeypatch.setattr(spectral, "_count_below", counting)
+    monkeypatch.setattr(spectral, name, counting)
     return counts
+
+
+def _gauss_nodes(r):
+    """The Gauss nodes of grid r, one row per cell."""
+    h = np.diff(r)
+    return r[:-1, None] + h[:, None] * _GL_X[None, :]
+
+
+def _reference_mass(r, weight):
+    """FE mass bands (diag, off) of int f g weight dr, weight at
+    _gauss_nodes(r)."""
+    hats = _GL_W[:, None] * np.column_stack(
+        [(1.0 - _GL_X) ** 2, _GL_X ** 2, (1.0 - _GL_X) * _GL_X])
+    d_l, d_r, off = ((weight @ hats) * np.diff(r)[:, None]).T
+    diag = np.zeros(r.size)
+    diag[:-1] += d_l
+    diag[1:] += d_r
+    return diag, off
+
+
+def _reference_grad(r, weight):
+    """FE stiffness bands (diag, off) of int f' g' weight dr."""
+    coeff = (weight @ _GL_W) / np.diff(r)
+    diag = np.zeros(r.size)
+    diag[:-1] += coeff
+    diag[1:] += coeff
+    return diag, -coeff
+
+
+def _reference_bands(r, d, ell, rho, omega=None, potential=None,
+                     constraint=None):
+    """(stiffness, mass, load) of sector ell on grid r, each band sampled
+    directly at _gauss_nodes(r) with the measure x ** (d - 1): the assembly
+    the log-form mesh replaced.  The load is None off ell = 0."""
+    r_c = math.sqrt(r[0] * r[-1])
+    x = _gauss_nodes(r) / r_c
+    measure = x ** (d - 1.0)
+
+    def measured(weight):
+        return measure if weight is None else weight * measure
+
+    diag_a, off_a = _reference_grad(r, measured(omega))
+    if potential is not None:
+        diag_v, off_v = _reference_mass(r, measured(potential))
+        diag_a, off_a = diag_a + diag_v, off_a + off_v
+    if ell:
+        centrifugal = x ** (d - 3.0)
+        diag_c, off_c = _reference_mass(r, centrifugal if omega is None
+                                        else omega * centrifugal)
+        lam = ell * (ell + d - 2.0) / (r_c * r_c)
+        diag_a, off_a = diag_a + lam * diag_c, off_a + lam * off_c
+    diag_b, off_b = _reference_mass(r, measured(rho))
+    load = None
+    if ell == 0:
+        diag_l, off_l = ((diag_b, off_b) if constraint is None
+                         else _reference_mass(r, measured(constraint)))
+        load = diag_l[:-1] + off_l + np.append(0.0, off_l[:-1])
+    return (diag_a[:-1], off_a[:-1]), (diag_b[:-1], off_b[:-1]), load
+
+
+def _unit_optimizer_log(d, p, r):
+    """(log u at _gauss_nodes(r) through AnalyticProfile.log, a/b) for the
+    gamma = 0 optimizer in the real dimension d."""
+    ex = derive(ProblemParams(float(d), 0.0, float(p)))
+    u = AnalyticProfile(log_peak=0.0, b=ex.b_gamma, c=2.0, k=1.0 / (p - 1.0))
+    return u.log(_gauss_nodes(r)), ex.a_gamma / ex.b_gamma
+
+
+def _reference_sector(params, ell, op):
+    """_reference_bands of assemble(params, ell) on np.geomspace between the
+    ends of op's grid."""
+    p, alpha = params.p, 1.0 - params.gamma / 2.0
+    d_g = derive(params).d_gamma
+    r = np.geomspace(op.grid[0], op.grid[-1], op.grid.size)
+    log_u, ab = _unit_optimizer_log(d_g, p, r)
+    u_2p2 = np.exp((2.0 * p - 2.0) * log_u)
+    rho = (2.0 * p - 1.0) * ab * ab * u_2p2
+    return r, _reference_bands(
+        r, d_g, ell / alpha, rho,
+        potential=p * ab * np.exp((p - 1.0) * log_u) - rho,
+        constraint=np.exp((2.0 * p - 1.0) * log_u) if ell == 0 else None)
+
+
+def _reference_hardy_poincare(d, p, op):
+    """_reference_bands of the Hardy-Poincare sector op.ell at (d, p)."""
+    r = np.geomspace(op.grid[0], op.grid[-1], op.grid.size)
+    log_u, ab = _unit_optimizer_log(d, p, r)
+    return r, _reference_bands(r, d, op.ell,
+                               rho=ab * np.exp((3.0 * p - 1.0) * log_u),
+                               omega=np.exp(2.0 * p * log_u))
+
+
+def _check_parity(op, reference):
+    r, (stiffness, mass, load) = reference
+    assert np.allclose(op.grid, r, rtol=1e-13, atol=0.0)
+    pairs = [*zip(op.stiffness, stiffness), *zip(op.mass_matrix, mass)]
+    if load is not None:
+        pairs.append((op.constraints[0], load))
+    for new, old in pairs:
+        assert np.all(np.abs(new - old) <= 1e-11 * np.abs(old))
+
+
+def _dense_reference(op):
+    """The pencil's eigenvalues on c^T x = 0 by dense eigh on a basis of
+    that subspace, after the equilibration that makes the bands of order 1."""
+    A, B = tridiagonal(op.stiffness).toarray(), tridiagonal(op.mass_matrix).toarray()
+    scale = 1.0 / np.sqrt(np.diag(A) - SHIFT * np.diag(B))
+    A, B = scale[:, None] * A * scale, scale[:, None] * B * scale
+    if op.constraints:
+        c = scale * op.constraints[0]
+        Q = sla.null_space((c / np.max(np.abs(c)))[None, :])
+        A, B = Q.T @ A @ Q, Q.T @ B @ Q
+    return sla.eigh(A, B, eigvals_only=True)
 
 
 # operators whose spectra are dense, at d_gamma = 82-202
@@ -84,11 +202,12 @@ class TestAssemble:
         # sectors 0 and 1 of one grid differ exactly by the (d-1)/s^2 mass
         # term, in the measure (s/s_c)^(d-1) of the grid's centre s_c = 10
         d, grid, s_c = 3, np.geomspace(0.1, 1e3, 300), 10.0
-        x = _gauss_nodes(grid)
+        mesh = _mesh(np.log(grid))
+        x = np.exp(mesh.log_nodes)
         # the bands do not depend on the start
-        op0, op1 = _sector_pencils(grid, d, (0, 1), [np.zeros(grid.size)] * 2,
+        op0, op1 = _sector_pencils(mesh, d, (0, 1), [np.zeros(grid.size)] * 2,
                                    rho=np.ones_like(x))
-        dgc, offc = _tri_mass(grid, (x / s_c) ** (d - 3.0))
+        dgc, offc = _tri_mass(mesh.h, (x / s_c) ** (d - 3.0))
         n = grid.size - 1
         cent = (d - 1.0) / s_c**2 * tridiagonal((dgc[:n], offc[: n - 1])).toarray()
         diff = tridiagonal(op1.stiffness) - tridiagonal(op0.stiffness)
@@ -117,6 +236,21 @@ class TestAssemble:
     def test_rejects_negative_ell(self, pp0):
         with pytest.raises(ParameterError):
             assemble(pp0, ell=-1, n=300)
+
+    @pytest.mark.parametrize("ell", [0, 1, 2])
+    @pytest.mark.parametrize("d, gamma, p", [(3, 0.0, 2.0), (4, 0.25, 1.5),
+                                             (3, 1.5, 1.49), (3, 1.98, 1.005)])
+    def test_bands_match_direct_sampling(self, d, gamma, p, ell):
+        # weights from one log pass over the Gauss nodes give the bands of
+        # sampling x ** (d - 1) and the optimizer at each node, to rounding
+        params = validate(d, gamma, p)
+        op = assemble(params, ell, 2000)
+        _check_parity(op, _reference_sector(params, ell, op))
+
+    @pytest.mark.parametrize("d, p", [(3, 2.0), (4, 1.7)])
+    def test_hardy_poincare_bands_match_direct_sampling(self, d, p):
+        for op in _hardy_poincare_pencils(d, p, 2000):
+            _check_parity(op, _reference_hardy_poincare(d, p, op))
 
 
 class TestLowestEigenvalue:
@@ -195,14 +329,15 @@ class TestLowestEigenvalue:
         # on an r-grid [1e-4, 1e4] that holds the profile at these points
         w = w_gamma_star(validate(d, gamma, p))
         grid = np.geomspace(1e-4, 1e4, n)
-        r = _gauss_nodes(grid)
+        mesh = _mesh(np.log(grid))
+        r = np.exp(mesh.log_nodes)
 
         def weight(q):
             return np.exp(q * w.log(r) - gamma * np.log(r))
 
         # the solve starts from the optimizer, the radial shape the grid holds
         (op,) = _sector_pencils(
-            grid, d, [0], [w.log(grid)], constraint=weight(2 * p - 1),
+            mesh, d, [0], [w.log(grid)], constraint=weight(2 * p - 1),
             potential=p * weight(p - 1) - (2 * p - 1) * weight(2 * p - 2),
             rho=(2 * p - 1) * weight(2 * p - 2))
         weighted = lowest_eigenvalue(op)[0]
@@ -354,6 +489,32 @@ class TestCertificate:
         gap = CERT_GAP * max(1.0, abs(lam))
         assert _count_below(op, lam - gap) == 0
         assert _count_below(op, lam + gap) >= 1
+
+    @pytest.mark.parametrize("build", [
+        *(lambda ell=ell, pt=pt: assemble(validate(*pt), ell, 400)
+          for pt in [(3, 0.0, 2.0), (3, 1.5, 1.49)] for ell in (0, 1, 2)),
+        *(lambda sector=sector: _hardy_poincare_pencils(3, 2.0, 400)[sector]
+          for sector in (0, 1)),
+    ], ids=[f"{pt}-ell{ell}" for pt in ["(3,0,2)", "(3,1.5,1.49)"]
+            for ell in (0, 1, 2)] + ["hardy-poincare-0", "hardy-poincare-1"])
+    def test_count_matches_dense_reference(self, build, monkeypatch):
+        # on each side of the three lowest eigenvalues; a positive definite
+        # M is answered by its factorization, so dstebz only runs where an
+        # eigenvalue lies below sigma or the constraint hides an unconstrained
+        # one there
+        sturm = _count_calls(monkeypatch, "dstebz")
+        op = build()
+        lams = _dense_reference(op)
+        for k in range(3):
+            gap = 1e-6 * max(1.0, abs(lams[k]))
+            assert lams[k + 1] - lams[k] > 2.0 * gap
+            for sigma in (lams[k] - gap, lams[k] + gap):
+                before = sturm[0]
+                assert _count_below(op, sigma) == np.sum(lams < sigma)
+                if k == 0 and sigma < lams[0] and not op.constraints:
+                    assert sturm[0] == before
+                if sigma > lams[0]:
+                    assert sturm[0] == before + 1
 
 
 class TestSectorClosedForm:
